@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race race-smoke lint lint-baseline baseline-check check bench bench-smoke trace-smoke fault-smoke fault-par-smoke prof-smoke
+.PHONY: build vet test tier1 race race-smoke lint lint-baseline baseline-check check bench bench-smoke trace-smoke fault-smoke fault-par-smoke prof-smoke
 
 build:
 	$(GO) build ./...
@@ -14,13 +14,19 @@ vet:
 test:
 	$(GO) test -short ./...
 
+# tier1 runs exactly the tier-1 gate in ROADMAP.md (full tests, no -short).
+# The CI tier1 job runs it under /usr/bin/time -v, so its log records the
+# gate's wall time and peak RSS.
+tier1:
+	$(GO) build ./... && $(GO) test ./...
+
 race:
 	$(GO) test -race -short ./...
 
 # race-smoke mirrors the CI race-smoke job: the concurrency-heavy tests
 # (parallel round loop, worker fan-out, parallel accept/bucketing and its
-# cross-worker conformance suite — forced pool and spawn dispatch columns
-# included, the persistent-pool rapid-dispatch and close-cycle stresses,
+# cross-worker conformance suite — forced pool columns included, the
+# persistent-pool rapid-dispatch and close-cycle stresses,
 # the million-node scale round — faulted expander column included, fault
 # injection inside the parallel phase bodies, and the chaos soak) under the
 # race detector, without -short. This is the dynamic backstop for the

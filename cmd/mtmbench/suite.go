@@ -127,15 +127,10 @@ func buildSuite() []Benchmark {
 // roundsBenches is the paper-scale round tier: one op = one steady-state
 // round at the n the paper's experiments actually use (10³–10⁴ nodes),
 // where per-round dispatch overhead — not per-node work — decides whether
-// parallelism pays. Each family sweeps the three dispatch cores at w=8
-// alongside the w=1 inline baseline: DispatchAuto is what production runs
-// get (the pool with its benchmark-derived gate, resolving inline on
-// single-P hosts), DispatchPool forces the persistent pool's epoch-publish
-// dispatch, and DispatchSpawn forces the historical per-phase
-// goroutine-spawning core the pool replaced. A recording therefore carries
-// the pool-vs-spawn crossover evidence at both n, and -compare against the
-// seed watches the w=8 auto entry for regressions in exactly the regime the
-// rework targets.
+// parallelism pays. Each family runs w=8 (the persistent pool, resolving
+// inline on single-P hosts) alongside the w=1 inline baseline, and
+// -compare against the seed watches the w=8 entry for regressions in
+// exactly that regime.
 func roundsBenches() []Benchmark {
 	var suite []Benchmark
 	for _, nodes := range []int{1 << 10, 1 << 12} {
@@ -150,14 +145,11 @@ func roundsBenches() []Benchmark {
 			return *shared
 		}
 		sweep := []struct {
-			suffix   string
-			workers  int
-			dispatch sim.Dispatch
+			suffix  string
+			workers int
 		}{
-			{"w=1", 1, sim.DispatchAuto},
-			{"w=8", 8, sim.DispatchAuto},
-			{"w=8-pool", 8, sim.DispatchPool},
-			{"w=8-spawn", 8, sim.DispatchSpawn},
+			{"w=1", 1},
+			{"w=8", 8},
 		}
 		for i, sw := range sweep {
 			sw := sw
@@ -181,7 +173,7 @@ func roundsBenches() []Benchmark {
 						protocols := core.NewBlindGossipNetwork(core.UniqueUIDs(fam.N(), suiteSeed))
 						var err error
 						eng, err = sim.New(dyngraph.NewStatic(fam), protocols,
-							sim.Config{Seed: suiteSeed, Workers: sw.workers, Dispatch: sw.dispatch})
+							sim.Config{Seed: suiteSeed, Workers: sw.workers})
 						if err != nil {
 							fatalf("rounds bench (%s): %v", name, err)
 						}
@@ -192,7 +184,7 @@ func roundsBenches() []Benchmark {
 				},
 				Cleanup: func() {
 					if eng != nil {
-						eng.Close() // forced-pool entries own parked worker goroutines
+						eng.Close() // pool entries own parked worker goroutines
 						eng = nil
 					}
 					if last {

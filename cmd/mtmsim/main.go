@@ -42,7 +42,6 @@ func run() error {
 		spread      = flag.Int("activation-spread", 0, "stagger activations uniformly over this many rounds (asyncbitconv)")
 		verbose     = flag.Bool("v", false, "print topology metadata before running")
 		curve       = flag.Bool("curve", false, "print a sparkline of connections per round")
-		record      = flag.String("record", "", "write a JSON-lines execution recording to this file")
 		traceFile   = flag.String("trace", "", "write a structured JSONL event trace (mtmtrace/v1) to this file")
 		metricsFile = flag.String("metrics", "", "write a JSON run-metrics summary (mtmtrace-metrics/v1) to this file")
 		phaseProf   = flag.String("phase-prof", "", "write a JSON phase-timing report (mtmprof/v1) to this file")
@@ -117,7 +116,6 @@ func run() error {
 		path string
 		dst  *io.Writer
 	}{
-		{*record, &opts.RecordTo},
 		{*traceFile, &opts.TraceTo},
 		{*metricsFile, &opts.MetricsTo},
 		{*phaseProf, &opts.PhaseProfTo},

@@ -13,6 +13,10 @@ import (
 // testdata/golden.trace.jsonl:
 //
 //	mtmtrace record -topo clique -n 8 -algo blindgossip -seed 42
+//
+// MaxRounds is not part of the trace header, so it is capped far below the
+// CLI default: a test built on this config that cannot stabilize fails
+// fast with ErrNotStabilized instead of buffering millions of rounds.
 var goldenConfig = recordConfig{
 	Topo:      "clique",
 	N:         8,
@@ -21,7 +25,7 @@ var goldenConfig = recordConfig{
 	Schedule:  "static",
 	Tau:       4,
 	Seed:      42,
-	MaxRounds: 10_000_000,
+	MaxRounds: 20_000,
 }
 
 const goldenPath = "testdata/golden.trace.jsonl"

@@ -16,10 +16,10 @@ import (
 // epochpool.go.
 //
 // internal/sim's dispatcher splits [0, n) into contiguous chunks and runs
-// fn(w, lo, hi) concurrently, with wg.Wait as the only barrier. Inside one
-// such region the analyzer must therefore prove, for every access to
-// shared state (anything reached through the method receiver, a captured
-// variable, or a package-level variable):
+// fn(w, lo, hi) concurrently, with the dispatch join as the only barrier.
+// Inside one such region the analyzer must therefore prove, for every
+// access to shared state (anything reached through the method receiver, a
+// captured variable, or a package-level variable):
 //
 //   - writes to a shared container element s[i] (including implicit writes
 //     via a pointer-receiver method call s[i].M(), and writes through a
@@ -54,10 +54,15 @@ import (
 // A slice alias with any other bounds (row := shared[2:7]) is treated as
 // the shared container itself and held to the chunk proof.
 //
+// A method worker that forwards its own (w, lo, hi) to another receiver
+// method (a fused body running two sweeps back to back) has that method
+// analyzed as a worker too.
+//
 // Boundaries, dynamically backed by the race-smoke CI job (`make race`):
-// bodies of calls on the receiver itself (e.bindCtx(ctx)) are not walked,
-// writes through pointers the analyzer cannot trace to one &s[i] site are
-// skipped, and `go` statements inside a region belong to sharedwrite.
+// other bodies of calls on the receiver itself (e.bindCtx(ctx)) are not
+// walked, writes through pointers the analyzer cannot trace to one &s[i]
+// site are skipped, and `go` statements inside a region belong to
+// sharedwrite.
 // Workers the analyzer cannot resolve to a body (a func value from an
 // unknown source) are themselves findings: an unverifiable dispatch is a
 // hole in the proof.
@@ -136,7 +141,49 @@ func hbCheckWorkerArg(p *Pass, arg ast.Expr, fieldFns map[*types.Var]*types.Func
 	if !analyzed[decl] {
 		analyzed[decl] = true
 		hbCheckDecl(p, decl)
+		hbCheckForwarded(p, decl, fieldFns, decls, analyzed)
 	}
+}
+
+// hbCheckForwarded analyzes, as workers of their own, the receiver methods
+// a method worker calls with its own (w, lo, hi) in order — the sweeps a
+// fused body runs back to back, e.g. e.phaseActiveScan(w, lo, hi). Each
+// such sweep gets the chunk proof it would get if dispatched directly.
+func hbCheckForwarded(p *Pass, decl *ast.FuncDecl, fieldFns map[*types.Var]*types.Func, decls map[*types.Func]*ast.FuncDecl, analyzed map[ast.Node]bool) {
+	if decl.Recv == nil || len(decl.Recv.List) != 1 || len(decl.Recv.List[0].Names) != 1 {
+		return
+	}
+	recv := p.Pkg.Info.Defs[decl.Recv.List[0].Names[0]]
+	var params []types.Object
+	for _, field := range decl.Type.Params.List {
+		for _, id := range field.Names {
+			params = append(params, p.Pkg.Info.Defs[id])
+		}
+	}
+	if len(params) != 3 {
+		return
+	}
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 3 {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if x, ok := ast.Unparen(sel.X).(*ast.Ident); !ok || p.Pkg.Info.Uses[x] != recv {
+			return true
+		}
+		for i, arg := range call.Args {
+			id, ok := ast.Unparen(arg).(*ast.Ident)
+			if !ok || params[i] == nil || p.Pkg.Info.Uses[id] != params[i] {
+				return true
+			}
+		}
+		hbCheckWorkerArg(p, sel, fieldFns, decls, analyzed)
+		return true
+	})
 }
 
 func hbCheckLit(p *Pass, lit *ast.FuncLit) {

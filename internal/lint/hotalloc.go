@@ -30,7 +30,7 @@ import (
 //   - amortized growth: `x = make(...)` or `x = append(x, ...)` guarded by
 //     an enclosing if whose condition measures cap(x) or len(x) — the
 //     inboxTo doubling — and self-append to a struct field or package
-//     variable (high-water-mark scratch such as pairScratch);
+//     variable (high-water-mark scratch such as Context.nbr);
 //   - panic-cold code: allocations inside panic arguments, or in a block
 //     that ends by panicking, never run in the steady state;
 //   - closures passed directly to sort.Search, which is documented
@@ -40,13 +40,12 @@ import (
 //
 // A //mtmlint:hotpath-end <reason> comment inside a function ends the
 // certified region at that line: nothing past it is flagged, and calls past
-// it do not pull their callees into the certification walk. parallelFor's
-// goroutine dispatch sits after one, because the pinned zero-alloc
-// configuration (Workers=1) takes the inline path; stepCore's opt-in
-// invariant audit (Config.Check) sits after another. Dynamic calls — interface methods, func-typed fields
-// and parameters — are boundaries this analyzer cannot see across; the
-// protocol callbacks behind them are certified separately (their
-// implementations carry their own hotpath roots or runtime pins).
+// it do not pull their callees into the certification walk. stepCore's
+// opt-in invariant audit (Config.Check) sits after one. Dynamic calls —
+// interface methods, func-typed fields and parameters — are boundaries
+// this analyzer cannot see across; the protocol callbacks behind them are
+// certified separately (their implementations carry their own hotpath
+// roots or runtime pins).
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "certify //mtmlint:hotpath call graphs allocation-free in the steady state",
@@ -426,7 +425,7 @@ func (f *hotFuncWalk) isAmortizedAppend(call *ast.CallExpr) bool {
 	}
 	switch l := lhs.(type) {
 	case *ast.SelectorExpr:
-		return true // field scratch, e.g. e.pairScratch
+		return true // field scratch, e.g. c.nbr
 	case *ast.Ident:
 		obj := f.info().ObjectOf(l)
 		return obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()

@@ -333,3 +333,39 @@ func (e *maskEngine) run() {
 	parallelFor(len(e.out), e.phOK)
 	parallelFor(len(e.out), e.phBad)
 }
+
+// fusedEngine mirrors internal/sim's fused phase bodies: the dispatched
+// worker forwards its own (w, lo, hi) to two sweeps, and each forwarded
+// sweep is analyzed as a worker of its own — sweepShift is never
+// dispatched directly, yet its out-of-chunk write is still caught.
+type fusedEngine struct {
+	a, b    []int
+	phFused func(w, lo, hi int)
+}
+
+func newFusedEngine(n int) *fusedEngine {
+	e := &fusedEngine{a: make([]int, n), b: make([]int, n)}
+	e.phFused = e.phaseFused
+	return e
+}
+
+func (e *fusedEngine) phaseFused(w, lo, hi int) {
+	e.sweepFill(w, lo, hi)
+	e.sweepShift(w, lo, hi)
+}
+
+func (e *fusedEngine) sweepFill(w, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		e.a[i] = i
+	}
+}
+
+func (e *fusedEngine) sweepShift(w, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		e.b[i+1] = e.a[i] // want `cannot prove write of e.b\[i \+ 1\]`
+	}
+}
+
+func (e *fusedEngine) run() {
+	parallelFor(len(e.a), e.phFused)
+}

@@ -13,14 +13,13 @@
 //     schedule, protocol, config); its event stream must be too, so two
 //     same-seed traces can be compared event by event (mtmtrace diff).
 //     The sink always observes events in ascending node order within each
-//     phase, at any worker count: parallel phase bodies emit into private
+//     phase, at any worker count: phase bodies emit into private
 //     per-worker buffers (WorkerBuf) that the engine drains into the sink
 //     in ascending worker order at each sequential barrier — worker chunks
 //     ascend in node id and each worker iterates its chunk ascending, so
 //     the concatenation reproduces exactly the sequential emission order,
 //     and a Workers=8 trace is byte-identical to the Workers=1 trace of
-//     the same seed. (Faulted traced runs are the one forced-sequential
-//     exception: fault draws interleave with the event stream.)
+//     the same seed, faulted runs included.
 //  3. Flat events. Event is a fixed-size value type (no pointers, no
 //     per-event heap allocation on the emit path); the per-type meaning of
 //     its payload fields is documented on the Type constants and frozen by

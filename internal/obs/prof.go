@@ -36,18 +36,18 @@ const (
 	// PhasePartner materializes partners from the accept results.
 	PhasePartner
 	// PhaseBucketSeq is the whole sequential step-4 core (bucket + accept),
-	// used when the parallel core is off (Workers=1, faults, classical).
+	// used by engines that run every phase inline.
 	PhaseBucketSeq
 	// PhaseExchange runs step 5 (message exchange over connections).
 	PhaseExchange
 	// PhaseEndRound runs the end-of-round protocol callbacks.
 	PhaseEndRound
-	// PhaseFlush drains per-worker event buffers into the sink (parallel
-	// traced runs only).
+	// PhaseFlush drains per-worker event buffers into the sink (traced
+	// runs only).
 	PhaseFlush
 	// PhaseScanAdvertise is the fused active-scan + advertise dispatch (one
-	// barrier instead of two, fault-free rounds only). The dispatch's wall
-	// time lands here; the fused body self-times each sweep, so busy time
+	// barrier instead of two) every round runs. The dispatch's wall time
+	// lands here; the fused body self-times each sweep, so busy time
 	// still lands on PhaseActiveScan and PhaseAdvertise.
 	PhaseScanAdvertise
 	// PhasePartnerExchange is the fused partner-materialization + exchange
@@ -102,7 +102,7 @@ const busyStride = 8
 type Profiler struct {
 	clock    func() int64
 	workers  int
-	dispatch string // resolved dispatch mode ("inline", "pool", "spawn")
+	dispatch string // resolved dispatch mode ("inline" or "pool")
 	gate     int    // node-count floor below which dispatches run inline
 	rounds   int64
 	runNS    int64
@@ -187,8 +187,8 @@ type PhaseProfile struct {
 type ProfReport struct {
 	Schema  string `json:"schema"`
 	Workers int    `json:"workers"`
-	// Dispatch is the engine's resolved dispatch mode ("inline", "pool",
-	// "spawn"); GateNodes is the node-count floor below which dispatches run
+	// Dispatch is the engine's resolved dispatch mode ("inline" or
+	// "pool"); GateNodes is the node-count floor below which dispatches run
 	// inline. Both are omitted by profilers that predate the worker pool —
 	// adding omitempty fields is a compatible mtmprof/v1 extension.
 	Dispatch  string `json:"dispatch,omitempty"`

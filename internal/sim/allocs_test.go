@@ -68,26 +68,26 @@ func TestSteadyStateZeroAllocsTraced(t *testing.T) {
 }
 
 // TestSteadyStateZeroAllocsTracedParallel pins the parallel-emission claim:
-// with Workers > 1 the emit path itself — per-worker buffer appends plus the
-// chunk-order flush — must amortize to zero allocations per round once the
-// buffers are warm. Goroutine dispatch in parallelFor does allocate, so the
-// pin is differential: a traced parallel round may cost at most a fraction
-// of an allocation per round more than an untraced parallel round of the
-// same configuration.
+// with Workers > 1 on the pool the emit path itself — per-worker buffer
+// appends plus the chunk-order flush — must amortize to zero allocations
+// per round once the buffers are warm. The pin is differential: a traced
+// parallel round may cost at most a fraction of an allocation per round
+// more than an untraced parallel round of the same configuration.
 func TestSteadyStateZeroAllocsTracedParallel(t *testing.T) {
 	const (
-		n       = 512 // above parallelThreshold so the parallel path runs
+		n       = 512
 		workers = 4
 	)
 	run := func(sink obs.Sink) float64 {
 		eng, err := sim.New(
 			dyngraph.NewStatic(gen.RandomRegular(n, 8, 1)),
 			core.NewBlindGossipNetwork(core.UniqueUIDs(n, 42)),
-			sim.Config{Seed: 42, Workers: workers, Sink: sink},
+			sim.ForcePool(sim.Config{Seed: 42, Workers: workers, Sink: sink}),
 		)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer eng.Close()
 		// Warm up: one-time growth (inboxTo and worker-buffer high-water
 		// marks, lazy state).
 		eng.RunRounds(1, 50)

@@ -6,18 +6,22 @@ import (
 
 	"mobiletel/internal/core"
 	"mobiletel/internal/dyngraph"
+	"mobiletel/internal/fault"
 	"mobiletel/internal/graph/gen"
 	"mobiletel/internal/sim"
 )
+
+// A node that leaves the network for good is a scheduled crash with no
+// recovery: a departure after round d is fault.Plan.Crashes {Round: d+1}.
 
 func TestDepartedNodesInvisible(t *testing.T) {
 	// Node 1 (middle of a path) departs after round 5; thereafter the two
 	// halves cannot exchange UIDs, so the network never fully agrees.
 	uids := []uint64{30, 20, 10}
 	protocols := core.NewBlindGossipNetwork(uids)
-	departures := []int{0, 5, 0}
+	plan := fault.Plan{Crashes: []fault.NodeRound{{Round: 6, Node: 1}}}
 	eng, err := sim.New(dyngraph.NewStatic(gen.Path(3)), protocols, sim.Config{
-		Seed: 3, MaxRounds: 2000, Departures: departures, Workers: 1,
+		Seed: 3, MaxRounds: 2000, Workers: 1, Faults: mustInjector(t, plan, 3),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,26 +43,6 @@ func TestDepartedNodesInvisible(t *testing.T) {
 	}
 }
 
-func TestDepartureValidation(t *testing.T) {
-	protocols := core.NewBlindGossipNetwork(core.UniqueUIDs(3, 1))
-	if _, err := sim.New(dyngraph.NewStatic(gen.Path(3)), protocols, sim.Config{
-		Departures: []int{0, 1},
-	}); err == nil {
-		t.Fatal("short departures accepted")
-	}
-	if _, err := sim.New(dyngraph.NewStatic(gen.Path(3)), protocols, sim.Config{
-		Departures: []int{-1, 0, 0},
-	}); err == nil {
-		t.Fatal("negative departure accepted")
-	}
-	if _, err := sim.New(dyngraph.NewStatic(gen.Path(3)), protocols, sim.Config{
-		Activations: []int{5, 1, 1},
-		Departures:  []int{3, 0, 0},
-	}); err == nil {
-		t.Fatal("departure before activation accepted")
-	}
-}
-
 // TestGhostLeaderLimitation documents a limitation the paper does not
 // address (it never models departures): if the minimum-UID node departs
 // after its UID has spread, the network stabilizes on a *departed* leader
@@ -76,11 +60,11 @@ func TestGhostLeaderLimitation(t *testing.T) {
 		}
 	}
 	protocols := core.NewBlindGossipNetwork(uids)
-	departures := make([]int, n)
-	departures[minIdx] = 40 // leave after the UID has had time to spread
+	const departAfter = 40 // leave after the UID has had time to spread
+	plan := fault.Plan{Crashes: []fault.NodeRound{{Round: departAfter + 1, Node: minIdx}}}
 
 	eng, err := sim.New(dyngraph.NewStatic(f), protocols, sim.Config{
-		Seed: 5, MaxRounds: 100_000, Departures: departures,
+		Seed: 5, MaxRounds: 100_000, Faults: mustInjector(t, plan, n),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +80,7 @@ func TestGhostLeaderLimitation(t *testing.T) {
 		t.Skipf("minimum did not spread before departure (round %d)", res.StabilizedRound)
 	}
 	// The elected leader is gone — the ghost-leader outcome.
-	if departures[minIdx] >= res.StabilizedRound {
+	if departAfter >= res.StabilizedRound {
 		t.Skip("network stabilized before the departure; scenario not exercised")
 	}
 }

@@ -5,6 +5,6 @@ package sim
 // single-P check. Tests use it to run the pool's parallel round core at n
 // small enough for a quick test, on any host.
 func ForcePool(cfg Config) Config {
-	cfg.Dispatch = DispatchPool
+	cfg.forcePool = true
 	return cfg
 }

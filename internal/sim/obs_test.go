@@ -134,24 +134,27 @@ func TestTraceCountersMatchStats(t *testing.T) {
 }
 
 // TestPhaseProfiler runs profiled parallel elections with a deterministic
-// counter clock and checks the mtmprof/v1 report in every dispatch mode:
-// the fused default attributes dispatch wall time to the composite phases
-// and self-timed busy time to their constituent sweeps, the forced pool
-// does the same with real parallel workers, and the legacy spawn core keeps
-// its historical per-phase attribution. The flush phase appears exactly
+// counter clock and checks the mtmprof/v1 report both inline and on the
+// forced pool: the fused phases attribute dispatch wall time to the
+// composite phases and self-timed busy time to their constituent sweeps,
+// with real parallel workers on the pool. The flush phase appears exactly
 // when tracing is on, the resolved dispatch mode and gate are visible in
 // the report, and profiling never perturbs the run (bit-identical Result vs
 // the unprofiled engine).
 func TestPhaseProfiler(t *testing.T) {
 	const (
-		n       = 512 // above the spawn gate so the spawn core dispatches in parallel
+		n       = 512 // under the pool gate, so only the forced pool dispatches in parallel
 		workers = 4
 	)
-	run := func(prof *obs.Profiler, sink obs.Sink, dispatch sim.Dispatch) sim.Result {
+	run := func(prof *obs.Profiler, sink obs.Sink, pool bool) sim.Result {
+		cfg := sim.Config{Seed: 9, Workers: workers, Profiler: prof, Sink: sink}
+		if pool {
+			cfg = sim.ForcePool(cfg)
+		}
 		eng, err := sim.New(
 			dyngraph.NewStatic(gen.RandomRegular(n, 8, 3)),
 			core.NewBlindGossipNetwork(core.UniqueUIDs(n, 9)),
-			sim.Config{Seed: 9, Workers: workers, Profiler: prof, Sink: sink, Dispatch: dispatch},
+			cfg,
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -169,10 +172,10 @@ func TestPhaseProfiler(t *testing.T) {
 		ticks := new(atomic.Int64)
 		return obs.NewProfiler(func() int64 { return ticks.Add(1) })
 	}
-	report := func(t *testing.T, dispatch sim.Dispatch, want sim.Result) obs.ProfReport {
+	report := func(t *testing.T, pool bool, want sim.Result) obs.ProfReport {
 		t.Helper()
 		prof := newProf()
-		got := run(prof, obs.NewRing(1<<16), dispatch)
+		got := run(prof, obs.NewRing(1<<16), pool)
 		if got != want {
 			t.Fatalf("profiled run diverged from unprofiled: %+v vs %+v", got, want)
 		}
@@ -188,7 +191,7 @@ func TestPhaseProfiler(t *testing.T) {
 		}
 		return rep
 	}
-	want := run(nil, nil, sim.DispatchAuto)
+	want := run(nil, nil, false)
 
 	// The fused phase lists: composites carry the dispatch wall time, the
 	// constituent sweeps carry self-timed busy time only.
@@ -197,12 +200,12 @@ func TestPhaseProfiler(t *testing.T) {
 	fusedBusy := []string{"active_scan", "advertise", "partner", "exchange"}
 
 	t.Run("auto", func(t *testing.T) {
-		// n=512 is under the pool gate, so auto resolves to inline dispatch
-		// on any host — deterministically visible in the report — and an
-		// all-inline engine runs the sequential step-4 core, so the report
-		// shows bucket_accept instead of the chunk-safe count/merge/scatter/
-		// accept pipeline and its partner materialization.
-		rep := report(t, sim.DispatchAuto, want)
+		// n=512 is under the pool gate, so the engine resolves to inline
+		// dispatch on any host — deterministically visible in the report —
+		// and an inline engine runs the sequential step-4 core, so the
+		// report shows bucket_accept instead of the chunk-safe count/merge/
+		// scatter/accept pipeline and its partner materialization.
+		rep := report(t, false, want)
 		if rep.Dispatch != "inline" || rep.GateNodes <= n {
 			t.Errorf("auto dispatch resolved as %q (gate %d), want inline gated above n=%d",
 				rep.Dispatch, rep.GateNodes, n)
@@ -233,7 +236,7 @@ func TestPhaseProfiler(t *testing.T) {
 	})
 
 	t.Run("pool", func(t *testing.T) {
-		rep := report(t, sim.DispatchPool, want)
+		rep := report(t, true, want)
 		if rep.Dispatch != "pool" {
 			t.Errorf("forced pool resolved as %q", rep.Dispatch)
 		}
@@ -267,49 +270,14 @@ func TestPhaseProfiler(t *testing.T) {
 		}
 	})
 
-	t.Run("spawn", func(t *testing.T) {
-		// The legacy core: unfused phases, each with wall and per-worker
-		// busy time — the historical report shape.
-		rep := report(t, sim.DispatchSpawn, want)
-		if rep.Dispatch != "spawn" {
-			t.Errorf("forced spawn resolved as %q", rep.Dispatch)
-		}
-		if _, ok := phaseMap(rep)["bucket_accept"]; ok {
-			t.Error("parallel spawn run reported the sequential bucket_accept phase")
-		}
-		phases := phaseMap(rep)
-		for _, name := range []string{"active_scan", "advertise", "decide", "count",
-			"merge", "scatter", "accept", "partner", "exchange", "end_round", "flush"} {
-			p, ok := phases[name]
-			if !ok {
-				t.Errorf("phase %q missing from report (got %v)", name, rep.Phases)
-				continue
-			}
-			if p.WallNS <= 0 {
-				t.Errorf("phase %q has no wall time", name)
-			}
-			if len(p.BusyNS) != workers {
-				t.Errorf("phase %q has %d busy slots, want %d", name, len(p.BusyNS), workers)
-			}
-			if p.Imbalance < 1 {
-				t.Errorf("phase %q imbalance %v < 1", name, p.Imbalance)
-			}
-		}
-		for _, name := range []string{"scan_advertise", "partner_exchange"} {
-			if _, ok := phases[name]; ok {
-				t.Errorf("spawn core reported fused phase %q", name)
-			}
-		}
-	})
-
 	prof := newProf()
-	if run(prof, obs.NewRing(1<<16), sim.DispatchAuto); len(prof.TopPhases(3)) != 3 {
+	if run(prof, obs.NewRing(1<<16), false); len(prof.TopPhases(3)) != 3 {
 		t.Errorf("TopPhases(3) = %v, want 3 entries", prof.TopPhases(3))
 	}
 
 	// An untraced profiled run must not report a flush phase.
 	prof2 := newProf()
-	run(prof2, nil, sim.DispatchAuto)
+	run(prof2, nil, false)
 	for _, p := range prof2.Report().Phases {
 		if p.Phase == "flush" {
 			t.Error("untraced run reported a flush phase")

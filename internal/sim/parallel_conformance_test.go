@@ -78,24 +78,24 @@ func conformanceCases(n, maxDegree int) []conformanceCase {
 }
 
 // TestParallelRoundConformanceAcrossWorkers pins the contract behind the
-// parallel round core: Workers and Dispatch are throughput knobs, never
-// semantic ones. Every protocol in the repertoire runs to its stop condition
-// on the paper's line-of-stars topology at worker counts on both sides of
-// the chunking thresholds (1 = inline path, 2 = minimal split, 7 = uneven
+// parallel round core: Workers is a throughput knob, never a semantic one.
+// Every protocol in the repertoire runs to its stop condition on the
+// paper's line-of-stars topology at worker counts on both sides of the
+// chunking thresholds (1 = inline path, 2 = minimal split, 7 = uneven
 // chunks, 16 > GOMAXPROCS on most CI hosts), and every execution must
 // produce a bit-identical Result, final protocol state, and — with a JSONL
 // sink attached — a byte-identical event trace: per-worker buffers flushed
 // in chunk order must reproduce the sequential ascending-node emission order
 // exactly (the contract mtmtrace diff relies on).
 //
-// The sweep is also the cross-core differential for the dispatch rework:
-// forced DispatchPool columns run the fused phases on the persistent worker
-// pool with real goroutines even where DispatchAuto would resolve inline
-// (n below the gate, or a single-P host), and forced DispatchSpawn columns
-// run the historical unfused per-phase goroutine-spawning core. All three
-// cores at all worker counts must agree with the Workers=1 column
-// byte-for-byte — the strongest statement the repo can make that phase
-// fusion and the epoch-published pool changed scheduling, not semantics.
+// The sweep is also the cross-core differential: the forced-pool columns
+// run the parallel step-4 core and the fused phases on the persistent
+// worker pool with real goroutines even where the engine would otherwise
+// resolve inline (n below the gate, or a single-P host), while the other
+// columns run the sequential step-4 core. Both cores at all worker counts
+// must agree with the Workers=1 column byte-for-byte — the strongest
+// statement the repo can make that the parallel core and the
+// epoch-published pool changed scheduling, not semantics.
 //
 // The faulted column repeats the sweep with a full-repertoire fault plan
 // (rate churn, a partition with a scheduled heal, corruption bursts, message
@@ -106,20 +106,17 @@ func conformanceCases(n, maxDegree int) []conformanceCase {
 func TestParallelRoundConformanceAcrossWorkers(t *testing.T) {
 	f := gen.SqrtLineOfStars(20) // n = 420, Δ = 22: hubs stress degree-balanced chunking
 	variants := []struct {
-		name     string
-		workers  int
-		dispatch sim.Dispatch
+		name    string
+		workers int
+		pool    bool
 	}{
-		{"w1", 1, sim.DispatchAuto},
-		{"w2", 2, sim.DispatchAuto},
-		{"w7", 7, sim.DispatchAuto},
-		{"w16", 16, sim.DispatchAuto},
-		{"w2-pool", 2, sim.DispatchPool},
-		{"w7-pool", 7, sim.DispatchPool},
-		{"w16-pool", 16, sim.DispatchPool},
-		{"w2-spawn", 2, sim.DispatchSpawn},
-		{"w7-spawn", 7, sim.DispatchSpawn},
-		{"w16-spawn", 16, sim.DispatchSpawn},
+		{"w1", 1, false},
+		{"w2", 2, false},
+		{"w7", 7, false},
+		{"w16", 16, false},
+		{"w2-pool", 2, true},
+		{"w7-pool", 7, true},
+		{"w16-pool", 16, true},
 	}
 	plan := fault.Plan{
 		Seed: 31, CrashRate: 0.002, RecoverRate: 0.3, MaxDown: f.N() / 8,
@@ -142,8 +139,10 @@ func TestParallelRoundConformanceAcrossWorkers(t *testing.T) {
 					var buf bytes.Buffer
 					cfg := sim.Config{
 						Seed: 29, TagBits: tc.tagBits, Workers: v.workers,
-						Dispatch: v.dispatch, MaxRounds: 2_000_000,
-						Sink: obs.NewJSONL(&buf),
+						MaxRounds: 2_000_000, Sink: obs.NewJSONL(&buf),
+					}
+					if v.pool {
+						cfg = sim.ForcePool(cfg)
 					}
 					if faulted {
 						// A fresh injector per engine run: injectors carry

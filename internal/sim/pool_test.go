@@ -12,18 +12,19 @@ import (
 	"mobiletel/internal/sim"
 )
 
-// poolEngine builds a blind-gossip engine with the requested dispatch core:
-// DispatchPool drops the inline gate to zero, so every phase of every round
-// is published to the persistent workers even on a single-P host where
-// DispatchAuto would resolve inline. The protocol slice comes back too —
-// engines mutate it in place, and the stress tests digest it after the run.
-func poolEngine(t *testing.T, n, workers int, dispatch sim.Dispatch) (*sim.Engine, []sim.Protocol) {
+// poolEngine builds a blind-gossip engine on the forced pool: with
+// Workers > 1 every phase of every round is published to the persistent
+// workers, even below the node-count gate and on a single-P host where the
+// engine would otherwise run inline (Workers == 1 still runs inline). The
+// protocol slice comes back too — engines mutate it in place, and the
+// stress tests digest it after the run.
+func poolEngine(t *testing.T, n, workers int) (*sim.Engine, []sim.Protocol) {
 	t.Helper()
 	protocols := core.NewBlindGossipNetwork(core.UniqueUIDs(n, 42))
 	eng, err := sim.New(
 		dyngraph.NewStatic(gen.RandomRegular(n, 8, 1)),
 		protocols,
-		sim.Config{Seed: 42, Workers: workers, Dispatch: dispatch},
+		sim.ForcePool(sim.Config{Seed: 42, Workers: workers}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -46,14 +47,14 @@ func TestPoolStressRapidDispatch(t *testing.T) {
 		workers = 16 // > GOMAXPROCS on typical CI hosts: forces preemption inside the barrier
 		rounds  = 2000
 	)
-	run := func(w int, d sim.Dispatch) uint64 {
-		eng, protocols := poolEngine(t, n, w, d)
+	run := func(w int) uint64 {
+		eng, protocols := poolEngine(t, n, w)
 		defer eng.Close()
 		eng.RunRounds(1, rounds)
 		return leaderDigest(protocols)
 	}
-	want := run(1, sim.DispatchAuto)
-	if got := run(workers, sim.DispatchPool); got != want {
+	want := run(1)
+	if got := run(workers); got != want {
 		t.Fatalf("pool run diverged from inline: leader digest %#x vs %#x", got, want)
 	}
 }
@@ -66,7 +67,7 @@ func TestPoolStressRapidDispatch(t *testing.T) {
 func TestPoolStressCloseCycles(t *testing.T) {
 	const cycles = 40
 	for i := 0; i < cycles; i++ {
-		eng, _ := poolEngine(t, 128, 8, sim.DispatchPool)
+		eng, _ := poolEngine(t, 128, 8)
 		eng.RunRounds(1, 25)
 		eng.Close()
 		eng.Close() // idempotent
@@ -75,19 +76,15 @@ func TestPoolStressCloseCycles(t *testing.T) {
 	runtime.Gosched()
 }
 
-// TestSteadyStateZeroAllocsPool pins the acceptance bar for the pool
-// rework's hot path: once warm, a round dispatched through the persistent
-// pool allocates nothing. The historical spawn core paid one goroutine plus
-// one WaitGroup wake per phase per worker; the pool's epoch publish is an
-// atomic increment, so — unlike TestSteadyStateZeroAllocsTracedParallel's
-// differential bound for the spawn core — the pool pin is absolute: zero
-// allocations per round, same as the Workers=1 inline path.
+// TestSteadyStateZeroAllocsPool pins the pool's hot path: once warm, a
+// round dispatched through the persistent pool allocates nothing — the
+// epoch publish is an atomic increment — same as the Workers=1 inline path.
 func TestSteadyStateZeroAllocsPool(t *testing.T) {
 	const (
 		n       = 512
 		workers = 4
 	)
-	eng, _ := poolEngine(t, n, workers, sim.DispatchPool)
+	eng, _ := poolEngine(t, n, workers)
 	defer eng.Close()
 	// Warm up: one-time growth (inboxTo high-water mark, lazy state).
 	eng.RunRounds(1, 50)

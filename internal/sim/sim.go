@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"mobiletel/internal/dyngraph"
 	"mobiletel/internal/fault"
@@ -198,26 +197,13 @@ type Config struct {
 	// nil means every node activates in round 1.
 	Activations []int
 
-	// Departures[u], when positive, is the last round node u participates:
-	// from round Departures[u]+1 on, the node is invisible to its neighbors
-	// and its callbacks stop — failure injection for robustness tests. The
-	// paper does not model departures; see the limitation tests for what
-	// breaks (a departed minimum still wins blind gossip elections).
-	// nil (or zero entries) means nobody departs.
-	Departures []int
-
 	// Workers sets the parallelism of the engine's bulk-synchronous steps.
 	// Zero means GOMAXPROCS; 1 forces sequential execution. Results are
-	// identical for any worker count.
+	// identical for any worker count. Phases run on a persistent worker
+	// pool only when Workers > 1, n is at least poolDispatchFloor and
+	// GOMAXPROCS > 1; otherwise every phase runs inline (see DESIGN §14 for
+	// the measured crossover).
 	Workers int
-
-	// Dispatch selects how parallel phases are executed when Workers > 1.
-	// The default (DispatchAuto) uses the persistent worker pool, gated to
-	// inline execution when the network is too small — or the host too
-	// narrow — for parallel dispatch to pay (see DESIGN §14 for the
-	// measured crossover). Results, traces, and digests are identical
-	// across all modes; only throughput differs.
-	Dispatch Dispatch
 
 	// Accept selects how a receiver picks among incoming proposals.
 	// The model (and every analysis in the paper) uses AcceptUniform;
@@ -235,12 +221,6 @@ type Config struct {
 	// Observer, when non-nil, receives per-round statistics.
 	Observer func(RoundStats)
 
-	// OnConnections, when non-nil, receives the exact set of connections
-	// established each round as (smaller, larger) node pairs in ascending
-	// order — the hook behind execution recording (see Recorder in
-	// record.go). The slice is reused across rounds; copy it to retain.
-	OnConnections func(round int, pairs [][2]int32)
-
 	// Faults, when non-nil, injects the compiled fault plan into the
 	// execution: crash/recover churn (a down node is treated exactly like a
 	// node outside its activation window), advertisement tag flips, proposal
@@ -250,7 +230,7 @@ type Config struct {
 	// round) stream, exactly like the engine's node RNG streams — so they
 	// are order-independent and run inside the parallel phase bodies; only
 	// the churn state machine and state resets run in the sequential
-	// prologue. Faulted executions are therefore bit-identical at any
+	// prologue, before the round's first sweep. Faulted executions are therefore bit-identical at any
 	// worker count, and the node RNG streams are exactly those of the
 	// fault-free run. The injector is single-run state: build a fresh one
 	// per engine. With Faults nil every hook reduces to one predictable
@@ -272,12 +252,12 @@ type Config struct {
 	// round boundaries, proposals sent/accepted/rejected, connections,
 	// message deliveries, fault events, and protocol state transitions
 	// (see internal/obs for the event schema). Tracing does not force the
-	// engine sequential: with Workers > 1 the parallel phase bodies emit
-	// into private per-worker buffers (obs.WorkerBuf) that the engine
-	// drains into the sink in ascending worker order at each sequential
-	// barrier. Worker chunks ascend in node id and each worker iterates
-	// its chunk ascending, so the chunk-order concatenation reproduces
-	// exactly the sequential ascending-node event order — the trace stays
+	// engine sequential: phase bodies emit into private per-worker buffers
+	// (obs.WorkerBuf) that the engine drains into the sink in ascending
+	// worker order at each sequential barrier. Worker chunks ascend in node
+	// id and each worker iterates its chunk ascending, so the chunk-order
+	// concatenation reproduces exactly the sequential ascending-node event
+	// order — the trace stays
 	// a deterministic function of (seed, schedule, protocol, config) at
 	// any worker count, the property mtmtrace diff relies on. Fault events
 	// ride the same buffers: node-addressed draws fire at fixed per-node
@@ -295,32 +275,12 @@ type Config struct {
 	// zero-allocation steady state for timing; with Profiler nil the round
 	// loop is unchanged.
 	Profiler *obs.Profiler
+
+	// forcePool puts every Workers > 1 engine on the worker pool, ignoring
+	// the node-count gate and the single-P check, so tests can run the
+	// parallel round core at small n on any host. Set only by tests.
+	forcePool bool
 }
-
-// Dispatch selects the parallel execution core (Config.Dispatch). Every
-// mode produces bit-identical results; the non-default modes exist for the
-// differential conformance suite and for crossover benchmarking.
-type Dispatch int
-
-const (
-	// DispatchAuto (the default) runs phase dispatches on the persistent
-	// worker pool, falling back to inline execution when n is under the
-	// pool's measured dispatch floor or the host has a single P (with
-	// GOMAXPROCS=1 no second worker can ever run concurrently, so any
-	// dispatch cost is pure loss).
-	DispatchAuto Dispatch = iota
-	// DispatchPool forces pool dispatch for any Workers > 1, ignoring the
-	// inline gate — the mode stress tests and crossover benchmarks use to
-	// exercise the pool regardless of n and GOMAXPROCS.
-	DispatchPool
-	// DispatchSpawn is the historical per-phase goroutine-spawning core
-	// (fresh goroutines plus a WaitGroup per dispatch, inline under 256
-	// nodes), kept as the differential baseline: conformance tests compare
-	// it bit-for-bit against the pool, and the rounds benchmark tier
-	// measures the pool's advantage against it. Phase fusion is disabled
-	// so the mode reproduces the historical execution shape exactly.
-	DispatchSpawn
-)
 
 // AcceptPolicy selects how a receiver chooses among incoming proposals.
 type AcceptPolicy int
@@ -421,47 +381,22 @@ type Engine struct {
 	cursor  []int32 // scratch for the per-round counting sort
 	workers int
 
-	// parCore selects the parallel round core: the active scan, proposal
-	// bucketing (two-pass counting sort: per-worker histograms + sequential
-	// prefix merge + parallel scatter), accept, and partner phases all run
-	// chunked across workers. New enables it exactly when Workers > 1 —
-	// fault injection is compatible, because every per-node fault draw is
-	// node-addressed (its own (plan seed, kind, node, round) stream, see
-	// internal/fault), so phase bodies evaluate them at fixed per-node
-	// points with no cross-worker ordering. Tracing is compatible too:
-	// phase bodies emit into per-worker buffers (wbufs) drained in chunk
-	// order at each barrier, which reproduces the sequential event order
-	// exactly. Results are bit-identical to the sequential core for any
-	// worker count: inboxes stay sender-ordered (worker chunks ascend in
-	// sender id) and each receiver's accept choice draws only from its own
-	// rngs[v] stream.
-	parCore bool
-	hist    []int32 // per-worker proposal histograms/cursors, workers rows of n
-	chosen  []int32 // per-receiver accepted sender (or noPartner), parCore only
-
-	// pool is the persistent dispatch core (nil when every dispatch of this
-	// engine resolves inline, or in DispatchSpawn mode); gate is the node
-	// count below which parallelFor runs inline, and inlineAll forces every
-	// dispatch inline regardless of n (Workers == 1, or DispatchAuto on a
-	// single-P host). parExec is the once-resolved conjunction — this engine
-	// ever dispatches in parallel — which also selects the step-4 core: an
-	// engine whose dispatches all resolve inline runs the sequential
-	// counting sort, not the chunk-safe parallel one, because the parallel
-	// core's per-worker histogram discipline is pure overhead with one
-	// executor (the two cores are bit-identical by the conformance
-	// contract). All resolved once in New — see DESIGN §14.
-	pool      *workerPool
-	gate      int
-	inlineAll bool
-	parExec   bool
-
-	// fuseScanAdv/fusePartnerEx enable the fused phase bodies (resolved in
-	// New): scan+advertise fuse on fault-free rounds whose trace emission is
-	// buffered (or absent), partner+exchange fuse in the parallel core when
-	// no OnConnections hook needs the pre-exchange pair list. DispatchSpawn
-	// disables both (it reproduces the historical execution shape).
-	fuseScanAdv   bool
-	fusePartnerEx bool
+	// parExec, resolved once in New (see DESIGN §14), says whether this
+	// engine dispatches phases on the persistent worker pool. It also
+	// selects the step-4 core: a parallel engine buckets proposals with a
+	// two-pass counting sort (per-worker histograms in hist, a sequential
+	// prefix merge, a parallel scatter) and accepts in parallel into
+	// chosen; an inline engine runs the sequential counting sort, because
+	// the per-worker histogram discipline is pure overhead with one
+	// executor. The two cores are bit-identical: fault draws are
+	// node-addressed (see internal/fault), inboxes stay sender-ordered
+	// (worker chunks ascend in sender id), each receiver's accept choice
+	// draws only from its own rngs[v] stream, and trace emission goes
+	// through per-worker buffers drained in chunk order.
+	parExec bool
+	pool    *workerPool // nil unless parExec
+	hist    []int32     // per-worker proposal histograms/cursors, workers rows of n
+	chosen  []int32     // per-receiver accepted sender (or noPartner)
 
 	// propLost[u] records whether a fault dropped sender u's proposal in
 	// transit this round: written at u by the counting pass, read at u by
@@ -491,20 +426,17 @@ type Engine struct {
 	// steady-state round loop allocates nothing: a fresh closure or a
 	// stack Context whose address reaches an interface method would escape
 	// to the heap on every round. TestSteadyStateZeroAllocs pins this.
-	phAdvertise  func(w, lo, hi int)
-	phDecide     func(w, lo, hi int)
-	phExchange   func(w, lo, hi int)
-	phEndRound   func(w, lo, hi int)
-	phActiveScan func(w, lo, hi int)
-	phTagFlip    func(w, lo, hi int)
-	phCount      func(w, lo, hi int)
-	phScatter    func(w, lo, hi int)
-	phAccept     func(w, lo, hi int)
-	phPartner    func(w, lo, hi int)
-	phScanAdv    func(w, lo, hi int)
-	phPartnerEx  func(w, lo, hi int)
-	ctxA         []Context // one per worker
-	ctxB         []Context // second context for the pairwise exchange phase
+	phDecide    func(w, lo, hi int)
+	phExchange  func(w, lo, hi int)
+	phEndRound  func(w, lo, hi int)
+	phTagFlip   func(w, lo, hi int)
+	phCount     func(w, lo, hi int)
+	phScatter   func(w, lo, hi int)
+	phAccept    func(w, lo, hi int)
+	phScanAdv   func(w, lo, hi int)
+	phPartnerEx func(w, lo, hi int)
+	ctxA        []Context // one per worker
+	ctxB        []Context // second context for the pairwise exchange phase
 
 	// Current-round state shared by the phase methods (set by step).
 	curRound int
@@ -515,8 +447,6 @@ type Engine struct {
 	// last activation round, so partial networks cannot "stabilize" early.
 	stopGate int
 
-	pairScratch [][2]int32 // reused buffer for Config.OnConnections
-
 	connCount []int64 // lifetime connections per node (battery accounting)
 
 	// sinkBegan/sinkEnded track the Begin/End lifecycle of Config.Sink so
@@ -524,12 +454,14 @@ type Engine struct {
 	sinkBegan bool
 	sinkEnded bool
 
-	// wbufs, in traced parallel runs, holds one private event buffer per
+	// wbufs, in traced runs, holds one private event buffer per dispatched
 	// worker (cache-line padded, like counters): phase bodies running as
 	// worker w emit into wbufs[w], and flushWorkerBufs drains the buffers
 	// into cfg.Sink in ascending worker order at each sequential barrier.
-	// Nil whenever Workers == 1 or Sink is nil, so sequential traced runs
-	// keep emitting directly.
+	// Buffering at every worker count lets a phase emit before the round's
+	// round_start event is written (round-start faults, the fused
+	// scan/advertise sweep) without changing the flushed order. Nil when
+	// Sink is nil.
 	wbufs []obs.WorkerBuf
 
 	// prof is Config.Profiler (nil = unprofiled round loop).
@@ -593,19 +525,6 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 			}
 		}
 	}
-	if cfg.Departures != nil {
-		if len(cfg.Departures) != n {
-			return nil, fmt.Errorf("sim: %d departures for %d nodes", len(cfg.Departures), n)
-		}
-		for u, d := range cfg.Departures {
-			if d < 0 {
-				return nil, fmt.Errorf("sim: node %d departure round %d < 0", u, d)
-			}
-			if d > 0 && cfg.Activations != nil && d < cfg.Activations[u] {
-				return nil, fmt.Errorf("sim: node %d departs (round %d) before activating (round %d)", u, d, cfg.Activations[u])
-			}
-		}
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -619,102 +538,76 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 			stopGate = a
 		}
 	}
+	// Resolve the dispatch core once (see DESIGN §14). With GOMAXPROCS=1 no
+	// second worker can ever run concurrently, and below poolDispatchFloor
+	// nodes the per-phase wake/join costs more than the chunked sweep saves,
+	// so both run every phase inline.
+	parExec := workers > 1 && (cfg.forcePool || n >= poolDispatchFloor && runtime.GOMAXPROCS(0) > 1)
+	span := 1
+	if parExec {
+		span = workers
+	}
 	e := &Engine{
-		sched:       sched,
-		cfg:         cfg,
-		n:           n,
-		protocols:   protocols,
-		rngs:        make([]xrand.RNG, n),
-		tags:        make([]uint64, n),
-		actions:     make([]int32, n),
-		active:      make([]bool, n),
-		inboxTo:     make([]int32, 0, n),
-		inboxAt:     make([]int32, n+1),
-		partner:     make([]int32, n),
-		cursor:      make([]int32, n),
-		workers:     workers,
-		stopGate:    stopGate,
-		pairScratch: make([][2]int32, 0, n/2+1),
-		connCount:   make([]int64, n),
-		ctxA:        make([]Context, workers),
-		ctxB:        make([]Context, workers),
+		sched:     sched,
+		cfg:       cfg,
+		n:         n,
+		protocols: protocols,
+		rngs:      make([]xrand.RNG, n),
+		tags:      make([]uint64, n),
+		actions:   make([]int32, n),
+		active:    make([]bool, n),
+		inboxTo:   make([]int32, 0, n),
+		inboxAt:   make([]int32, n+1),
+		partner:   make([]int32, n),
+		cursor:    make([]int32, n),
+		workers:   workers,
+		parExec:   parExec,
+		stopGate:  stopGate,
+		connCount: make([]int64, n),
+		chunks:    make([]int, workers+1),
+		counters:  make([]workerCounters, span),
+		ctxA:      make([]Context, span),
+		ctxB:      make([]Context, span),
 	}
 	if cfg.TagBits < 64 {
 		e.tagLimit = uint64(1) << uint(cfg.TagBits)
 	}
-	// The parallel round core is unconditional at Workers > 1: per-node
-	// fault draws are node-addressed (order-independent, see internal/fault)
-	// and tracing goes through per-worker buffers merged in chunk order at
-	// each barrier, so neither forces the engine sequential.
-	e.parCore = workers > 1
-	e.chunks = make([]int, workers+1)
-	e.counters = make([]workerCounters, workers)
-	if e.parCore {
-		e.hist = make([]int32, workers*n)
-		e.chosen = make([]int32, n)
-	}
 	if cfg.Faults != nil {
 		e.propLost = make([]bool, n)
 	}
-	if workers > 1 && cfg.Sink != nil {
-		e.wbufs = make([]obs.WorkerBuf, workers)
+	if cfg.Sink != nil {
+		e.wbufs = make([]obs.WorkerBuf, span)
 	}
-	// Resolve the dispatch core once (see DESIGN §14): the inline gate per
-	// core, whether this engine can ever dispatch in parallel, and — when it
-	// can, outside the legacy spawn mode — the persistent worker pool. A
-	// parked pool holds no engine reference, so the finalizer fires once the
-	// engine is garbage and stops the workers; Close does the same
-	// deterministically.
-	switch cfg.Dispatch {
-	case DispatchSpawn:
-		e.gate = spawnDispatchFloor
-		e.inlineAll = workers == 1
-	case DispatchPool:
-		e.inlineAll = workers == 1
-	default: // DispatchAuto
-		e.gate = poolDispatchFloor
-		e.inlineAll = workers == 1 || runtime.GOMAXPROCS(0) == 1
-	}
-	e.parExec = !e.inlineAll && n >= e.gate
-	if e.parExec && cfg.Dispatch != DispatchSpawn {
+	if parExec {
+		e.hist = make([]int32, workers*n)
+		e.chosen = make([]int32, n)
+		// A parked pool holds no engine reference, so the finalizer fires
+		// once the engine is garbage and stops the workers; Close does the
+		// same deterministically.
 		e.pool = newWorkerPool(workers)
 		runtime.SetFinalizer(e, func(en *Engine) { en.pool.close() })
 	}
-	// Phase fusion (off in spawn mode, which reproduces the historical
-	// execution shape): scan+advertise need fault-free rounds — resets and
-	// churn publication run between them otherwise — and buffered (or
-	// absent) trace emission, so the RoundStart event still precedes the
-	// advertise events in the flushed stream. Partner+exchange need the
-	// parallel core and no OnConnections hook (the hook observes the pair
-	// list before any exchange).
-	e.fuseScanAdv = cfg.Dispatch != DispatchSpawn && cfg.Faults == nil &&
-		(cfg.Sink == nil || e.wbufs != nil)
-	e.fusePartnerEx = cfg.Dispatch != DispatchSpawn && e.parCore && e.parExec &&
-		cfg.OnConnections == nil
 	if cfg.Profiler != nil {
 		cfg.Profiler.Attach(workers)
-		mode := "pool"
-		switch {
-		case cfg.Dispatch == DispatchSpawn && !e.inlineAll:
-			mode = "spawn"
-		case e.pool == nil:
-			mode = "inline"
+		mode, gate := "inline", poolDispatchFloor
+		if parExec {
+			mode = "pool"
 		}
-		cfg.Profiler.SetDispatch(mode, e.gate)
+		if cfg.forcePool {
+			gate = 0
+		}
+		cfg.Profiler.SetDispatch(mode, gate)
 		e.prof = cfg.Profiler
 	}
 	// Method values allocate their receiver binding; do it once here, not
 	// once per parallelFor call.
-	e.phAdvertise = e.phaseAdvertise
 	e.phDecide = e.phaseDecide
 	e.phExchange = e.phaseExchange
 	e.phEndRound = e.phaseEndRound
-	e.phActiveScan = e.phaseActiveScan
 	e.phTagFlip = e.phaseTagFlip
 	e.phCount = e.phaseCount
 	e.phScatter = e.phaseScatter
 	e.phAccept = e.phaseAccept
-	e.phPartner = e.phasePartner
 	e.phScanAdv = e.phaseScanAdvertise
 	e.phPartnerEx = e.phasePartnerExchange
 	return e, nil
@@ -825,34 +718,28 @@ func (e *Engine) refreshChunks(g *graph.Graph) {
 //mtmlint:hotpath
 func (e *Engine) stepCore(r int) RoundStats {
 	g := e.sched.GraphAt(r)
-	if e.spanWorkers() > 1 && g != e.chunkG {
+	if e.parExec && g != e.chunkG {
 		e.refreshChunks(g)
 	}
 	e.curRound, e.curG = r, g
-	var downMask []bool
+	e.curDown = nil
 	if e.cfg.Faults != nil {
-		// Advance the churn state machine before the active set is computed:
-		// a crashed node is exactly a node outside its activation window.
+		// Advance the churn state machine and apply the round's state resets
+		// before the sweep below: a crashed node is exactly a node outside
+		// its activation window, and advertise must see the reset state.
 		e.cfg.Faults.BeginRound(r)
-		downMask = e.cfg.Faults.DownMask()
+		e.curDown = e.cfg.Faults.DownMask()
+		e.applyRoundStartFaults(r)
 	}
-	e.curDown = downMask
-	// Step 1 + step 2, fused when the round structure allows it: one
-	// barrier computes the active set and runs advertise in the same sweep.
-	// The advertise sweep may not inspect neighbors (the Protocol contract),
-	// so binding its contexts to the still-forming activity array is
+	// Steps 1 + 2 in one sweep: compute the active set and advertise. The
+	// advertise sweep may not inspect neighbors (the Protocol contract), so
+	// binding its contexts to the still-forming activity array is
 	// unobservable; curAct resolves to its usual value right below, before
-	// anything that may look at neighbors runs. The chunked scan reads the
-	// published down-mask (e.curDown) per index; the mask is frozen for the
-	// round before the dispatch.
-	if e.fuseScanAdv {
-		e.curAct = e.active
-		e.parallelForFused(obs.PhaseScanAdvertise, e.phScanAdv)
-	} else {
-		e.parallelFor(obs.PhaseActiveScan, e.phActiveScan)
-	}
+	// anything that may look at neighbors runs.
+	e.curAct = e.active
+	e.parallelForFused(obs.PhaseScanAdvertise, e.phScanAdv)
 	activeCount := 0
-	for w := 0; w < e.spanWorkers(); w++ {
+	for w := range e.counters {
 		activeCount += int(e.counters[w].active)
 	}
 	var act []bool
@@ -861,23 +748,13 @@ func (e *Engine) stepCore(r int) RoundStats {
 	}
 	e.curAct = act
 
+	// The round-start faults and the sweep emitted into the worker buffers;
+	// flushing them after round_start puts their events behind it.
 	sink := e.cfg.Sink
 	if sink != nil {
 		e.beginSink()
 		sink.Event(obs.Event{Type: obs.TypeRoundStart, Round: r,
 			Node: obs.NoNode, Peer: obs.NoNode, A: uint64(activeCount)})
-	}
-	if e.cfg.Faults != nil {
-		e.applyRoundStartFaults(r)
-	}
-
-	// Steps 2-3: advertise then decide, in parallel over nodes. Each node's
-	// RNG is derived from (seed, node, round) so ordering is irrelevant;
-	// traced parallel runs flush the worker event buffers at each barrier.
-	// A fused round already ran advertise; its emissions were buffered, so
-	// flushing here still puts them behind the RoundStart event.
-	if !e.fuseScanAdv {
-		e.parallelFor(obs.PhaseAdvertise, e.phAdvertise)
 	}
 	e.flushWorkerBufs()
 	if e.cfg.Faults != nil && e.cfg.TagBits > 0 && e.cfg.Faults.TagFlipEnabled() {
@@ -887,47 +764,32 @@ func (e *Engine) stepCore(r int) RoundStats {
 		e.parallelFor(obs.PhaseTagFlip, e.phTagFlip)
 		e.flushWorkerBufs()
 	}
+	// Step 3. Each node's RNG is derived from (seed, node, round), so the
+	// order nodes run in is irrelevant.
 	e.parallelFor(obs.PhaseDecide, e.phDecide)
 	e.flushWorkerBufs()
 
 	if e.cfg.Classical {
-		return e.classicalFinish(r, g, act, activeCount)
+		return e.classicalFinish(r, activeCount)
 	}
 
 	// Step 4: group proposals by receiver (counting sort keeps per-receiver
-	// inboxes ordered by sender id), then accept. Both cores — faulted or
-	// not — produce bit-identical partners, counters, RNG states, and event
-	// streams: fault draws are node-addressed, so each core evaluates them
-	// at the same per-node points.
+	// inboxes ordered by sender id), then accept. Both cores produce
+	// bit-identical partners, counters, RNG states, and event streams: fault
+	// draws are node-addressed, so each core evaluates them at the same
+	// per-node points. Step 5, the exchange, follows in the same dispatch
+	// as the parallel core's partner materialization.
 	var proposals, connections, rejects, busyLost, faultLost int
-	if e.parCore && e.parExec {
+	if e.parExec {
 		proposals, connections, rejects, busyLost, faultLost = e.bucketAcceptParallel()
-		// Steps 4b-5: materialize partners, then exchange — fused into one
-		// barrier when no OnConnections hook needs the pair list first.
-		// The fusion is race-free because a chunk's exchange sweep reads
-		// only its own partner entries (written by its own partner sweep)
-		// and pairs are node-disjoint: the peer state an exchange touches
-		// (protocols[v], rngs[v]) is disjoint from the partner/connCount
-		// cells the peer's own worker may still be writing.
-		if e.fusePartnerEx {
-			e.parallelForFused(obs.PhasePartnerExchange, e.phPartnerEx)
-			e.flushWorkerBufs()
-		} else {
-			e.parallelFor(obs.PhasePartner, e.phPartner)
-			e.emitConnections(r)
-			e.parallelFor(obs.PhaseExchange, e.phExchange)
-			e.flushWorkerBufs()
-		}
+		e.parallelForFused(obs.PhasePartnerExchange, e.phPartnerEx)
 	} else {
 		t0 := e.profStart()
 		proposals, connections, rejects, busyLost, faultLost = e.bucketAcceptSequential(r)
 		e.profEnd(obs.PhaseBucketSeq, t0)
-		e.emitConnections(r)
-		// Step 5: exchange over established connections (pairs are
-		// node-disjoint, so the parallel dispatch is race-free).
 		e.parallelFor(obs.PhaseExchange, e.phExchange)
-		e.flushWorkerBufs()
 	}
+	e.flushWorkerBufs()
 
 	// End of round.
 	e.parallelFor(obs.PhaseEndRound, e.phEndRound)
@@ -983,7 +845,7 @@ func (e *Engine) verifyRound(r int, s RoundStats) {
 //
 //mtmlint:hotpath
 func (e *Engine) bucketAcceptSequential(r int) (proposals, connections, rejects, busyLost, faultLost int) {
-	sink := e.cfg.Sink
+	sink := e.workerSink(0)
 	for u := range e.inboxAt {
 		e.inboxAt[u] = 0
 	}
@@ -1115,7 +977,7 @@ func (e *Engine) bucketAcceptSequential(r int) (proposals, connections, rejects,
 	return proposals, connections, rejects, busyLost, faultLost
 }
 
-// bucketAcceptParallel is the parCore step-4 core: a two-pass parallel
+// bucketAcceptParallel is the pool's step-4 core: a two-pass parallel
 // counting sort buckets proposals (per-worker histograms, one sequential
 // column-major prefix merge that turns histogram cells into scatter cursor
 // bases, then a parallel scatter), followed by a parallel accept phase —
@@ -1123,18 +985,17 @@ func (e *Engine) bucketAcceptSequential(r int) (proposals, connections, rejects,
 // stream. Worker chunks ascend in sender id, so every inbox comes out in
 // the exact sender order the sequential core produces. The partner/
 // connCount materialization happens afterwards in stepCore, fused into the
-// exchange dispatch when possible.
+// exchange dispatch.
 //
 //mtmlint:hotpath
 func (e *Engine) bucketAcceptParallel() (proposals, connections, rejects, busyLost, faultLost int) {
 	e.parallelFor(obs.PhaseCount, e.phCount)
 	e.flushWorkerBufs()
 	t0 := e.profStart()
-	span := e.spanWorkers()
 	total := int32(0)
 	for t := 0; t < e.n; t++ {
 		e.inboxAt[t] = total
-		for w := 0; w < span; w++ {
+		for w := 0; w < e.workers; w++ {
 			i := w*e.n + t
 			c := e.hist[i]
 			e.hist[i] = total
@@ -1159,7 +1020,7 @@ func (e *Engine) bucketAcceptParallel() (proposals, connections, rejects, busyLo
 	// The round's accounting is complete after count + accept (partner
 	// materialization touches no counters), so the sums happen here and the
 	// caller is free to fuse the partner sweep into the exchange dispatch.
-	for w := 0; w < span; w++ {
+	for w := range e.counters {
 		c := &e.counters[w]
 		proposals += int(c.proposals)
 		connections += int(c.connections)
@@ -1172,12 +1033,13 @@ func (e *Engine) bucketAcceptParallel() (proposals, connections, rejects, busyLo
 
 // applyRoundStartFaults publishes this round's churn and applies state
 // resets: crash-with-amnesia recoveries (Plan.ResetOnRecover) and scripted
-// corruption bursts. Runs sequentially after the active set is computed and
-// before the advertise phase; each reset draws from the injector's
-// per-(node, round) state stream.
+// corruption bursts of nodes active this round. Runs sequentially before
+// the scan/advertise sweep; each reset draws from the injector's
+// per-(node, round) state stream. Its events go to worker 0's buffer, which
+// the engine flushes right after round_start.
 func (e *Engine) applyRoundStartFaults(r int) {
 	in := e.cfg.Faults
-	sink := e.cfg.Sink
+	sink := e.workerSink(0)
 	if sink != nil {
 		for _, u := range in.NewlyDown() {
 			sink.Event(obs.Event{Type: obs.TypeFault, Kind: obs.KindCrash,
@@ -1197,7 +1059,7 @@ func (e *Engine) applyRoundStartFaults(r int) {
 		}
 	}
 	for _, u := range in.CorruptTargets(r) {
-		if !e.active[u] {
+		if !e.activeAt(int(u), r) {
 			continue // corruption targets participating nodes only
 		}
 		c, ok := e.protocols[u].(Corruptible)
@@ -1220,12 +1082,7 @@ func (e *Engine) applyRoundStartFaults(r int) {
 //
 //mtmlint:hotpath
 func (e *Engine) phaseTagFlip(w, lo, hi int) {
-	var sink obs.Sink
-	if e.wbufs != nil {
-		sink = &e.wbufs[w]
-	} else {
-		sink = e.cfg.Sink
-	}
+	sink := e.workerSink(w)
 	r := e.curRound
 	for u := lo; u < hi; u++ {
 		if !e.active[u] {
@@ -1244,38 +1101,31 @@ func (e *Engine) phaseTagFlip(w, lo, hi int) {
 }
 
 // bindCtx points the scratch Context at the current round's state, routing
-// event emission to worker w's private buffer in traced parallel runs (and
-// directly to the sink otherwise).
+// event emission to worker w's private buffer.
 func (e *Engine) bindCtx(c *Context, w int) {
 	c.Round = e.curRound
 	c.g = e.curG
 	c.tags = e.tags
 	c.act = e.curAct
-	if e.wbufs != nil {
-		c.sink = &e.wbufs[w]
-	} else {
-		c.sink = e.cfg.Sink
-	}
+	c.sink = e.workerSink(w)
 }
 
-// bindCtxSeq is bindCtx for contexts used only in the engine's sequential
-// sections (the classical exchange loop): emission goes directly to the
-// configured sink so it interleaves correctly with the section's own direct
-// emissions.
-func (e *Engine) bindCtxSeq(c *Context) {
-	c.Round = e.curRound
-	c.g = e.curG
-	c.tags = e.tags
-	c.act = e.curAct
-	c.sink = e.cfg.Sink
+// workerSink returns worker w's event buffer, or nil in untraced runs.
+//
+//mtmlint:hotpath
+func (e *Engine) workerSink(w int) obs.Sink {
+	if e.wbufs == nil {
+		return nil
+	}
+	return &e.wbufs[w]
 }
 
 // flushWorkerBufs drains the per-worker event buffers into the configured
 // sink in ascending worker order; the engine calls it at every sequential
-// barrier that follows an emitting parallel phase. Worker chunks ascend in
-// node id and each worker iterates its chunk ascending, so this
-// concatenation reproduces exactly the sequential ascending-node emission
-// order. No-op (one branch) for untraced or sequential runs.
+// barrier that follows an emitting phase. Worker chunks ascend in node id
+// and each worker iterates its chunk ascending, so this concatenation
+// reproduces exactly the sequential ascending-node emission order. No-op
+// (one branch) for untraced runs.
 //
 //mtmlint:hotpath
 func (e *Engine) flushWorkerBufs() {
@@ -1309,6 +1159,20 @@ func (e *Engine) profEnd(ph obs.Phase, t0 int64) {
 		return
 	}
 	e.prof.AddSeq(ph, e.prof.Clock()-t0)
+}
+
+// profBusy charges worker w's time since t0 to phase ph as busy time only
+// (the fused bodies' constituent sweeps) and returns the current clock
+// reading, or 0 when unprofiled.
+//
+//mtmlint:hotpath
+func (e *Engine) profBusy(ph obs.Phase, w int, t0 int64) int64 {
+	if e.prof == nil {
+		return 0
+	}
+	t1 := e.prof.Clock()
+	e.prof.AddBusy(ph, w, t1-t0)
+	return t1
 }
 
 // phaseAdvertise runs step 2 for nodes [lo, hi) using worker w's scratch.
@@ -1424,29 +1288,33 @@ func (e *Engine) phaseEndRound(w, lo, hi int) {
 }
 
 // phaseActiveScan computes the activity bits for nodes [lo, hi) and counts
-// them into worker w's counter row. The fault down-mask (e.curDown,
-// published sequentially before the dispatch and frozen for the round) is
-// read per index, so crashed nodes scan as inactive on any worker.
+// them into worker w's counter row.
 //
 //mtmlint:hotpath
 func (e *Engine) phaseActiveScan(w, lo, hi int) {
 	r := e.curRound
 	ctr := &e.counters[w]
 	ctr.active = 0
-	down := e.curDown
 	for u := lo; u < hi; u++ {
-		a := e.cfg.Activations == nil || e.cfg.Activations[u] <= r
-		if a && e.cfg.Departures != nil && e.cfg.Departures[u] > 0 && r > e.cfg.Departures[u] {
-			a = false
-		}
-		if a && down != nil && down[u] {
-			a = false
-		}
+		a := e.activeAt(u, r)
 		e.active[u] = a
 		if a {
 			ctr.active++
 		}
 	}
+}
+
+// activeAt reports whether node u participates in round r: it has
+// activated and is not down. The fault down-mask (e.curDown) is published
+// sequentially before any dispatch and frozen for the round, so any worker
+// may read it at any index.
+//
+//mtmlint:hotpath
+func (e *Engine) activeAt(u, r int) bool {
+	if e.cfg.Activations != nil && e.cfg.Activations[u] > r {
+		return false
+	}
+	return e.curDown == nil || !e.curDown[u]
 }
 
 // phaseCount is counting-sort pass one: worker w histograms the proposals of
@@ -1522,9 +1390,10 @@ func (e *Engine) phaseScatter(w, lo, hi int) {
 // picks among its inbox exactly as the sequential core does, drawing only
 // from its own rngs[v] stream, and records the winner in e.chosen. Every v
 // in the chunk gets a chosen entry (noPartner for non-receivers) so
-// phasePartner can test chosen[t] for any target. Traced runs also emit the
-// accept, contention-reject, and connect events here, into the worker's
-// private buffer, in the exact per-receiver order of the sequential core.
+// phasePartnerExchange can test chosen[t] for any target. Traced runs also
+// emit the accept, contention-reject, and connect events here, into the
+// worker's private buffer, in the exact per-receiver order of the
+// sequential core.
 //
 //mtmlint:hotpath
 func (e *Engine) phaseAccept(w, lo, hi int) {
@@ -1596,106 +1465,37 @@ func (e *Engine) phaseAccept(w, lo, hi int) {
 	}
 }
 
-// phasePartner materializes partner and connCount for nodes [lo, hi) from
-// the accept results: a receiver pairs with its chosen sender, a sender
-// pairs with its target iff that target chose it. Each node writes only its
-// own entries, so the symmetric writes of the sequential core become two
-// one-sided reads.
-//
-// Traced runs emit nothing here: the accept phase already emitted the
-// round's accept/reject/connect events.
-//
-//mtmlint:hotpath
-func (e *Engine) phasePartner(w, lo, hi int) {
-	for u := lo; u < hi; u++ {
-		if c := e.chosen[u]; c != noPartner {
-			e.partner[u] = c
-			e.connCount[u]++
-			continue
-		}
-		if t := e.actions[u]; t >= 0 && e.chosen[t] == int32(u) {
-			e.partner[u] = t
-			e.connCount[u]++
-			continue
-		}
-		e.partner[u] = noPartner
-	}
-}
-
 // phaseScanAdvertise is the fused step-1 + step-2 body: one dispatch scans
 // the activity of nodes [lo, hi) into worker w's counter row, then runs the
-// advertise sweep over the same — now cache-warm — chunk, saving a full
-// barrier and a second pass over the chunk every round. Fused rounds are
-// fault-free (New guarantees it), so there is no down-mask to consult. The
-// two sweeps are the bodies of phaseActiveScan and phaseAdvertise verbatim;
-// those remain the unfused (faulted/spawn) phases. Profiled runs self-time
-// the sweeps so busy attribution stays on the constituent phases; the
-// dispatch charges its wall time to obs.PhaseScanAdvertise.
+// advertise sweep over the same, now cache-warm, chunk, saving a barrier
+// and a second pass over the chunk every round. Profiled runs self-time the
+// sweeps so busy attribution stays on the constituent phases; the dispatch
+// charges its wall time to obs.PhaseScanAdvertise.
 //
 //mtmlint:hotpath
 func (e *Engine) phaseScanAdvertise(w, lo, hi int) {
-	r := e.curRound
-	var t0 int64
-	if e.prof != nil {
-		t0 = e.prof.Clock()
-	}
-	ctr := &e.counters[w]
-	ctr.active = 0
-	for u := lo; u < hi; u++ {
-		a := e.cfg.Activations == nil || e.cfg.Activations[u] <= r
-		if a && e.cfg.Departures != nil && e.cfg.Departures[u] > 0 && r > e.cfg.Departures[u] {
-			a = false
-		}
-		e.active[u] = a
-		if a {
-			ctr.active++
-		}
-	}
-	if e.prof != nil {
-		t1 := e.prof.Clock()
-		e.prof.AddBusy(obs.PhaseActiveScan, w, t1-t0)
-		t0 = t1
-	}
-	ctx := &e.ctxA[w]
-	e.bindCtx(ctx, w)
-	for u := lo; u < hi; u++ {
-		if !e.active[u] {
-			e.actions[u] = actionInactive
-			e.tags[u] = 0
-			continue
-		}
-		e.rngs[u].Reseed(e.cfg.Seed, uint64(u), uint64(r))
-		ctx.Node = int32(u)
-		ctx.RNG = &e.rngs[u]
-		tag := e.protocols[u].Advertise(ctx)
-		if e.tagLimit != 0 && tag >= e.tagLimit {
-			panic(fmt.Sprintf("sim: node %d advertised tag %d exceeding b=%d bits", u, tag, e.cfg.TagBits))
-		}
-		e.tags[u] = tag
-	}
-	if e.prof != nil {
-		e.prof.AddBusy(obs.PhaseAdvertise, w, e.prof.Clock()-t0)
-	}
+	t0 := e.profStart()
+	e.phaseActiveScan(w, lo, hi)
+	t0 = e.profBusy(obs.PhaseActiveScan, w, t0)
+	e.phaseAdvertise(w, lo, hi)
+	e.profBusy(obs.PhaseAdvertise, w, t0)
 }
 
-// phasePartnerExchange is the fused step-4b + step-5 body: one dispatch
-// materializes partners for nodes [lo, hi) (phasePartner's body verbatim),
-// then exchanges over the chunk's pairs (phaseExchange's body verbatim).
-// The fusion is race-free without a barrier in between because the exchange
-// sweep reads only partner entries its own partner sweep wrote — a pair is
-// handled by the worker owning its smaller endpoint, never by reading the
-// peer's partner cell — and the peer state an exchange touches (protocols,
-// rngs) is disjoint from the partner/connCount cells the peer's own worker
-// may still be writing. Cross-chunk reads of chosen/actions see values
-// frozen at the accept/decide barriers. Profiled runs self-time the sweeps
-// onto the constituent phases, as in phaseScanAdvertise.
+// phasePartnerExchange is the fused step-4b + step-5 body of the parallel
+// core: one dispatch materializes partner and connCount for nodes [lo, hi)
+// from the accept results, then exchanges over the chunk's pairs. A
+// receiver pairs with its chosen sender, and a sender pairs with its target
+// iff that target chose it, so each node writes only its own entries. No
+// barrier is needed between the sweeps: the exchange reads only partner
+// entries its own partner sweep wrote (a pair is handled by the worker
+// owning its smaller endpoint), the peer state it touches (protocols,
+// rngs) is disjoint from the partner/connCount cells the peer's worker may
+// still be writing, and chosen/actions were frozen at the accept/decide
+// barriers. Profiled runs self-time the sweeps, as in phaseScanAdvertise.
 //
 //mtmlint:hotpath
 func (e *Engine) phasePartnerExchange(w, lo, hi int) {
-	var t0 int64
-	if e.prof != nil {
-		t0 = e.prof.Clock()
-	}
+	t0 := e.profStart()
 	for u := lo; u < hi; u++ {
 		if c := e.chosen[u]; c != noPartner {
 			e.partner[u] = c
@@ -1707,52 +1507,9 @@ func (e *Engine) phasePartnerExchange(w, lo, hi int) {
 			e.partner[u] = noPartner
 		}
 	}
-	if e.prof != nil {
-		t1 := e.prof.Clock()
-		e.prof.AddBusy(obs.PhasePartner, w, t1-t0)
-		t0 = t1
-	}
-	ctxU, ctxV := &e.ctxA[w], &e.ctxB[w]
-	e.bindCtx(ctxU, w)
-	e.bindCtx(ctxV, w)
-	for u := lo; u < hi; u++ {
-		v := e.partner[u]
-		if v == noPartner || int(v) < u {
-			continue // each pair handled once, by its smaller endpoint
-		}
-		ctxU.Node = int32(u)
-		ctxU.RNG = &e.rngs[u]
-		ctxV.Node = v
-		ctxV.RNG = &e.rngs[v]
-		mu := e.protocols[u].Outgoing(ctxU, v)
-		mv := e.protocols[v].Outgoing(ctxV, int32(u))
-		e.checkMessage(u, mu)
-		e.checkMessage(int(v), mv)
-		e.emitDeliver(ctxU.sink, int32(u), v, mv)
-		e.protocols[u].Deliver(ctxU, v, mv)
-		e.emitDeliver(ctxU.sink, v, int32(u), mu)
-		e.protocols[v].Deliver(ctxV, int32(u), mu)
-	}
-	if e.prof != nil {
-		e.prof.AddBusy(obs.PhaseExchange, w, e.prof.Clock()-t0)
-	}
-}
-
-// emitConnections invokes the OnConnections hook with the round's
-// established pairs as (smaller, larger) node ids in ascending order. No-op
-// without the hook. The hook must observe the pair list before any exchange
-// runs, which is why New disables partner/exchange fusion when it is set.
-func (e *Engine) emitConnections(r int) {
-	if e.cfg.OnConnections == nil {
-		return
-	}
-	e.pairScratch = e.pairScratch[:0]
-	for u := 0; u < e.n; u++ {
-		if v := e.partner[u]; v != noPartner && int(v) > u {
-			e.pairScratch = append(e.pairScratch, [2]int32{int32(u), v})
-		}
-	}
-	e.cfg.OnConnections(r, e.pairScratch)
+	t0 = e.profBusy(obs.PhasePartner, w, t0)
+	e.phaseExchange(w, lo, hi)
+	e.profBusy(obs.PhaseExchange, w, t0)
 }
 
 // classicalFinish completes a round under classical telephone semantics:
@@ -1760,19 +1517,16 @@ func (e *Engine) emitConnections(r int) {
 // connections, and senders can also be called). Exchanges run sequentially
 // in sender order for determinism — a receiver's protocol may be delivered
 // to many times per round.
-func (e *Engine) classicalFinish(r int, g *graph.Graph, act []bool, activeCount int) RoundStats {
+func (e *Engine) classicalFinish(r, activeCount int) RoundStats {
+	// The loop runs as worker 0: its own events and its contexts'
+	// transitions share worker 0's buffer, so they stay interleaved in
+	// program order.
 	ctxU, ctxV := &e.ctxA[0], &e.ctxB[0]
-	// The exchange loop below is sequential, so its contexts bind the sink
-	// directly: buffering their transitions would tear them away from the
-	// propose/accept/connect events this loop emits in between.
-	e.bindCtxSeq(ctxU)
-	e.bindCtxSeq(ctxV)
+	e.bindCtx(ctxU, 0)
+	e.bindCtx(ctxV, 0)
 	connections := 0
 	proposals := 0
-	sink := e.cfg.Sink
-	if e.cfg.OnConnections != nil {
-		e.pairScratch = e.pairScratch[:0]
-	}
+	sink := e.workerSink(0)
 	t0 := e.profStart()
 	for u := 0; u < e.n; u++ {
 		v := e.actions[u]
@@ -1797,9 +1551,6 @@ func (e *Engine) classicalFinish(r int, g *graph.Graph, act []bool, activeCount 
 		connections++
 		e.connCount[u]++
 		e.connCount[v]++
-		if e.cfg.OnConnections != nil {
-			e.pairScratch = append(e.pairScratch, [2]int32{int32(u), v})
-		}
 		if sink != nil {
 			sink.Event(obs.Event{Type: obs.TypeAccept, Round: r, Node: v, Peer: int32(u)})
 			lo, hi := int32(u), v
@@ -1823,17 +1574,10 @@ func (e *Engine) classicalFinish(r int, g *graph.Graph, act []bool, activeCount 
 	}
 	e.profEnd(obs.PhaseExchange, t0)
 
-	// The callback fires after the loop (unlike the main path's
-	// pre-exchange call) so fault-dropped proposals are excluded; it still
-	// observes the same pairs-in-sender-order contract.
-	if e.cfg.OnConnections != nil {
-		e.cfg.OnConnections(r, e.pairScratch)
-	}
-
 	e.parallelFor(obs.PhaseEndRound, e.phEndRound)
 	e.flushWorkerBufs()
-	if sink != nil {
-		sink.Event(obs.Event{Type: obs.TypeRoundEnd, Round: r,
+	if e.cfg.Sink != nil {
+		e.cfg.Sink.Event(obs.Event{Type: obs.TypeRoundEnd, Round: r,
 			Node: int32(connections), Peer: 0,
 			A: uint64(proposals), B: uint64(connections)})
 	}
@@ -1847,49 +1591,20 @@ func (e *Engine) checkMessage(u int, m Message) {
 	}
 }
 
-// Dispatch gate floors, benchmark-derived per core (see DESIGN §14 for the
-// crossover measurement; the rounds benchmark tier re-measures them).
-// Below the floor a parallel dispatch costs more than the chunked sweep
-// saves, so parallelFor runs the phase inline.
-const (
-	// spawnDispatchFloor is the historical gate of the goroutine-spawning
-	// core (DispatchSpawn): ~9 dispatches per round at `go func` × workers
-	// + WaitGroup each (≈3.7 kB and tens of µs of scheduler work per round
-	// at 8 workers) need chunks of at least a few hundred nodes to
-	// amortize.
-	spawnDispatchFloor = 256
-	// poolDispatchFloor is the pool core's gate. A pool dispatch is one
-	// atomic publish + wake (~1µs end to end at 8 workers), an order of
-	// magnitude cheaper than a spawn dispatch, but per-phase chunk work is
-	// only ~100ns/node — below about a thousand nodes per phase even an
-	// ideal speedup cannot recover ~7 wake/join barriers per round.
-	poolDispatchFloor = 1024
-)
-
-// spanWorkers reports how many worker indices parallelFor actually
-// dispatches — the number of counter/histogram rows holding fresh data.
-// It is 1 whenever parallelFor takes its inline path.
-//
-//mtmlint:hotpath
-func (e *Engine) spanWorkers() int {
-	if !e.parExec {
-		return 1
-	}
-	return e.workers
-}
+// poolDispatchFloor is the node count below which an engine runs every
+// phase inline (see DESIGN §14 for the crossover measurement; the rounds
+// benchmark tier re-measures it). A pool dispatch is one atomic publish +
+// wake (~1µs end to end at 8 workers), but per-phase chunk work is only
+// ~100ns/node — below about a thousand nodes per phase even an ideal
+// speedup cannot recover ~7 wake/join barriers per round.
+const poolDispatchFloor = 1024
 
 // parallelFor runs fn over [0, n) split at the degree-weighted boundaries in
 // e.chunks, passing each chunk its worker index w (for per-worker scratch).
-// Worker 0 runs inline on the caller; every worker index is dispatched even
-// when its chunk is empty, so per-worker counter and histogram rows are
-// freshly written on every call. Below the dispatch gate (Workers == 1, a
-// node count under the core's floor, or DispatchAuto on a single-P host) it
-// runs inline with w = 0 and allocates nothing.
-//
-// Parallel dispatches go to the persistent worker pool — one atomic publish
-// plus wake, zero allocations, certified on the hot path — except in
-// DispatchSpawn mode, which keeps the historical per-phase goroutine spawn
-// as the differential baseline.
+// On the pool, worker 0 runs inline on the caller and every worker index is
+// dispatched even when its chunk is empty, so per-worker counter and
+// histogram rows are freshly written on every call — one atomic publish
+// plus wake, zero allocations. An inline engine runs fn(0, 0, n).
 //
 // ph names the phase for the profiler: profiled runs record the phase's wall
 // time and each worker's busy time (the per-phase imbalance in the
@@ -1897,85 +1612,43 @@ func (e *Engine) spanWorkers() int {
 //
 //mtmlint:hotpath
 func (e *Engine) parallelFor(ph obs.Phase, fn func(w, lo, hi int)) {
-	if !e.parExec {
-		if e.prof == nil {
-			fn(0, 0, e.n)
-			return
-		}
-		t0 := e.prof.Clock()
-		fn(0, 0, e.n)
-		e.prof.AddSeq(ph, e.prof.Clock()-t0)
-		return
-	}
-	if e.pool != nil {
-		if e.prof == nil {
-			e.pool.dispatch(ph, fn, e.chunks, nil, false)
-			return
-		}
-		t0 := e.prof.Clock()
-		e.pool.dispatch(ph, fn, e.chunks, e.prof, false)
-		e.prof.AddWall(ph, e.prof.Clock()-t0)
-		return
-	}
-	//mtmlint:hotpath-end goroutine dispatch below is the legacy DispatchSpawn core, kept as the differential baseline; the pinned zero-alloc configurations dispatch inline or on the pool above
-	if e.prof == nil {
-		var wg sync.WaitGroup
-		for w := 1; w < e.workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				fn(w, e.chunks[w], e.chunks[w+1])
-			}(w)
-		}
-		fn(0, e.chunks[0], e.chunks[1])
-		wg.Wait()
-		return
-	}
-	prof := e.prof
-	t0 := prof.Clock()
-	var wg sync.WaitGroup
-	for w := 1; w < e.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := prof.Clock()
-			fn(w, e.chunks[w], e.chunks[w+1])
-			prof.AddBusy(ph, w, prof.Clock()-s)
-		}(w)
-	}
-	s := prof.Clock()
-	fn(0, e.chunks[0], e.chunks[1])
-	prof.AddBusy(ph, 0, prof.Clock()-s)
-	wg.Wait()
-	prof.AddWall(ph, prof.Clock()-t0)
+	e.dispatch(ph, fn, false)
 }
 
 // parallelForFused is parallelFor for fused phase bodies, which self-time
-// their constituent sweeps (AddBusy onto the constituent phases, see
-// phaseScanAdvertise/phasePartnerExchange): the dispatch records only the
-// composite phase's wall time, so no busy nanosecond is counted twice.
+// their constituent sweeps (see phaseScanAdvertise/phasePartnerExchange):
+// the dispatch records only the composite phase's wall time, so no busy
+// nanosecond is counted twice.
 //
 //mtmlint:hotpath
 func (e *Engine) parallelForFused(ph obs.Phase, fn func(w, lo, hi int)) {
-	if !e.parExec {
-		if e.prof == nil {
-			fn(0, 0, e.n)
-			return
-		}
-		t0 := e.prof.Clock()
-		fn(0, 0, e.n)
-		e.prof.AddWall(ph, e.prof.Clock()-t0)
-		return
-	}
-	// Fused bodies never run in DispatchSpawn mode (New disables fusion
-	// there), so a parallel fused dispatch always has the pool.
+	e.dispatch(ph, fn, true)
+}
+
+// dispatch is the body of parallelFor and parallelForFused.
+//
+//mtmlint:hotpath
+func (e *Engine) dispatch(ph obs.Phase, fn func(w, lo, hi int), selfTimed bool) {
 	if e.prof == nil {
-		e.pool.dispatch(ph, fn, e.chunks, nil, true)
+		if e.parExec {
+			e.pool.dispatch(ph, fn, e.chunks, nil, false)
+		} else {
+			fn(0, 0, e.n)
+		}
 		return
 	}
 	t0 := e.prof.Clock()
-	e.pool.dispatch(ph, fn, e.chunks, e.prof, true)
-	e.prof.AddWall(ph, e.prof.Clock()-t0)
+	switch {
+	case e.parExec:
+		e.pool.dispatch(ph, fn, e.chunks, e.prof, selfTimed)
+		e.prof.AddWall(ph, e.prof.Clock()-t0)
+	case selfTimed:
+		fn(0, 0, e.n)
+		e.prof.AddWall(ph, e.prof.Clock()-t0)
+	default:
+		fn(0, 0, e.n)
+		e.prof.AddSeq(ph, e.prof.Clock()-t0)
+	}
 }
 
 // StableFor wraps a stop condition with a realistic stabilization detector:

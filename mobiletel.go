@@ -240,11 +240,6 @@ type Options struct {
 	// OnRound, when non-nil, receives (round, connections) after every
 	// executed round — e.g. to render a convergence curve.
 	OnRound func(round, connections int)
-	// RecordTo, when non-nil, receives a JSON-lines execution recording
-	// (per-round connection sets plus final leaders) after the run — a
-	// debugging artifact and determinism proof (replaying the same seed and
-	// configuration reproduces it byte for byte).
-	RecordTo io.Writer
 	// TraceTo, when non-nil, receives a structured JSONL event trace of the
 	// run (schema mtmtrace/v1 — proposals, accepts, rejects, connections,
 	// deliveries, and protocol state transitions; inspect or diff it with
@@ -536,10 +531,6 @@ func ElectLeader(s Schedule, algo Algorithm, opts Options) (ElectionResult, erro
 	var protocols []sim.Protocol
 	tagBits := 0
 	params := core.DefaultBitConvParams(n, s.sched.MaxDegree())
-	var recorder *sim.Recorder
-	if opts.RecordTo != nil {
-		recorder = sim.NewRecorder(opts.Seed, s.sched.Name(), n)
-	}
 	switch algo {
 	case BlindGossip:
 		protocols = core.NewBlindGossipNetwork(uids)
@@ -576,9 +567,6 @@ func ElectLeader(s Schedule, algo Algorithm, opts Options) (ElectionResult, erro
 		Faults:      injector,
 		Check:       opts.Check,
 	}
-	if recorder != nil {
-		recorder.Attach(&cfg)
-	}
 	eng, err := sim.New(s.sched, protocols, cfg)
 	if err != nil {
 		return ElectionResult{}, err
@@ -608,11 +596,6 @@ func ElectLeader(s Schedule, algo Algorithm, opts Options) (ElectionResult, erro
 	res, err := eng.Run(stop)
 	if err != nil {
 		return ElectionResult{}, err
-	}
-	if recorder != nil {
-		if err := recorder.Finish(protocols).WriteJSONL(opts.RecordTo); err != nil {
-			return ElectionResult{}, fmt.Errorf("mobiletel: writing recording: %w", err)
-		}
 	}
 	setGammaBound(metrics, s)
 	if err := drainSinks(jsonl, metrics, opts.MetricsTo); err != nil {

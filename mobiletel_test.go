@@ -329,21 +329,31 @@ func TestBarabasiAlbertTopology(t *testing.T) {
 	}
 }
 
+// TestElectLeaderRecording checks the connection record a run leaves: a
+// trace filtered to connect events holds exactly one event per connection
+// the election reports, at any worker count.
 func TestElectLeaderRecording(t *testing.T) {
-	var buf strings.Builder
 	topo := mobiletel.Cycle(12)
-	res, err := mobiletel.ElectLeader(mobiletel.Static(topo), mobiletel.BlindGossip,
-		mobiletel.Options{Seed: 3, RecordTo: &buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "\"schedule\":\"static/cycle\"") {
-		t.Fatalf("recording header missing: %q", out[:min(120, len(out))])
-	}
-	// One header line plus one line per round.
-	lines := strings.Count(strings.TrimSpace(out), "\n") + 1
-	if lines != res.Rounds+1 {
-		t.Fatalf("recording has %d lines, want %d", lines, res.Rounds+1)
+	for _, algo := range []mobiletel.Algorithm{mobiletel.BlindGossip, mobiletel.BitConv, mobiletel.AsyncBitConv} {
+		for _, workers := range []int{1, 2} {
+			var buf strings.Builder
+			res, err := mobiletel.ElectLeader(mobiletel.Static(topo), algo, mobiletel.Options{
+				Seed: 3, Workers: workers, TraceTo: &buf, TraceTypes: []string{"connect"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := buf.String()
+			if !strings.Contains(out, "\"schedule\":\"static/cycle\"") {
+				t.Fatalf("%v w=%d: trace header missing: %q", algo, workers, out[:min(120, len(out))])
+			}
+			// One header line plus one connect event per connection.
+			lines := strings.Split(strings.TrimSpace(out), "\n")
+			connects := strings.Count(out, "\"t\":\"connect\"")
+			if connects != len(lines)-1 || int64(connects) != res.Connections {
+				t.Fatalf("%v w=%d: %d connect events in %d lines, election reports %d connections",
+					algo, workers, connects, len(lines), res.Connections)
+			}
+		}
 	}
 }
