@@ -3,13 +3,18 @@
 
 GO ?= go
 
-.PHONY: build vet test tier1 race race-smoke lint lint-baseline baseline-check check bench bench-smoke trace-smoke fault-smoke fault-par-smoke prof-smoke
+.PHONY: build vet fmt-check test tier1 race race-smoke lint lint-baseline baseline-check check bench bench-smoke trace-smoke fault-smoke fault-par-smoke prof-smoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when gofmt would reformat any .go file in the tree,
+# listing the files.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:" >&2; echo "$$out" >&2; exit 1; fi
 
 test:
 	$(GO) test -short ./...
@@ -54,7 +59,7 @@ baseline-check:
 	$(GO) run ./cmd/mtmlint -json ./... > /tmp/mtmlint-now.json || true
 	cmp lint_baseline.json /tmp/mtmlint-now.json
 
-check: build vet test race lint baseline-check
+check: build vet fmt-check test race lint baseline-check
 
 # bench records a fresh full-suite BENCH_local.json (see README "Performance").
 bench:

@@ -45,7 +45,7 @@ func (e *Extremum) Advertise(*sim.Context) uint64 { return 0 }
 
 // Decide flips a fair coin; senders target a uniformly random neighbor.
 func (e *Extremum) Decide(ctx *sim.Context) (int32, bool) {
-	if ctx.RNG.Bool() {
+	if ctx.RNG().Bool() {
 		return 0, false
 	}
 	target, ok := ctx.RandomNeighbor()
@@ -86,6 +86,11 @@ func (e *Extremum) Estimate() float64 { return e.best }
 type Averager struct {
 	value  float64
 	weight float64
+
+	// buf backs the UID slice of outgoing messages: the engine delivers
+	// each message before this node's next Outgoing, and Deliver only reads
+	// values out of the slice.
+	buf [2]uint64
 }
 
 var _ sim.Protocol = (*Averager)(nil)
@@ -100,7 +105,7 @@ func (a *Averager) Advertise(*sim.Context) uint64 { return 0 }
 
 // Decide flips a fair coin; senders target a uniformly random neighbor.
 func (a *Averager) Decide(ctx *sim.Context) (int32, bool) {
-	if ctx.RNG.Bool() {
+	if ctx.RNG().Bool() {
 		return 0, false
 	}
 	target, ok := ctx.RandomNeighbor()
@@ -114,9 +119,8 @@ func (a *Averager) Decide(ctx *sim.Context) (int32, bool) {
 // send their pair and both replace their state with the average, conserving
 // total mass exactly up to floating-point rounding.
 func (a *Averager) Outgoing(*sim.Context, int32) sim.Message {
-	return sim.Message{
-		UIDs: []uint64{math.Float64bits(a.value), math.Float64bits(a.weight)},
-	}
+	a.buf = [2]uint64{math.Float64bits(a.value), math.Float64bits(a.weight)}
+	return sim.Message{UIDs: a.buf[:]}
 }
 
 // Deliver averages the peer's mass into this node.

@@ -39,6 +39,11 @@ type Proposer struct {
 
 	localRound int
 	position   int
+
+	// buf backs the UID slice of outgoing messages: the engine delivers
+	// each message before this node's next Outgoing, and Deliver only reads
+	// values out of the slice.
+	buf [2]uint64
 }
 
 var _ sim.Protocol = (*Proposer)(nil)
@@ -71,7 +76,7 @@ func encodeTag(position int, bit uint64) uint64 {
 // (position, bit).
 func (p *Proposer) Advertise(ctx *sim.Context) uint64 {
 	if p.localRound%p.params.GroupLen == 0 {
-		p.position = 1 + ctx.RNG.Intn(p.params.K)
+		p.position = 1 + ctx.RNG().Intn(p.params.K)
 	}
 	return encodeTag(p.position, p.bitValue())
 }
@@ -81,8 +86,7 @@ func (p *Proposer) Decide(ctx *sim.Context) (int32, bool) {
 	if p.bitValue() != 0 {
 		return 0, false
 	}
-	want := encodeTag(p.position, 1)
-	target, ok := ctx.RandomNeighborMatching(func(_ int32, tag uint64) bool { return tag == want })
+	target, ok := ctx.RandomNeighborWithTag(encodeTag(p.position, 1))
 	if !ok {
 		return 0, false
 	}
@@ -92,7 +96,8 @@ func (p *Proposer) Decide(ctx *sim.Context) (int32, bool) {
 // Outgoing sends (pair, proposal-of-pair-owner). The UID and the value are
 // the two UID-sized payload slots; the tag travels in the auxiliary bits.
 func (p *Proposer) Outgoing(*sim.Context, int32) sim.Message {
-	return sim.Message{UIDs: []uint64{p.best.UID, p.value}, Aux: p.best.Tag}
+	p.buf = [2]uint64{p.best.UID, p.value}
+	return sim.Message{UIDs: p.buf[:], Aux: p.best.Tag}
 }
 
 // Deliver adopts the peer's pair and value together when the pair is

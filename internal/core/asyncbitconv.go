@@ -29,6 +29,9 @@ type AsyncBitConv struct {
 
 	localRound int // rounds completed since activation
 	position   int // 1-based tag bit position for the current group
+
+	// buf backs the UID slice of outgoing messages, as in BlindGossip.
+	buf [1]uint64
 }
 
 var (
@@ -74,7 +77,7 @@ func decodeTag(tag uint64) (position int, bit uint64) {
 // position) and returns the encoded (position, bit) advertisement.
 func (p *AsyncBitConv) Advertise(ctx *sim.Context) uint64 {
 	if p.localRound%p.params.GroupLen == 0 {
-		next := 1 + ctx.RNG.Intn(p.params.K)
+		next := 1 + ctx.RNG().Intn(p.params.K)
 		if next != p.position {
 			ctx.EmitTransition(obs.KindPosition, uint64(p.position), uint64(next))
 			p.position = next
@@ -89,8 +92,7 @@ func (p *AsyncBitConv) Decide(ctx *sim.Context) (int32, bool) {
 	if p.bitValue() != 0 {
 		return 0, false
 	}
-	want := encodeTag(p.position, 1)
-	target, ok := ctx.RandomNeighborMatching(func(_ int32, tag uint64) bool { return tag == want })
+	target, ok := ctx.RandomNeighborWithTag(encodeTag(p.position, 1))
 	if !ok {
 		return 0, false
 	}
@@ -99,7 +101,8 @@ func (p *AsyncBitConv) Decide(ctx *sim.Context) (int32, bool) {
 
 // Outgoing sends the node's current smallest ID pair.
 func (p *AsyncBitConv) Outgoing(*sim.Context, int32) sim.Message {
-	return sim.Message{UIDs: []uint64{p.best.UID}, Aux: p.best.Tag}
+	p.buf[0] = p.best.UID
+	return sim.Message{UIDs: p.buf[:1], Aux: p.best.Tag}
 }
 
 // Deliver adopts the peer's pair immediately if smaller.

@@ -68,9 +68,13 @@ type BitConv struct {
 	pending IDPair // smallest pair seen so far (takes effect next phase)
 	leader  uint64
 
-	// lastBit tracks the previously advertised tag bit so Advertise can
-	// emit a KindBit transition when it flips (-1 before the first round).
+	// lastBit is the tag bit Advertise returned this round, which Decide
+	// acts on; Advertise emits a KindBit transition when it flips (-1
+	// before the first round).
 	lastBit int8
+
+	// buf backs the UID slice of outgoing messages, as in BlindGossip.
+	buf [1]uint64
 }
 
 var (
@@ -123,13 +127,13 @@ func (p *BitConv) Advertise(ctx *sim.Context) uint64 {
 }
 
 // Decide runs the PPUSH step: 0-bit nodes propose to a uniformly random
-// neighbor advertising 1; everyone else receives.
+// neighbor advertising 1; everyone else receives. The bit is the one
+// Advertise returned this round.
 func (p *BitConv) Decide(ctx *sim.Context) (int32, bool) {
-	group, _ := p.phasePosition(ctx.Round)
-	if p.groupBit(group) != 0 {
+	if p.lastBit != 0 {
 		return 0, false
 	}
-	target, ok := ctx.RandomNeighborMatching(func(_ int32, tag uint64) bool { return tag == 1 })
+	target, ok := ctx.RandomNeighborWithTag(1)
 	if !ok {
 		return 0, false
 	}
@@ -138,7 +142,8 @@ func (p *BitConv) Decide(ctx *sim.Context) (int32, bool) {
 
 // Outgoing sends the node's current smallest ID pair.
 func (p *BitConv) Outgoing(*sim.Context, int32) sim.Message {
-	return sim.Message{UIDs: []uint64{p.best.UID}, Aux: p.best.Tag}
+	p.buf[0] = p.best.UID
+	return sim.Message{UIDs: p.buf[:1], Aux: p.best.Tag}
 }
 
 // Deliver records the peer's pair into the pending minimum.

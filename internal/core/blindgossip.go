@@ -40,7 +40,7 @@ func (p *BlindGossip) Advertise(*sim.Context) uint64 { return 0 }
 
 // Decide flips a fair coin; senders target a uniformly random neighbor.
 func (p *BlindGossip) Decide(ctx *sim.Context) (int32, bool) {
-	if ctx.RNG.Bool() {
+	if ctx.RNG().Bool() {
 		return 0, false // receive
 	}
 	target, ok := ctx.RandomNeighbor()

@@ -28,6 +28,11 @@ type Node struct {
 	self  int
 	known []uint64 // bitset of rumor indices
 	count int
+
+	// buf backs the UID slice of outgoing messages: the engine delivers
+	// each message before this node's next Outgoing, and Deliver only reads
+	// values out of the slice.
+	buf [1]uint64
 }
 
 var _ sim.Protocol = (*Node)(nil)
@@ -69,7 +74,7 @@ func (g *Node) Advertise(*sim.Context) uint64 { return 0 }
 
 // Decide flips a fair coin; senders pick a uniformly random neighbor.
 func (g *Node) Decide(ctx *sim.Context) (int32, bool) {
-	if ctx.RNG.Bool() {
+	if ctx.RNG().Bool() {
 		return 0, false
 	}
 	target, ok := ctx.RandomNeighbor()
@@ -82,7 +87,7 @@ func (g *Node) Decide(ctx *sim.Context) (int32, bool) {
 // Outgoing sends one uniformly random known rumor (1 UID: the rumor index).
 func (g *Node) Outgoing(ctx *sim.Context, _ int32) sim.Message {
 	// Select the k-th known rumor for uniform k.
-	k := ctx.RNG.Intn(g.count)
+	k := ctx.RNG().Intn(g.count)
 	for word, w := range g.known {
 		c := bits.OnesCount64(w)
 		if k >= c {
@@ -93,8 +98,8 @@ func (g *Node) Outgoing(ctx *sim.Context, _ int32) sim.Message {
 		for ; k > 0; k-- {
 			w &= w - 1
 		}
-		idx := word*64 + bits.TrailingZeros64(w)
-		return sim.Message{UIDs: []uint64{uint64(idx)}}
+		g.buf[0] = uint64(word*64 + bits.TrailingZeros64(w))
+		return sim.Message{UIDs: g.buf[:1]}
 	}
 	panic("gossip: inconsistent known-count")
 }

@@ -44,11 +44,22 @@ func (g *Graph) Neighbors(u int) []int32 {
 	return g.adj[g.offsets[u]:g.offsets[u+1]]
 }
 
-// HasEdge reports whether {u, v} is an edge. It runs in O(log d(u)).
+// HasEdge reports whether {u, v} is an edge. It runs in O(log d(u)): a
+// binary search of u's sorted adjacency list, written out rather than
+// through sort.Search because the engine checks every proposal with it.
 func (g *Graph) HasEdge(u, v int) bool {
 	nbrs := g.Neighbors(u)
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= int32(v) })
-	return i < len(nbrs) && nbrs[i] == int32(v)
+	t := int32(v)
+	lo, hi := 0, len(nbrs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if nbrs[m] < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo < len(nbrs) && nbrs[lo] == t
 }
 
 // Edges calls fn for every undirected edge {u, v} with u < v.

@@ -384,12 +384,12 @@ func TestRelabelIntoReusesScratchAcrossEpochs(t *testing.T) {
 
 func TestBalancedChunksInvariants(t *testing.T) {
 	graphs := map[string]*Graph{
-		"path40":   mustPath(t, 40),
-		"empty5":   NewBuilder(5).MustBuild(),
-		"random":   randomGraph(5, 97, 0.07),
-		"single":   NewBuilder(1).MustBuild(),
-		"zero":     NewBuilder(0).MustBuild(),
-		"star":     mustStar(t, 64),
+		"path40": mustPath(t, 40),
+		"empty5": NewBuilder(5).MustBuild(),
+		"random": randomGraph(5, 97, 0.07),
+		"single": NewBuilder(1).MustBuild(),
+		"zero":   NewBuilder(0).MustBuild(),
+		"star":   mustStar(t, 64),
 	}
 	for name, g := range graphs {
 		for _, workers := range []int{1, 2, 3, 7, 8, 16, 200} {

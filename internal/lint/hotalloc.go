@@ -29,12 +29,13 @@ import (
 //
 //   - amortized growth: `x = make(...)` or `x = append(x, ...)` guarded by
 //     an enclosing if whose condition measures cap(x) or len(x) — the
-//     inboxTo doubling — and self-append to a struct field or package
-//     variable (high-water-mark scratch such as Context.nbr);
+//     inboxTo doubling, Context.nbr — and self-append to a struct field
+//     or package variable (high-water-mark scratch such as the
+//     obs.WorkerBuf event buffer);
 //   - panic-cold code: allocations inside panic arguments, or in a block
 //     that ends by panicking, never run in the steady state;
 //   - closures passed directly to sort.Search, which is documented
-//     non-escaping (graph.HasEdge's binary search);
+//     non-escaping (graph.BalancedChunks' boundary search);
 //   - runtime.Gosched, the pure scheduler yield the worker pool's spin
 //     loops lean on (see workerPool.dispatch/await).
 //

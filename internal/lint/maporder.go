@@ -139,4 +139,3 @@ func isIntAccumulation(p *Pass, rs *ast.RangeStmt) bool {
 	}
 	return true
 }
-

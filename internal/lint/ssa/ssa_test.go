@@ -17,7 +17,7 @@ import (
 type harness struct {
 	t    *testing.T
 	a    *Analysis
-	envs map[string]*Env   // probe label → env on entry to the probed stmt
+	envs map[string]*Env // probe label → env on entry to the probed stmt
 	stmt map[string]ast.Stmt
 	objs map[string]types.Object // param name → object
 }

@@ -61,7 +61,7 @@ func (p *PushPull) Advertise(*sim.Context) uint64 { return 0 }
 
 // Decide flips a fair coin; senders pick a uniformly random neighbor.
 func (p *PushPull) Decide(ctx *sim.Context) (int32, bool) {
-	if ctx.RNG.Bool() {
+	if ctx.RNG().Bool() {
 		return 0, false
 	}
 	target, ok := ctx.RandomNeighbor()
@@ -129,7 +129,7 @@ func (p *PPush) Decide(ctx *sim.Context) (int32, bool) {
 	if !p.informed {
 		return 0, false
 	}
-	target, ok := ctx.RandomNeighborMatching(func(_ int32, tag uint64) bool { return tag == 1 })
+	target, ok := ctx.RandomNeighborWithTag(1)
 	if !ok {
 		return 0, false
 	}

@@ -13,31 +13,50 @@ import (
 )
 
 // TestSteadyStateZeroAllocs pins the engine's zero-allocation contract: once
-// warm, a blind-gossip round on a static mesh with Workers=1 must not
-// allocate at all. Any regression here (an escaping Context, a per-round
-// closure, a message slice literal) shows up as a nonzero average. With no
+// warm, a round on a static mesh with Workers=1 must not allocate at all,
+// for blind gossip and for both b >= 1 protocols, whose rounds also run the
+// tagged neighbor pick and whose exchanges serve UIDs from protocol-owned
+// arrays. Any regression here (an escaping Context, a per-round closure, a
+// message slice literal) shows up as a nonzero average. With no
 // Config.Sink configured, every observability emission site must reduce to
 // one predictable nil-check branch — this test is what holds the tracing
 // layer to its zero-overhead-when-disabled invariant.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	const n = 256
-	eng, err := sim.New(
-		dyngraph.NewStatic(gen.RandomRegular(n, 8, 1)),
-		core.NewBlindGossipNetwork(core.UniqueUIDs(n, 42)),
-		sim.Config{Seed: 42, Workers: 1},
-	)
-	if err != nil {
-		t.Fatal(err)
+	uids := core.UniqueUIDs(n, 42)
+	params := core.DefaultBitConvParams(n, 8)
+	bitconv, _ := core.NewBitConvNetwork(uids, params, 42)
+	async, _ := core.NewAsyncBitConvNetwork(uids, params, 42)
+	cases := []struct {
+		name      string
+		protocols []sim.Protocol
+		tagBits   int
+	}{
+		{"blindgossip", core.NewBlindGossipNetwork(uids), 0},
+		{"bitconv", bitconv, 1},
+		{"asyncbitconv", async, core.TagBitsNeeded(params)},
 	}
-	// Warm up: one-time growth (inboxTo high-water mark, lazy state).
-	eng.RunRounds(1, 50)
-	next := 51
-	avg := testing.AllocsPerRun(200, func() {
-		eng.RunRounds(next, 1)
-		next++
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state round allocates: %v allocs/round, want 0", avg)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng, err := sim.New(
+				dyngraph.NewStatic(gen.RandomRegular(n, 8, 1)),
+				c.protocols,
+				sim.Config{Seed: 42, TagBits: c.tagBits, Workers: 1},
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm up: one-time growth (candidate scratch, lazy state).
+			eng.RunRounds(1, 50)
+			next := 51
+			avg := testing.AllocsPerRun(200, func() {
+				eng.RunRounds(next, 1)
+				next++
+			})
+			if avg != 0 {
+				t.Fatalf("steady-state round allocates: %v allocs/round, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -197,11 +197,11 @@ func firstDiff(a, b []byte) int {
 	return n
 }
 
-// TestActiveSetMatchingZeroAllocs pins the RandomNeighborMatching slow path
-// (active-set filter + predicate) at zero steady-state allocations with
-// Workers=1: the candidate scratch must live on the Context and be reused
-// across rounds. PPush exercises the predicate draw every round; churn
-// keeps an evolving edge set in play so the CSR rebuild scratch is hit too.
+// TestActiveSetMatchingZeroAllocs pins the tagged neighbor pick
+// (RandomNeighborWithTag) at zero steady-state allocations with Workers=1:
+// the candidate scratch must live on the Context and be reused across
+// rounds. PPush's informed nodes pick among neighbors advertising 1 every
+// round.
 func TestActiveSetMatchingZeroAllocs(t *testing.T) {
 	const n = 256
 	eng, err := sim.New(

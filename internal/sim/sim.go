@@ -19,8 +19,8 @@
 //
 // The engine is deterministic: an execution is a pure function of (seed,
 // schedule, protocol, config). Per-node per-round randomness streams are
-// derived independently (xrand.Derive), so the parallel executor is
-// bit-identical to the sequential one.
+// derived independently (xrand.Derive), on the node's first draw of the
+// round, so the parallel executor is bit-identical to the sequential one.
 package sim
 
 import (
@@ -44,20 +44,28 @@ type Message struct {
 }
 
 // Context is the per-node view the engine passes to protocol callbacks. It
-// exposes the node's identity, its private randomness for the round, and the
-// scan results (neighbor ids and tags). Contexts are only valid during the
-// callback they are passed to.
+// exposes the node's identity, its private randomness for the round
+// (RNG), and the scan results (neighbor ids and tags). Contexts are only
+// valid during the callback they are passed to.
 type Context struct {
 	Round int
 	Node  int32
-	RNG   *xrand.RNG
 
+	e    *Engine
 	g    *graph.Graph
 	tags []uint64
 	act  []bool   // activity per node (nil means all active)
 	sink obs.Sink // event sink, nil when tracing is disabled
-	nbr  []int32  // candidate scratch for RandomNeighborMatching, grown once
+	nbr  []int32  // candidate scratch for the neighbor picks, grown once
 }
+
+// RNG returns the node's private random stream for the round: the
+// (seed, node, round) stream, derived on the node's first draw of the
+// round, so a round in which the node draws nothing costs no derivation.
+// Every draw a protocol makes must come from it.
+//
+//mtmlint:hotpath
+func (c *Context) RNG() *xrand.RNG { return c.e.nodeRNG(c.Node) }
 
 // EmitTransition publishes a protocol state transition (leader-estimate
 // change, bit flip, phase change, ...) to the configured observability sink.
@@ -109,48 +117,81 @@ func (c *Context) Neighbors(fn func(id int32, tag uint64)) {
 //
 //mtmlint:hotpath
 func (c *Context) RandomNeighbor() (id int32, ok bool) {
+	nbrs := c.g.Neighbors(int(c.Node))
 	if c.act == nil {
-		// Everyone is active: index the adjacency list directly instead of
-		// the generic count-then-index double scan. Same single RNG draw
-		// over the same count, so the choice is bit-identical.
-		nbrs := c.g.Neighbors(int(c.Node))
+		// Everyone is active: index the adjacency list directly.
 		if len(nbrs) == 0 {
 			return 0, false
 		}
-		return nbrs[c.RNG.Intn(len(nbrs))], true
+		return nbrs[c.RNG().Intn(len(nbrs))], true
 	}
-	return c.RandomNeighborMatching(everyNeighbor)
-}
-
-// everyNeighbor is the all-pass predicate; a package-level value so calling
-// RandomNeighbor never constructs a closure.
-var everyNeighbor = func(int32, uint64) bool { return true }
-
-// RandomNeighborMatching returns a uniformly random active neighbor whose
-// (id, tag) satisfies pred, or ok=false if none does. A single scan collects
-// the matching ids into per-Context scratch (reservoir-style: candidates are
-// buffered, the winner indexed afterwards), then one Intn over the match
-// count picks the winner — the same single draw over the same count as the
-// historical count-then-index double scan, so the choice is bit-identical
-// while pred and the activity filter run once per neighbor instead of twice.
-//
-//mtmlint:hotpath
-func (c *Context) RandomNeighborMatching(pred func(id int32, tag uint64) bool) (id int32, ok bool) {
-	c.nbr = c.nbr[:0]
-	for _, v := range c.g.Neighbors(int(c.Node)) {
-		if (c.act == nil || c.act[v]) && pred(v, c.tags[v]) {
-			c.nbr = append(c.nbr, v)
+	cand, act := c.scratch(len(nbrs)), c.act
+	k := 0
+	for _, v := range nbrs {
+		cand[k] = v
+		if act[v] {
+			k++
 		}
 	}
-	if len(c.nbr) == 0 {
+	return c.pick(cand[:k])
+}
+
+// RandomNeighborWithTag returns a uniformly random active neighbor
+// advertising tag, or ok=false if none does: one scan collects the
+// candidates, in ascending id order, and one Intn over their count picks
+// the winner.
+//
+//mtmlint:hotpath
+func (c *Context) RandomNeighborWithTag(tag uint64) (id int32, ok bool) {
+	nbrs := c.g.Neighbors(int(c.Node))
+	cand, tags, act := c.scratch(len(nbrs)), c.tags, c.act
+	k := 0
+	// Every neighbor is written to cand[k] and k advances only on a match,
+	// which the compiler turns into a conditional move: tag matches are
+	// close to coin flips, and a branch on them would mispredict.
+	if act == nil {
+		for _, v := range nbrs {
+			cand[k] = v
+			if tags[v] == tag {
+				k++
+			}
+		}
+	} else {
+		for _, v := range nbrs {
+			cand[k] = v
+			if tags[v] == tag && act[v] {
+				k++
+			}
+		}
+	}
+	return c.pick(cand[:k])
+}
+
+// scratch returns the Context's candidate buffer sized for deg neighbors,
+// growing it to the largest degree scanned so far.
+//
+//mtmlint:hotpath
+func (c *Context) scratch(deg int) []int32 {
+	if cap(c.nbr) < deg {
+		c.nbr = make([]int32, deg)
+	}
+	return c.nbr[:deg]
+}
+
+// pick draws the winner among cand with the node's stream.
+//
+//mtmlint:hotpath
+func (c *Context) pick(cand []int32) (id int32, ok bool) {
+	if len(cand) == 0 {
 		return 0, false
 	}
-	return c.nbr[c.RNG.Intn(len(c.nbr))], true
+	return cand[c.RNG().Intn(len(cand))], true
 }
 
 // Protocol is the per-node state machine an algorithm implements. The engine
 // owns one Protocol instance per node and invokes the callbacks in a fixed
-// order each round; all randomness must come from ctx.RNG for determinism.
+// order each round; all randomness must come from ctx.RNG() for
+// determinism.
 type Protocol interface {
 	// Advertise returns the node's tag for the round. The engine verifies it
 	// fits in Config.TagBits. Called before the node can see its neighbors,
@@ -370,8 +411,12 @@ type Engine struct {
 
 	protocols []Protocol
 
-	// Per-round working state, reused across rounds.
+	// Per-round working state, reused across rounds. rngs[u] holds node
+	// u's stream for the current round only while rngLive[u] is set:
+	// nodeRNG derives the stream on the node's first draw of the round, and
+	// phaseActiveScan clears every flag at the start of each round.
 	rngs    []xrand.RNG
+	rngLive []bool
 	tags    []uint64
 	actions []int32 // >=0: proposal target; -1: receive; -2: inactive
 	active  []bool
@@ -553,6 +598,7 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 		n:         n,
 		protocols: protocols,
 		rngs:      make([]xrand.RNG, n),
+		rngLive:   make([]bool, n),
 		tags:      make([]uint64, n),
 		actions:   make([]int32, n),
 		active:    make([]bool, n),
@@ -925,7 +971,7 @@ func (e *Engine) bucketAcceptSequential(r int) (proposals, connections, rejects,
 		switch e.cfg.Accept {
 		case AcceptUniform:
 			if len(inbox) > 1 {
-				chosen = inbox[e.rngs[v].Intn(len(inbox))]
+				chosen = inbox[e.nodeRNG(int32(v)).Intn(len(inbox))]
 			}
 		case AcceptLowestID:
 			// inbox[0] already.
@@ -1104,6 +1150,7 @@ func (e *Engine) phaseTagFlip(w, lo, hi int) {
 // event emission to worker w's private buffer.
 func (e *Engine) bindCtx(c *Context, w int) {
 	c.Round = e.curRound
+	c.e = e
 	c.g = e.curG
 	c.tags = e.tags
 	c.act = e.curAct
@@ -1181,16 +1228,13 @@ func (e *Engine) profBusy(ph obs.Phase, w int, t0 int64) int64 {
 func (e *Engine) phaseAdvertise(w, lo, hi int) {
 	ctx := &e.ctxA[w]
 	e.bindCtx(ctx, w)
-	r := e.curRound
 	for u := lo; u < hi; u++ {
 		if !e.active[u] {
 			e.actions[u] = actionInactive
 			e.tags[u] = 0
 			continue
 		}
-		e.rngs[u].Reseed(e.cfg.Seed, uint64(u), uint64(r))
 		ctx.Node = int32(u)
-		ctx.RNG = &e.rngs[u]
 		tag := e.protocols[u].Advertise(ctx)
 		if e.tagLimit != 0 && tag >= e.tagLimit {
 			panic(fmt.Sprintf("sim: node %d advertised tag %d exceeding b=%d bits", u, tag, e.cfg.TagBits))
@@ -1210,7 +1254,6 @@ func (e *Engine) phaseDecide(w, lo, hi int) {
 			continue
 		}
 		ctx.Node = int32(u)
-		ctx.RNG = &e.rngs[u]
 		target, propose := e.protocols[u].Decide(ctx)
 		if !propose {
 			e.actions[u] = actionReceive
@@ -1239,9 +1282,7 @@ func (e *Engine) phaseExchange(w, lo, hi int) {
 			continue // each pair handled once, by its smaller endpoint
 		}
 		ctxU.Node = int32(u)
-		ctxU.RNG = &e.rngs[u]
 		ctxV.Node = v
-		ctxV.RNG = &e.rngs[v]
 		mu := e.protocols[u].Outgoing(ctxU, v)
 		mv := e.protocols[v].Outgoing(ctxV, int32(u))
 		e.checkMessage(u, mu)
@@ -1282,13 +1323,13 @@ func (e *Engine) phaseEndRound(w, lo, hi int) {
 			continue
 		}
 		ctx.Node = int32(u)
-		ctx.RNG = &e.rngs[u]
 		e.protocols[u].EndRound(ctx)
 	}
 }
 
-// phaseActiveScan computes the activity bits for nodes [lo, hi) and counts
-// them into worker w's counter row.
+// phaseActiveScan computes the activity bits for nodes [lo, hi), counts
+// them into worker w's counter row, and marks every node's stream as not
+// yet derived for the round.
 //
 //mtmlint:hotpath
 func (e *Engine) phaseActiveScan(w, lo, hi int) {
@@ -1296,6 +1337,7 @@ func (e *Engine) phaseActiveScan(w, lo, hi int) {
 	ctr := &e.counters[w]
 	ctr.active = 0
 	for u := lo; u < hi; u++ {
+		e.rngLive[u] = false
 		a := e.activeAt(u, r)
 		e.active[u] = a
 		if a {
@@ -1315,6 +1357,22 @@ func (e *Engine) activeAt(u, r int) bool {
 		return false
 	}
 	return e.curDown == nil || !e.curDown[u]
+}
+
+// nodeRNG returns node u's random stream for the current round, deriving
+// it from (seed, u, round) on the node's first draw of the round. Both
+// Context.RNG() and the accept step draw through it. Only code running for u
+// calls it — u's own chunk, or, in the exchange, the worker of u's pair —
+// so the derivation never races.
+//
+//mtmlint:hotpath
+func (e *Engine) nodeRNG(u int32) *xrand.RNG {
+	r := &e.rngs[u]
+	if !e.rngLive[u] {
+		r.Reseed(e.cfg.Seed, uint64(u), uint64(e.curRound))
+		e.rngLive[u] = true
+	}
+	return r
 }
 
 // phaseCount is counting-sort pass one: worker w histograms the proposals of
@@ -1417,7 +1475,7 @@ func (e *Engine) phaseAccept(w, lo, hi int) {
 		switch e.cfg.Accept {
 		case AcceptUniform:
 			if len(inbox) > 1 {
-				c = inbox[e.rngs[v].Intn(len(inbox))]
+				c = inbox[e.nodeRNG(int32(v)).Intn(len(inbox))]
 			}
 		case AcceptLowestID:
 			// inbox[0] already.
@@ -1560,9 +1618,7 @@ func (e *Engine) classicalFinish(r, activeCount int) RoundStats {
 			sink.Event(obs.Event{Type: obs.TypeConnect, Round: r, Node: lo, Peer: hi})
 		}
 		ctxU.Node = int32(u)
-		ctxU.RNG = &e.rngs[u]
 		ctxV.Node = v
-		ctxV.RNG = &e.rngs[v]
 		mu := e.protocols[u].Outgoing(ctxU, v)
 		mv := e.protocols[v].Outgoing(ctxV, int32(u))
 		e.checkMessage(u, mu)

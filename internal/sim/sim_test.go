@@ -11,6 +11,7 @@ import (
 	"mobiletel/internal/dyngraph"
 	"mobiletel/internal/graph/gen"
 	"mobiletel/internal/sim"
+	"mobiletel/internal/xrand"
 )
 
 // probe wraps a random send/receive behavior and records every established
@@ -37,7 +38,7 @@ func (p *probe) Advertise(*sim.Context) uint64 { return 0 }
 
 func (p *probe) Decide(ctx *sim.Context) (int32, bool) {
 	p.lastRound = ctx.Round
-	if ctx.RNG.Bool() {
+	if ctx.RNG().Bool() {
 		return 0, false
 	}
 	t, ok := ctx.RandomNeighbor()
@@ -373,6 +374,60 @@ func TestStopConditionWaitsForAllActive(t *testing.T) {
 	}
 	if res.StabilizedRound < 50 {
 		t.Fatalf("stabilized at %d, before node 1 activated", res.StabilizedRound)
+	}
+}
+
+// endRoundDrawer draws twice from its stream in EndRound and nowhere else,
+// recording both draws of the latest round.
+type endRoundDrawer struct{ draws [2]uint64 }
+
+func (p *endRoundDrawer) Advertise(*sim.Context) uint64            { return 0 }
+func (p *endRoundDrawer) Decide(*sim.Context) (int32, bool)        { return 0, false }
+func (p *endRoundDrawer) Outgoing(*sim.Context, int32) sim.Message { return sim.Message{} }
+func (p *endRoundDrawer) Deliver(*sim.Context, int32, sim.Message) {}
+func (p *endRoundDrawer) Leader() uint64                           { return 0 }
+func (p *endRoundDrawer) EndRound(ctx *sim.Context) {
+	p.draws[0] = ctx.RNG().Uint64()
+	p.draws[1] = ctx.RNG().Uint64()
+}
+
+// TestNodeStreamDerivedOnFirstDraw pins when node streams are derived: a
+// node that draws nothing until EndRound gets exactly the (seed, node,
+// round) stream there, a second draw in the same round continues that
+// stream, and running the same round number again re-derives it instead of
+// continuing where the previous call left off.
+func TestNodeStreamDerivedOnFirstDraw(t *testing.T) {
+	const (
+		n     = 6
+		seed  = 17
+		round = 9
+	)
+	for _, cfg := range []sim.Config{
+		{Seed: seed, Workers: 1},
+		sim.ForcePool(sim.Config{Seed: seed, Workers: 2}),
+	} {
+		t.Run(fmt.Sprintf("workers=%d", cfg.Workers), func(t *testing.T) {
+			protocols := make([]sim.Protocol, n)
+			for i := range protocols {
+				protocols[i] = &endRoundDrawer{}
+			}
+			eng, err := sim.New(dyngraph.NewStatic(gen.Cycle(n)), protocols, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			for call := 1; call <= 2; call++ {
+				eng.RunRounds(round, 1)
+				for u, p := range protocols {
+					want := xrand.Derive(seed, uint64(u), round)
+					w0, w1 := want.Uint64(), want.Uint64()
+					if got := p.(*endRoundDrawer).draws; got != [2]uint64{w0, w1} {
+						t.Fatalf("call %d, node %d: draws %#x, want the (seed, node, round) stream %#x, %#x",
+							call, u, got, w0, w1)
+					}
+				}
+			}
+		})
 	}
 }
 
