@@ -39,9 +39,13 @@ race:
 # pointers, receiver-method bodies, the scatter-cursor idiom whose
 # disjointness rests on the sequential prefix merge, the frozen-for-the-
 # round fault mask reads, and the epoch-publish proof's single-dispatcher
-# and constructor-before-spawn assumptions).
+# and constructor-before-spawn assumptions). The second command runs the
+# experiment harness's shared trial pool: the quick sweep, the checkpoint and
+# interrupt tests and the adaptive adversary, whose trial closures run
+# concurrently and which -short skips.
 race-smoke:
 	$(GO) test -race -timeout 20m ./internal/sim ./internal/fault -run 'Parallel|Workers|Fault|Chaos|Pool'
+	$(GO) test -race -timeout 20m ./internal/experiment -run 'TestQuickRuns|TestAdaptiveStars|TestCheckpoint|TestInterrupt'
 
 lint:
 	$(GO) run ./cmd/mtmlint ./...

@@ -1,8 +1,9 @@
 package experiment
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"mobiletel/internal/core"
 	"mobiletel/internal/dyngraph"
@@ -34,9 +35,31 @@ type adaptiveStars struct {
 	// pairs reads each node's current smallest ID pair; set via SetSource
 	// after the protocols exist.
 	pairs func(node int) core.IDPair
+	// keys is rebuild's sort buffer, reused across epochs. Each entry
+	// carries its node id, so the order the previous sort left behind does
+	// not change the result.
+	keys []starKey
 
 	cachedEpoch int
 	cached      *graph.Graph
+}
+
+// starKey places a node on the line: by its current pair, then by its id.
+type starKey struct {
+	pair core.IDPair
+	node int32
+}
+
+// compareStarKeys orders keys by (pair, node id): a strict total order, so
+// every sort algorithm and every starting order yield the same layout.
+func compareStarKeys(x, y starKey) int {
+	if x.pair != y.pair {
+		if x.pair.Less(y.pair) {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(x.node, y.node)
 }
 
 var _ dyngraph.Schedule = (*adaptiveStars)(nil)
@@ -50,7 +73,11 @@ func newAdaptiveStars(n, points, tau int) *adaptiveStars {
 	if tau < 1 {
 		panic("experiment: adaptiveStars needs tau >= 1")
 	}
-	return &adaptiveStars{n: n, points: points, tau: tau, cachedEpoch: -1}
+	keys := make([]starKey, n)
+	for u := range keys {
+		keys[u].node = int32(u)
+	}
+	return &adaptiveStars{n: n, points: points, tau: tau, keys: keys, cachedEpoch: -1}
 }
 
 // SetSource installs the state reader. Must be called before the first
@@ -84,37 +111,60 @@ func (a *adaptiveStars) GraphAt(r int) *graph.Graph {
 
 // rebuild sorts nodes by current pair (ascending, ties by node id) and lays
 // them into a line of stars: star i gets the next 1+points nodes (first the
-// center, then its leaves).
+// center, then its leaves). It writes the CSR directly, in O(n + m) after
+// the sort: a leaf's list is its center, and a center's list is its leaves
+// plus its neighboring centers, sorted. The arrays are fresh every epoch
+// because graphs are immutable and the engine may still hold the last one.
 func (a *adaptiveStars) rebuild() *graph.Graph {
-	order := make([]int, a.n)
-	for i := range order {
-		order[i] = i
-	}
 	if a.pairs == nil {
 		panic("experiment: adaptiveStars used before SetSource")
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		pi, pj := a.pairs(order[i]), a.pairs(order[j])
-		if pi != pj {
-			return pi.Less(pj)
-		}
-		return order[i] < order[j]
-	})
+	keys := a.keys
+	for i := range keys {
+		keys[i].pair = a.pairs(int(keys[i].node))
+	}
+	slices.SortFunc(keys, compareStarKeys)
 
-	stars := a.n / (a.points + 1)
-	b := graph.NewBuilder(a.n)
-	centers := make([]int, stars)
+	size := a.points + 1
+	stars := a.n / size
+	offsets := make([]int32, a.n+1)
 	for s := 0; s < stars; s++ {
-		block := order[s*(a.points+1) : (s+1)*(a.points+1)]
-		centers[s] = block[0]
+		block := keys[s*size : (s+1)*size]
+		deg := a.points
+		if s > 0 {
+			deg++
+		}
+		if s+1 < stars {
+			deg++
+		}
+		offsets[block[0].node+1] = int32(deg)
 		for _, leaf := range block[1:] {
-			b.AddEdge(block[0], leaf)
+			offsets[leaf.node+1] = 1
 		}
 	}
-	for s := 0; s+1 < stars; s++ {
-		b.AddEdge(centers[s], centers[s+1])
+	for u := 0; u < a.n; u++ {
+		offsets[u+1] += offsets[u]
 	}
-	return b.MustBuild()
+	adj := make([]int32, offsets[a.n])
+	for s := 0; s < stars; s++ {
+		block := keys[s*size : (s+1)*size]
+		center := block[0].node
+		list := adj[offsets[center]:offsets[center+1]]
+		for i, leaf := range block[1:] {
+			adj[offsets[leaf.node]] = center
+			list[i] = leaf.node
+		}
+		i := a.points
+		if s > 0 {
+			list[i] = keys[(s-1)*size].node
+			i++
+		}
+		if s+1 < stars {
+			list[i] = keys[(s+1)*size].node
+		}
+		slices.Sort(list)
+	}
+	return graph.MustFromCSR(offsets, adj)
 }
 
 func (a *adaptiveStars) Tau() int       { return a.tau }

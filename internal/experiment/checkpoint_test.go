@@ -167,17 +167,17 @@ func TestCheckpointDieAfter(t *testing.T) {
 	}
 }
 
-// resumeExperiment is the sweep used by the resume tests: a real registered
-// multi-point experiment that goes through runPointTrials.
+// resumeExperiment is the sweep used by the interrupt-and-resume test: a
+// real registered multi-point experiment that goes through runPointTrials.
 const resumeExperiment = "E1-blindgossip-scaling"
 
-// runWithCheckpoint runs the resume experiment with a fresh Checkpoint
-// handle on path and returns the rendered table.
-func runWithCheckpoint(t *testing.T, path string, key CheckpointKey) string {
+// runWithCheckpoint runs experiment id with a fresh Checkpoint handle on
+// path and returns the rendered table.
+func runWithCheckpoint(t *testing.T, id, path string, key CheckpointKey) string {
 	t.Helper()
-	e, ok := ByID(resumeExperiment)
+	e, ok := ByID(id)
 	if !ok {
-		t.Fatalf("%s not registered", resumeExperiment)
+		t.Fatalf("%s not registered", id)
 	}
 	ck, err := OpenCheckpoint(path, key)
 	if err != nil {
@@ -193,77 +193,108 @@ func runWithCheckpoint(t *testing.T, path string, key CheckpointKey) string {
 
 // TestCheckpointResumeBitIdentical is the crash-safety contract: a sweep
 // killed mid-run and resumed from its checkpoint renders a table
-// byte-identical to an uninterrupted sweep.
+// byte-identical to an uninterrupted sweep. E5 and E11 keep measurements
+// that a cell cannot hold, so they record no cells and re-run in full; a
+// checkpoint attached to them must still leave the table unchanged.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resume sweep skipped in -short mode")
 	}
-	e, ok := ByID(resumeExperiment)
-	if !ok {
-		t.Fatalf("%s not registered", resumeExperiment)
-	}
-	key := CheckpointKey{ID: resumeExperiment, Seed: 12345, Trials: 2, Quick: true}
+	for _, c := range []struct {
+		id      string
+		resumes bool
+	}{
+		{"E1-blindgossip-scaling", true},
+		{"E9-self-stabilization", true},
+		{"E10-churn-robustness", true},
+		{"E5-ppush-approx", false},
+		{"E11-good-edge-probability", false},
+	} {
+		t.Run(c.id, func(t *testing.T) {
+			t.Parallel()
+			e, ok := ByID(c.id)
+			if !ok {
+				t.Fatalf("%s not registered", c.id)
+			}
+			key := CheckpointKey{ID: c.id, Seed: 12345, Trials: 2, Quick: true}
 
-	// Ground truth: no checkpoint at all.
-	plain, err := e.Run(Config{Seed: key.Seed, Trials: key.Trials, Quick: key.Quick})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := plain.Text()
+			// Ground truth: no checkpoint at all.
+			plain, err := e.Run(Config{Seed: key.Seed, Trials: key.Trials, Quick: key.Quick})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := plain.Text()
 
-	dir := t.TempDir()
-	path := filepath.Join(dir, "e1.ckpt.jsonl")
-	if got := runWithCheckpoint(t, path, key); got != want {
-		t.Fatalf("checkpointed run differs from plain run:\n--- plain\n%s\n--- checkpointed\n%s", want, got)
-	}
+			path := filepath.Join(t.TempDir(), c.id+".ckpt.jsonl")
+			if got := runWithCheckpoint(t, c.id, path, key); got != want {
+				t.Fatalf("checkpointed run differs from plain run:\n--- plain\n%s\n--- checkpointed\n%s", want, got)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.SplitAfter(string(data), "\n")
+			if !c.resumes {
+				if len(lines) != 2 { // the header and the empty string after its newline
+					t.Fatalf("checkpoint recorded cells: %q", lines)
+				}
+				return
+			}
 
-	// Simulate a mid-sweep kill: drop the second half of the recorded cells
-	// (plus a torn tail byte or two would also be fine — covered above).
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(data), "\n")
-	if len(lines) < 4 {
-		t.Fatalf("checkpoint too small to truncate: %d lines", len(lines))
-	}
-	keep := 1 + (len(lines)-1)/2 // header + half the cells
-	if err := os.WriteFile(path, []byte(strings.Join(lines[:keep], "")), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// Simulate a mid-sweep kill: drop the second half of the recorded
+			// cells (plus a torn tail byte or two would also be fine — covered
+			// above).
+			if len(lines) < 4 {
+				t.Fatalf("checkpoint too small to truncate: %d lines", len(lines))
+			}
+			keep := 1 + (len(lines)-1)/2 // header + half the cells
+			if err := os.WriteFile(path, []byte(strings.Join(lines[:keep], "")), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	// Resume must replay the surviving cells and re-run the rest, landing on
-	// the exact same bytes.
-	ck, err := OpenCheckpoint(path, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := e.Run(Config{Seed: key.Seed, Trials: key.Trials, Quick: key.Quick, Checkpoint: ck})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Replayed() == 0 {
-		t.Error("resume replayed no cells")
-	}
-	if ck.Recorded() == 0 {
-		t.Error("resume re-ran no cells")
-	}
-	ck.Close()
-	if got := table.Text(); got != want {
-		t.Fatalf("resumed run differs from plain run:\n--- plain\n%s\n--- resumed\n%s", want, got)
+			// Resume must replay the surviving cells and re-run the rest,
+			// landing on the exact same bytes.
+			ck, err := OpenCheckpoint(path, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			table, err := e.Run(Config{Seed: key.Seed, Trials: key.Trials, Quick: key.Quick, Checkpoint: ck})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.Replayed() == 0 {
+				t.Error("resume replayed no cells")
+			}
+			if ck.Recorded() == 0 {
+				t.Error("resume re-ran no cells")
+			}
+			ck.Close()
+			if got := table.Text(); got != want {
+				t.Fatalf("resumed run differs from plain run:\n--- plain\n%s\n--- resumed\n%s", want, got)
+			}
+		})
 	}
 }
 
+// TestInterruptAbortsSweep checks that an already-closed Interrupt stops
+// every trial-batch experiment before it runs a trial.
 func TestInterruptAbortsSweep(t *testing.T) {
-	e, ok := ByID(resumeExperiment)
-	if !ok {
-		t.Fatalf("%s not registered", resumeExperiment)
-	}
-	stop := make(chan struct{})
-	close(stop)
-	_, err := e.Run(Config{Seed: 1, Trials: 2, Quick: true, Interrupt: stop})
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
+	for _, id := range []string{
+		"E1-blindgossip-scaling", "E5-ppush-approx", "E9-self-stabilization",
+		"E10-churn-robustness", "E11-good-edge-probability",
+	} {
+		t.Run(id, func(t *testing.T) {
+			e, ok := ByID(id)
+			if !ok {
+				t.Fatalf("%s not registered", id)
+			}
+			stop := make(chan struct{})
+			close(stop)
+			_, err := e.Run(Config{Seed: 1, Trials: 2, Quick: true, Interrupt: stop})
+			if !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("err = %v, want ErrInterrupted", err)
+			}
+		})
 	}
 }
 
@@ -296,7 +327,7 @@ func TestInterruptedRunResumes(t *testing.T) {
 	}
 	ck.Close()
 
-	if got := runWithCheckpoint(t, path, key); got != plain.Text() {
+	if got := runWithCheckpoint(t, resumeExperiment, path, key); got != plain.Text() {
 		t.Fatalf("post-interrupt resume differs:\n--- plain\n%s\n--- resumed\n%s", plain.Text(), got)
 	}
 }

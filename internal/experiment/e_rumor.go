@@ -106,37 +106,25 @@ func runE5(cfg Config) (*trace.Table, error) {
 	nu := matching.Nu(probe, inSet)
 
 	maxR := core0Log2(probe.MaxDegree())
-	for r := 1; r <= maxR; r++ {
-		fracs := make([]float64, trials)
-		for trial := 0; trial < trials; trial++ {
-			seed := trialSeed(cfg.Seed, r, trial)
-			g := e5CutGraph(m, targetDeg, xrand.Mix3(seed, 7, 0))
-			informed := make(map[int]bool, m)
-			for i := 0; i < m; i++ {
-				informed[i] = true
-			}
-			protocols := rumor.NewPPushNetwork(2*m, informed)
-			fam := gen.Family{Name: "e5cut", Graph: g}
-			eng, err := sim.New(dyngraph.NewStatic(fam), protocols,
-				sim.Config{Seed: seed, TagBits: 1, MaxRounds: r, Workers: 1})
-			if err != nil {
-				return nil, err
-			}
-			if _, err := eng.Run(nil); err == nil {
-				// Stop never fires (no stop condition) — Run returns an error
-				// wrapping ErrNotStabilized by design; err == nil means an
-				// unexpected early stop.
-				return nil, fmt.Errorf("E5: unexpected clean stop")
-			}
-			newlyInformed := rumor.CountInformed(protocols) - m
-			fracs[trial] = float64(newlyInformed) / float64(m)
-		}
-		s := stats.Summarize(fracs)
-		delta := probe.MaxDegree()
-		fr := fOfR(delta, r, 2*m)
-		table.AddRow(m, delta, r, s.Median, s.Min, 1/fr, nu)
-	}
+	heavy := targetDeg - 1
+	horizon := 6
+	taus := []int{1, 2, 3, horizon}
 
+	// Both sweeps share one batch: points 0..maxR-1 are the first, the
+	// last len(taus) the second. newly[point][trial] is the trial's count
+	// of newly informed nodes at its horizon, stored by Check.
+	newly := make([][]int, maxR+len(taus))
+	specs := make([]pointSpec, 0, len(newly))
+	// First sweep: r stable rounds on one cut graph.
+	for r := 1; r <= maxR; r++ {
+		newly[r-1] = make([]int, trials)
+		specs = append(specs, pointSpec{Trials: trials, Spec: e5Spec(m, r, newly[r-1],
+			func(trial int) (dyngraph.Schedule, uint64) {
+				seed := trialSeed(cfg.Seed, r, trial)
+				g := e5CutGraph(m, targetDeg, xrand.Mix3(seed, 7, 0))
+				return dyngraph.NewStatic(gen.Family{Name: "e5cut", Graph: g}), seed
+			})})
+	}
 	// Second sweep: the τ effect proper. Fix a horizon and re-randomize the
 	// cut graph every τ rounds using the attractor construction below: the
 	// planted matching (hence ν = m) survives every epoch, but each fresh
@@ -146,36 +134,63 @@ func runE5(cfg Config) (*trace.Table, error) {
 	// matching partners. Larger τ therefore raises the informed fraction at
 	// the horizon — the mechanism behind the Δ^{1/τ̂} term of Theorems VII.2
 	// and VIII.2.
-	heavy := targetDeg - 1
-	horizon := 6
-	for _, tau := range []int{1, 2, 3, horizon} {
-		tau := tau
-		fracs := make([]float64, trials)
-		for trial := 0; trial < trials; trial++ {
-			seed := trialSeed(cfg.Seed, 5000+tau, trial)
-			sched := dyngraph.NewRegenerate("e5attract", tau, seed, func(s uint64) gen.Family {
-				return gen.Family{Name: "e5attract", Graph: e5AttractorGraph(m, heavy, s)}
-			})
-			informed := make(map[int]bool, m)
-			for i := 0; i < m; i++ {
-				informed[i] = true
-			}
-			protocols := rumor.NewPPushNetwork(2*m, informed)
-			eng, err := sim.New(sched, protocols,
-				sim.Config{Seed: seed + 1, TagBits: 1, MaxRounds: horizon, Workers: 1})
-			if err != nil {
-				return nil, err
-			}
-			if _, err := eng.Run(nil); err == nil {
-				return nil, fmt.Errorf("E5: unexpected clean stop")
-			}
-			fracs[trial] = float64(rumor.CountInformed(protocols)-m) / float64(m)
+	for ti, tau := range taus {
+		newly[maxR+ti] = make([]int, trials)
+		specs = append(specs, pointSpec{Trials: trials, Spec: e5Spec(m, horizon, newly[maxR+ti],
+			func(trial int) (dyngraph.Schedule, uint64) {
+				seed := trialSeed(cfg.Seed, 5000+tau, trial)
+				sched := dyngraph.NewRegenerate("e5attract", tau, seed, func(s uint64) gen.Family {
+					return gen.Family{Name: "e5attract", Graph: e5AttractorGraph(m, heavy, s)}
+				})
+				return sched, seed + 1
+			})})
+	}
+	if _, err := runPointTrials(withoutCheckpoint(cfg), specs); err != nil {
+		return nil, err
+	}
+
+	fracs := func(point int) stats.Summary {
+		f := make([]float64, trials)
+		for trial, k := range newly[point] {
+			f[trial] = float64(k) / float64(m)
 		}
-		s := stats.Summarize(fracs)
+		return stats.Summarize(f)
+	}
+	for r := 1; r <= maxR; r++ {
+		s := fracs(r - 1)
+		delta := probe.MaxDegree()
+		fr := fOfR(delta, r, 2*m)
+		table.AddRow(m, delta, r, s.Median, s.Min, 1/fr, nu)
+	}
+	for ti, tau := range taus {
+		s := fracs(maxR + ti)
 		table.AddRow(m, heavy+1, fmt.Sprintf("τ=%d (horizon %d)", tau, horizon),
 			s.Median, s.Min, "", nu)
 	}
 	return table, nil
+}
+
+// e5Spec is one E5 point: PPUSH with the left half L = 0..m-1 informed,
+// run for exactly horizon rounds over the schedule sched returns with the
+// trial's engine seed. Check stores each trial's count of newly informed
+// nodes in newly[trial].
+func e5Spec(m, horizon int, newly []int, sched func(trial int) (dyngraph.Schedule, uint64)) trialSpec {
+	return trialSpec{
+		Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
+			s, seed := sched(trial)
+			informed := make(map[int]bool, m)
+			for i := 0; i < m; i++ {
+				informed[i] = true
+			}
+			return s, rumor.NewPPushNetwork(2*m, informed),
+				sim.Config{Seed: seed, TagBits: 1, MaxRounds: horizon}
+		},
+		Stop: atHorizon(horizon),
+		Check: func(trial int, protocols []sim.Protocol) error {
+			newly[trial] = rumor.CountInformed(protocols) - m
+			return nil
+		},
+	}
 }
 
 // e5AttractorGraph builds the contention cut for the τ sweep: bipartitions

@@ -46,26 +46,32 @@ type Config struct {
 	Now func() time.Time
 	// Sink, when non-nil, receives the structured event trace of the
 	// batch's first trial (point 0, trial 0); all other trials run
-	// untraced so the batch keeps its parallel throughput. Experiments
-	// that bypass runPointTrials ignore it.
+	// untraced so the batch keeps its parallel throughput. Every
+	// experiment runs its trials through runPointTrials except E4, which
+	// runs no engine, and A2, whose trials end at a round cap on purpose;
+	// those two ignore it.
 	Sink obs.Sink
 	// Profiler, when non-nil, attaches the phase-timing profiler to the same
 	// first trial Sink observes (point 0, trial 0); the caller renders its
 	// mtmprof/v1 report after the run. Progress lines additionally carry the
 	// hottest phases once the profiled trial has finished. Like Now, the
 	// profiler's clock is injected by the caller — this package still never
-	// reads wall time itself. Experiments that bypass runPointTrials ignore
-	// it.
+	// reads wall time itself. E4 and A2, which bypass runPointTrials,
+	// ignore it.
 	Profiler *obs.Profiler
 	// Checkpoint, when non-nil, makes the sweep crash-safe: every completed
 	// trial is recorded as it finishes and already-recorded trials are
 	// replayed instead of re-simulated, so a killed run resumed with the
-	// same checkpoint produces a bit-identical table. Experiments that
-	// bypass runPointTrials ignore it (they re-run from scratch).
+	// same checkpoint produces a bit-identical table. E4 and A2, which
+	// bypass runPointTrials, ignore it and re-run in full, and so do
+	// E5 and E11: their tables need per-trial measurements (E5's informed
+	// counts, E11's per-edge connection counts) that a cell, which holds
+	// only a stabilization round, cannot replay.
 	Checkpoint *Checkpoint
 	// Interrupt, when non-nil, requests a graceful abort when closed:
 	// the feeder stops handing out new trials, in-flight trials drain (and
-	// are still checkpointed), and the run returns ErrInterrupted.
+	// are still checkpointed), and the run returns ErrInterrupted. E4 and
+	// A2 ignore it.
 	Interrupt <-chan struct{}
 }
 
@@ -281,6 +287,22 @@ feed:
 		return nil, ErrInterrupted
 	}
 	return rounds, nil
+}
+
+// atHorizon is the stop condition of a fixed-horizon trial: it fires at the
+// end of round h, so the trial runs exactly h rounds and its Check measures
+// the state there.
+func atHorizon(h int) sim.StopCondition {
+	return func(round int, _ []sim.Protocol) bool { return round >= h }
+}
+
+// withoutCheckpoint returns cfg with no checkpoint, for batches whose table
+// needs a measurement that Check stores: a replayed cell skips Build and
+// Check and holds only the stabilization round, so such a batch re-runs in
+// full on resume instead.
+func withoutCheckpoint(cfg Config) Config {
+	cfg.Checkpoint = nil
+	return cfg
 }
 
 // runTrials executes `trials` independent simulations of a single point and

@@ -746,8 +746,9 @@ type ExperimentOptions struct {
 	// point it at os.Stderr for long experiments.
 	Progress io.Writer
 	// TraceTo, when non-nil, receives a JSONL event trace (schema
-	// mtmtrace/v1) of the experiment's first trial. Experiments that do not
-	// run trial batches leave it empty.
+	// mtmtrace/v1) of the experiment's first trial. E4, which runs no
+	// engine, and A2, which runs its trials outside the trial batches,
+	// leave it empty.
 	TraceTo io.Writer
 	// MetricsTo, when non-nil, receives a JSON metrics summary (schema
 	// mtmtrace-metrics/v1) of the experiment's first trial.
@@ -760,7 +761,10 @@ type ExperimentOptions struct {
 	// checkpointing: completed trial results are appended to
 	// <CheckpointDir>/<id>.ckpt.jsonl and replayed on the next run with the
 	// same (id, seed, trials, quick) key, producing a bit-identical table.
-	// Stale checkpoints (different key) are rejected with an error.
+	// Stale checkpoints (different key) are rejected with an error. E4, E5,
+	// E11 and A2 record no cells and re-run in full: E4 and A2 run outside
+	// the trial batches, and E5 and E11 need per-trial measurements that a
+	// cell cannot hold.
 	CheckpointDir string
 	// DieAfter, when > 0, kills the process (exit 3) after that many newly
 	// recorded checkpoint cells. Test hook for the resume path; requires
@@ -768,7 +772,8 @@ type ExperimentOptions struct {
 	DieAfter int
 	// Interrupt, when non-nil, aborts the sweep gracefully once the channel
 	// is closed: in-flight trials drain (and checkpoint), no new trials
-	// start, and RunExperiment returns ErrInterrupted.
+	// start, and RunExperiment returns ErrInterrupted. E4 and A2, which run
+	// outside the trial batches, ignore it.
 	Interrupt <-chan struct{}
 }
 
