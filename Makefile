@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test tier1 race race-smoke lint lint-baseline baseline-check check bench bench-smoke trace-smoke fault-smoke fault-par-smoke prof-smoke
+.PHONY: build vet fmt-check test tier1 race race-smoke fuzz-smoke lint lint-baseline baseline-check check bench bench-smoke trace-smoke fault-smoke fault-par-smoke prof-smoke
 
 build:
 	$(GO) build ./...
@@ -31,10 +31,11 @@ race:
 # race-smoke mirrors the CI race-smoke job: the concurrency-heavy tests
 # (parallel round loop, worker fan-out, parallel accept/bucketing and its
 # cross-worker conformance suite — forced pool columns included, the
-# persistent-pool rapid-dispatch and close-cycle stresses,
-# the million-node scale round — faulted expander column included, fault
-# injection inside the parallel phase bodies, and the chaos soak) under the
-# race detector, without -short. This is the dynamic backstop for the
+# engine-versus-reference-executor check and its fuzz seed corpus — forced
+# pool columns included, the persistent-pool rapid-dispatch and close-cycle
+# stresses, the million-node scale round — faulted expander column
+# included, fault injection inside the parallel phase bodies, and the chaos
+# soak) under the race detector, without -short. This is the dynamic backstop for the
 # happensbefore analyzer's documented static boundaries (untraceable
 # pointers, receiver-method bodies, the scatter-cursor idiom whose
 # disjointness rests on the sequential prefix merge, the frozen-for-the-
@@ -44,8 +45,16 @@ race:
 # interrupt tests and the adaptive adversary, whose trial closures run
 # concurrently and which -short skips.
 race-smoke:
-	$(GO) test -race -timeout 20m ./internal/sim ./internal/fault -run 'Parallel|Workers|Fault|Chaos|Pool'
+	$(GO) test -race -timeout 20m ./internal/sim ./internal/fault -run 'Parallel|Workers|Fault|Chaos|Pool|EngineMatchesOracle'
 	$(GO) test -race -timeout 20m ./internal/experiment -run 'TestQuickRuns|TestAdaptiveStars|TestCheckpoint|TestInterrupt'
+
+# fuzz-smoke mirrors the CI fuzz-smoke job: 30 seconds of native fuzzing
+# that decodes small configurations (topology, schedule, protocol, fault
+# plan, workers, dispatch, classical mode, accept policy) and requires the
+# engine to run each exactly as the test-only reference executor does. A
+# failing input is saved under internal/sim/testdata/fuzz/ for replay.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesOracle$$' -fuzztime 30s ./internal/sim
 
 lint:
 	$(GO) run ./cmd/mtmlint ./...

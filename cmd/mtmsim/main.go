@@ -49,8 +49,8 @@ func run() error {
 		classical   = flag.Bool("classical", false, "use classical telephone semantics (unbounded incoming connections; baseline, not the paper's model)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 
-		crashRate    = flag.Float64("crash-rate", 0, "per-round probability that one up device crashes")
-		recoverRate  = flag.Float64("recover-rate", 0, "per-round probability that one down device recovers")
+		crashRate    = flag.Float64("crash-rate", 0, "per-round probability that each up device crashes")
+		recoverRate  = flag.Float64("recover-rate", 0, "per-round probability that each down device recovers")
 		maxDown      = flag.Int("max-down", 0, "cap on simultaneously crashed devices (0 = n-1)")
 		resetRecover = flag.Bool("reset-on-recover", true, "recovering devices restart from their initial protocol state")
 		proposalLoss = flag.Float64("proposal-loss", 0, "probability that a sent proposal is dropped")

@@ -206,8 +206,8 @@ func cmdRecord(args []string, stdout io.Writer) error {
 	fs.IntVar(&cfg.Workers, "workers", 0, "engine worker count (0 = sequential; traces are identical across counts)")
 	fs.IntVar(&cfg.Sample, "sample", 0, "keep only rounds where round%N == 0 (0 = all rounds)")
 	fs.StringVar(&cfg.Types, "types", "", "comma-separated event-type whitelist (e.g. connect,transition)")
-	fs.Float64Var(&cfg.CrashRate, "crash-rate", 0, "per-round probability that one up device crashes")
-	fs.Float64Var(&cfg.RecoverRate, "recover-rate", 0, "per-round probability that one down device recovers")
+	fs.Float64Var(&cfg.CrashRate, "crash-rate", 0, "per-round probability that each up device crashes")
+	fs.Float64Var(&cfg.RecoverRate, "recover-rate", 0, "per-round probability that each down device recovers")
 	fs.IntVar(&cfg.MaxDown, "max-down", 0, "cap on simultaneously crashed devices (0 = n-1)")
 	fs.Float64Var(&cfg.ProposalLoss, "proposal-loss", 0, "probability that a sent proposal is dropped")
 	fs.Float64Var(&cfg.ConnLoss, "conn-loss", 0, "probability that an accepted connection fails before transfer")

@@ -33,12 +33,15 @@ const (
 	PhaseScatter
 	// PhaseAccept runs step 4's accept decisions.
 	PhaseAccept
-	// PhasePartner materializes partners from the accept results.
+	// PhasePartner named a separate partner-materialization sweep; the
+	// engine now derives partners inside the exchange sweep, so nothing
+	// charges it. The name stays in the mtmprof/v1 schema.
 	PhasePartner
-	// PhaseBucketSeq is the whole sequential step-4 core (bucket + accept),
-	// used by engines that run every phase inline.
+	// PhaseBucketSeq named a retired sequential step-4 core; nothing charges
+	// it. The name stays in the mtmprof/v1 schema.
 	PhaseBucketSeq
-	// PhaseExchange runs step 5 (message exchange over connections).
+	// PhaseExchange runs step 5 (partner derivation and message exchange
+	// over connections).
 	PhaseExchange
 	// PhaseEndRound runs the end-of-round protocol callbacks.
 	PhaseEndRound
@@ -50,9 +53,9 @@ const (
 	// lands here; the fused body self-times each sweep, so busy time
 	// still lands on PhaseActiveScan and PhaseAdvertise.
 	PhaseScanAdvertise
-	// PhasePartnerExchange is the fused partner-materialization + exchange
-	// dispatch of the parallel core. Wall time lands here; busy time is
-	// self-timed onto PhasePartner and PhaseExchange by the fused body.
+	// PhasePartnerExchange is the dispatch of the sweep that derives
+	// partners and exchanges. Wall time lands here; the sweep self-times
+	// its busy time onto PhaseExchange.
 	PhasePartnerExchange
 
 	numPhases

@@ -135,12 +135,14 @@ func TestTraceCountersMatchStats(t *testing.T) {
 
 // TestPhaseProfiler runs profiled parallel elections with a deterministic
 // counter clock and checks the mtmprof/v1 report both inline and on the
-// forced pool: the fused phases attribute dispatch wall time to the
-// composite phases and self-timed busy time to their constituent sweeps,
-// with real parallel workers on the pool. The flush phase appears exactly
-// when tracing is on, the resolved dispatch mode and gate are visible in
-// the report, and profiling never perturbs the run (bit-identical Result vs
-// the unprofiled engine).
+// forced pool. Both dispatches run the same round, so they report the same
+// phases: the fused dispatches attribute wall time to the composite phases
+// and self-timed busy time to their constituent sweeps, the partner
+// derivation is timed as part of exchange, and bucket_accept and partner
+// are never charged. On the pool every worker has busy time in every
+// chunked phase. The flush phase appears exactly when tracing is on, the
+// resolved dispatch mode and gate are visible in the report, and profiling
+// never perturbs the run (bit-identical Result vs the unprofiled engine).
 func TestPhaseProfiler(t *testing.T) {
 	const (
 		n       = 512 // under the pool gate, so only the forced pool dispatches in parallel
@@ -193,63 +195,31 @@ func TestPhaseProfiler(t *testing.T) {
 	}
 	want := run(nil, nil, false)
 
-	// The fused phase lists: composites carry the dispatch wall time, the
-	// constituent sweeps carry self-timed busy time only.
-	fusedWall := []string{"scan_advertise", "decide", "count", "merge",
+	// Composites and sequential sections carry wall time; the constituent
+	// sweeps of the fused dispatches carry self-timed busy time only.
+	wallPhases := []string{"scan_advertise", "decide", "count", "merge",
 		"scatter", "accept", "partner_exchange", "end_round", "flush"}
-	fusedBusy := []string{"active_scan", "advertise", "partner", "exchange"}
-
-	t.Run("auto", func(t *testing.T) {
-		// n=512 is under the pool gate, so the engine resolves to inline
-		// dispatch on any host — deterministically visible in the report —
-		// and an inline engine runs the sequential step-4 core, so the
-		// report shows bucket_accept instead of the chunk-safe count/merge/
-		// scatter/accept pipeline and its partner materialization.
-		rep := report(t, false, want)
-		if rep.Dispatch != "inline" || rep.GateNodes <= n {
-			t.Errorf("auto dispatch resolved as %q (gate %d), want inline gated above n=%d",
-				rep.Dispatch, rep.GateNodes, n)
-		}
+	busyOnly := []string{"active_scan", "advertise", "exchange"}
+	chunked := append([]string{"decide", "count", "scatter", "accept", "end_round"}, busyOnly...)
+	check := func(t *testing.T, rep obs.ProfReport, busyWorkers int) {
+		t.Helper()
 		phases := phaseMap(rep)
-		for _, name := range []string{"scan_advertise", "decide", "bucket_accept",
-			"exchange", "end_round", "flush"} {
+		for _, name := range wallPhases {
 			if p, ok := phases[name]; !ok || p.WallNS <= 0 {
 				t.Errorf("phase %q missing or without wall time (%+v)", name, p)
 			}
 		}
-		for _, name := range []string{"active_scan", "advertise"} {
-			p, ok := phases[name]
-			if !ok || p.BusyNS[0] <= 0 {
-				t.Errorf("fused sweep %q missing or without worker-0 busy time (%+v)", name, p)
-				continue
-			}
-			if p.WallNS != 0 {
+		for _, name := range busyOnly {
+			if p := phases[name]; p.WallNS != 0 {
 				t.Errorf("fused sweep %q has wall time %d; the composite dispatch should own it", name, p.WallNS)
 			}
 		}
-		for _, name := range []string{"count", "merge", "scatter", "accept",
-			"partner", "partner_exchange"} {
+		for _, name := range []string{"bucket_accept", "partner"} {
 			if _, ok := phases[name]; ok {
-				t.Errorf("all-inline engine reported parallel-core phase %q", name)
+				t.Errorf("report charged retired phase %q", name)
 			}
 		}
-	})
-
-	t.Run("pool", func(t *testing.T) {
-		rep := report(t, true, want)
-		if rep.Dispatch != "pool" {
-			t.Errorf("forced pool resolved as %q", rep.Dispatch)
-		}
-		if _, ok := phaseMap(rep)["bucket_accept"]; ok {
-			t.Error("parallel pool run reported the sequential bucket_accept phase")
-		}
-		phases := phaseMap(rep)
-		for _, name := range fusedWall {
-			if p, ok := phases[name]; !ok || p.WallNS <= 0 {
-				t.Errorf("phase %q missing or without wall time (%+v)", name, p)
-			}
-		}
-		for _, name := range append(fusedBusy, "decide", "count", "scatter", "accept", "end_round") {
+		for _, name := range chunked {
 			p, ok := phases[name]
 			if !ok {
 				t.Errorf("phase %q missing from report", name)
@@ -259,8 +229,8 @@ func TestPhaseProfiler(t *testing.T) {
 				t.Errorf("phase %q has %d busy slots, want %d", name, len(p.BusyNS), workers)
 				continue
 			}
-			for w, b := range p.BusyNS {
-				if b <= 0 {
+			for w := 0; w < busyWorkers; w++ {
+				if p.BusyNS[w] <= 0 {
 					t.Errorf("phase %q worker %d has no busy time", name, w)
 				}
 			}
@@ -268,6 +238,26 @@ func TestPhaseProfiler(t *testing.T) {
 				t.Errorf("phase %q imbalance %v < 1", name, p.Imbalance)
 			}
 		}
+	}
+
+	t.Run("auto", func(t *testing.T) {
+		// n=512 is under the pool gate, so the engine resolves to inline
+		// dispatch on any host — deterministically visible in the report —
+		// and runs every chunked phase as one chunk on worker 0.
+		rep := report(t, false, want)
+		if rep.Dispatch != "inline" || rep.GateNodes <= n {
+			t.Errorf("auto dispatch resolved as %q (gate %d), want inline gated above n=%d",
+				rep.Dispatch, rep.GateNodes, n)
+		}
+		check(t, rep, 1)
+	})
+
+	t.Run("pool", func(t *testing.T) {
+		rep := report(t, true, want)
+		if rep.Dispatch != "pool" {
+			t.Errorf("forced pool resolved as %q", rep.Dispatch)
+		}
+		check(t, rep, workers)
 	})
 
 	prof := newProf()

@@ -77,6 +77,18 @@ func conformanceCases(n, maxDegree int) []conformanceCase {
 	}
 }
 
+// sweepPlan is the conformance sweep's full-repertoire fault plan for an
+// n-node network (n > 200): rate churn, a partition with a scheduled heal,
+// a corruption burst, message loss and tag flips.
+func sweepPlan(n int) fault.Plan {
+	return fault.Plan{
+		Seed: 31, CrashRate: 0.002, RecoverRate: 0.3, MaxDown: n / 8,
+		ProposalLoss: 0.05, ConnLoss: 0.03, TagFlipRate: 0.02,
+		Corruptions: []fault.Burst{{Round: 12, Nodes: []int{3, 9, 200}}},
+		Partitions:  []fault.Partition{{Start: 5, Heal: 25, Parts: 2}},
+	}
+}
+
 // TestParallelRoundConformanceAcrossWorkers pins the contract behind the
 // parallel round core: Workers is a throughput knob, never a semantic one.
 // Every protocol in the repertoire runs to its stop condition on the
@@ -88,14 +100,13 @@ func conformanceCases(n, maxDegree int) []conformanceCase {
 // in chunk order must reproduce the sequential ascending-node emission order
 // exactly (the contract mtmtrace diff relies on).
 //
-// The sweep is also the cross-core differential: the forced-pool columns
-// run the parallel step-4 core and the fused phases on the persistent
-// worker pool with real goroutines even where the engine would otherwise
-// resolve inline (n below the gate, or a single-P host), while the other
-// columns run the sequential step-4 core. Both cores at all worker counts
-// must agree with the Workers=1 column byte-for-byte — the strongest
-// statement the repo can make that the parallel core and the
-// epoch-published pool changed scheduling, not semantics.
+// The forced-pool columns run the round on the persistent worker pool with
+// real goroutines even where the engine would otherwise resolve inline (n
+// below the gate, or a single-P host); the other columns run every phase
+// inline as one chunk. There is one round core, so the sweep shows that
+// chunking and the epoch-published pool change scheduling, not semantics.
+// It compares the engine only with itself: TestEngineMatchesOracle checks
+// the semantics against the reference executor.
 //
 // The faulted column repeats the sweep with a full-repertoire fault plan
 // (rate churn, a partition with a scheduled heal, corruption bursts, message
@@ -118,12 +129,7 @@ func TestParallelRoundConformanceAcrossWorkers(t *testing.T) {
 		{"w7-pool", 7, true},
 		{"w16-pool", 16, true},
 	}
-	plan := fault.Plan{
-		Seed: 31, CrashRate: 0.002, RecoverRate: 0.3, MaxDown: f.N() / 8,
-		ProposalLoss: 0.05, ConnLoss: 0.03, TagFlipRate: 0.02,
-		Corruptions: []fault.Burst{{Round: 12, Nodes: []int{3, 9, 200}}},
-		Partitions:  []fault.Partition{{Start: 5, Heal: 25, Parts: 2}},
-	}
+	plan := sweepPlan(f.N())
 	for _, faulted := range []bool{false, true} {
 		col := "fault-free"
 		if faulted {

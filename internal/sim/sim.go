@@ -423,24 +423,21 @@ type Engine struct {
 	inboxTo []int32 // flattened proposals grouped per receiver
 	inboxAt []int32 // offsets per receiver (n+1)
 	partner []int32 // accepted connection partner or -1
-	cursor  []int32 // scratch for the per-round counting sort
 	workers int
 
 	// parExec, resolved once in New (see DESIGN §14), says whether this
-	// engine dispatches phases on the persistent worker pool. It also
-	// selects the step-4 core: a parallel engine buckets proposals with a
-	// two-pass counting sort (per-worker histograms in hist, a sequential
-	// prefix merge, a parallel scatter) and accepts in parallel into
-	// chosen; an inline engine runs the sequential counting sort, because
-	// the per-worker histogram discipline is pure overhead with one
-	// executor. The two cores are bit-identical: fault draws are
+	// engine dispatches phases on the persistent worker pool or runs each
+	// phase inline as a single chunk. Either way step 4 is one two-pass
+	// counting sort (a histogram row per dispatched worker in hist, a
+	// sequential prefix merge, a scatter) followed by an accept sweep into
+	// chosen, so results never depend on the dispatch: fault draws are
 	// node-addressed (see internal/fault), inboxes stay sender-ordered
 	// (worker chunks ascend in sender id), each receiver's accept choice
 	// draws only from its own rngs[v] stream, and trace emission goes
 	// through per-worker buffers drained in chunk order.
 	parExec bool
 	pool    *workerPool // nil unless parExec
-	hist    []int32     // per-worker proposal histograms/cursors, workers rows of n
+	hist    []int32     // proposal histograms/scatter cursors, one row of n per dispatched worker
 	chosen  []int32     // per-receiver accepted sender (or noPartner)
 
 	// propLost[u] records whether a fault dropped sender u's proposal in
@@ -472,7 +469,6 @@ type Engine struct {
 	// stack Context whose address reaches an interface method would escape
 	// to the heap on every round. TestSteadyStateZeroAllocs pins this.
 	phDecide    func(w, lo, hi int)
-	phExchange  func(w, lo, hi int)
 	phEndRound  func(w, lo, hi int)
 	phTagFlip   func(w, lo, hi int)
 	phCount     func(w, lo, hi int)
@@ -605,13 +601,14 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 		inboxTo:   make([]int32, 0, n),
 		inboxAt:   make([]int32, n+1),
 		partner:   make([]int32, n),
-		cursor:    make([]int32, n),
 		workers:   workers,
 		parExec:   parExec,
 		stopGate:  stopGate,
 		connCount: make([]int64, n),
 		chunks:    make([]int, workers+1),
 		counters:  make([]workerCounters, span),
+		hist:      make([]int32, span*n),
+		chosen:    make([]int32, n),
 		ctxA:      make([]Context, span),
 		ctxB:      make([]Context, span),
 	}
@@ -625,8 +622,6 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 		e.wbufs = make([]obs.WorkerBuf, span)
 	}
 	if parExec {
-		e.hist = make([]int32, workers*n)
-		e.chosen = make([]int32, n)
 		// A parked pool holds no engine reference, so the finalizer fires
 		// once the engine is garbage and stops the workers; Close does the
 		// same deterministically.
@@ -648,7 +643,6 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 	// Method values allocate their receiver binding; do it once here, not
 	// once per parallelFor call.
 	e.phDecide = e.phaseDecide
-	e.phExchange = e.phaseExchange
 	e.phEndRound = e.phaseEndRound
 	e.phTagFlip = e.phaseTagFlip
 	e.phCount = e.phaseCount
@@ -819,22 +813,11 @@ func (e *Engine) stepCore(r int) RoundStats {
 		return e.classicalFinish(r, activeCount)
 	}
 
-	// Step 4: group proposals by receiver (counting sort keeps per-receiver
-	// inboxes ordered by sender id), then accept. Both cores produce
-	// bit-identical partners, counters, RNG states, and event streams: fault
-	// draws are node-addressed, so each core evaluates them at the same
-	// per-node points. Step 5, the exchange, follows in the same dispatch
-	// as the parallel core's partner materialization.
-	var proposals, connections, rejects, busyLost, faultLost int
-	if e.parExec {
-		proposals, connections, rejects, busyLost, faultLost = e.bucketAcceptParallel()
-		e.parallelForFused(obs.PhasePartnerExchange, e.phPartnerEx)
-	} else {
-		t0 := e.profStart()
-		proposals, connections, rejects, busyLost, faultLost = e.bucketAcceptSequential(r)
-		e.profEnd(obs.PhaseBucketSeq, t0)
-		e.parallelFor(obs.PhaseExchange, e.phExchange)
-	}
+	// Step 4: group proposals by receiver (the counting sort keeps each
+	// inbox ordered by sender id), then accept. Step 5, the exchange, runs
+	// in the sweep that derives partners from the accept results.
+	proposals, connections, rejects, busyLost, faultLost := e.bucketAccept()
+	e.parallelForFused(obs.PhasePartnerExchange, e.phPartnerEx)
 	e.flushWorkerBufs()
 
 	// End of round.
@@ -882,180 +865,35 @@ func (e *Engine) verifyRound(r int, s RoundStats) {
 	}
 }
 
-// bucketAcceptSequential is the historical single-threaded step-4 core: one
-// counting-sort pass groups proposals per receiver, then receivers accept in
-// ascending order. The parallel core (bucketAcceptParallel) reproduces its
-// results and event stream bit for bit — fault draws included, because
-// every draw is node-addressed and both cores evaluate it at the same
-// per-node point.
+// bucketAccept is step 4: a two-pass counting sort buckets proposals (a
+// histogram row per dispatched worker, one sequential prefix merge that
+// turns histogram cells into scatter cursor bases, then a scatter),
+// followed by the accept sweep, which may run in parallel because each
+// receiver's choice draws only from its own rngs[v] stream. Worker chunks
+// ascend in sender id, so every inbox comes out in ascending sender order
+// at any worker count; an inline engine runs each sweep as one chunk over
+// one row.
 //
 //mtmlint:hotpath
-func (e *Engine) bucketAcceptSequential(r int) (proposals, connections, rejects, busyLost, faultLost int) {
-	sink := e.workerSink(0)
-	for u := range e.inboxAt {
-		e.inboxAt[u] = 0
-	}
-	for u := 0; u < e.n; u++ {
-		if t := e.actions[u]; t >= 0 {
-			if sink != nil {
-				sink.Event(obs.Event{Type: obs.TypePropose, Round: r,
-					Node: int32(u), Peer: t, A: e.tags[u], B: e.tags[t]})
-			}
-			proposals++
-			// One node-addressed fault draw per proposal: a dropped proposal
-			// never reaches its target (but the node still transmitted, so
-			// proposals aimed at it stay busy-lost). The drop is recorded in
-			// propLost for the scatter pass rather than rewriting actions[u],
-			// so the parallel core can make the same decision race-free.
-			if e.cfg.Faults != nil {
-				if e.cfg.Faults.DropProposal(int32(u), r) {
-					e.propLost[u] = true
-					faultLost++
-					if sink != nil {
-						sink.Event(obs.Event{Type: obs.TypeFault, Kind: obs.KindPropLoss,
-							Round: r, Node: t, Peer: int32(u)})
-					}
-					continue
-				}
-				e.propLost[u] = false
-			}
-			// A proposal to a node that itself proposed is lost (the model:
-			// a node that sends cannot also receive).
-			if e.actions[t] == actionReceive {
-				e.inboxAt[t+1]++
-			} else {
-				busyLost++
-				if sink != nil {
-					sink.Event(obs.Event{Type: obs.TypeReject, Kind: obs.KindBusy,
-						Round: r, Node: t, Peer: int32(u)})
-				}
-			}
-		}
-	}
-	for u := 0; u < e.n; u++ {
-		e.inboxAt[u+1] += e.inboxAt[u]
-	}
-	total := int(e.inboxAt[e.n])
-	if cap(e.inboxTo) < total {
-		// Amortized doubling: rounding the new capacity up keeps regrowth
-		// O(log n) over an execution instead of once per high-water mark.
-		newCap := 2 * cap(e.inboxTo)
-		if newCap < total {
-			newCap = total
-		}
-		e.inboxTo = make([]int32, total, newCap)
-	} else {
-		e.inboxTo = e.inboxTo[:total]
-	}
-	copy(e.cursor, e.inboxAt[:e.n])
-	lost := e.propLost // nil exactly when Faults is nil
-	for u := 0; u < e.n; u++ {
-		if t := e.actions[u]; t >= 0 && e.actions[t] == actionReceive && (lost == nil || !lost[u]) {
-			e.inboxTo[e.cursor[t]] = int32(u)
-			e.cursor[t]++
-		}
-	}
-
-	for u := 0; u < e.n; u++ {
-		e.partner[u] = noPartner
-	}
-	for v := 0; v < e.n; v++ {
-		if e.actions[v] != actionReceive {
-			continue
-		}
-		inbox := e.inboxTo[e.inboxAt[v]:e.inboxAt[v+1]]
-		if len(inbox) == 0 {
-			continue
-		}
-		chosen := inbox[0] // inbox is sorted by sender id
-		switch e.cfg.Accept {
-		case AcceptUniform:
-			if len(inbox) > 1 {
-				chosen = inbox[e.nodeRNG(int32(v)).Intn(len(inbox))]
-			}
-		case AcceptLowestID:
-			// inbox[0] already.
-		case AcceptHighestID:
-			chosen = inbox[len(inbox)-1]
-		default:
-			panic(fmt.Sprintf("sim: unknown accept policy %d", e.cfg.Accept))
-		}
-		// One node-addressed fault draw per acceptance (after the accept
-		// choice, so the node RNG streams match the fault-free run): a
-		// dropped connection exchanges nothing, and the proposals the
-		// receiver turned down stay contention rejects.
-		if e.cfg.Faults != nil && e.cfg.Faults.DropConnection(int32(v), chosen, r) {
-			faultLost++
-			rejects += len(inbox) - 1
-			if sink != nil {
-				sink.Event(obs.Event{Type: obs.TypeFault, Kind: obs.KindConnLoss,
-					Round: r, Node: int32(v), Peer: chosen})
-				for _, s := range inbox {
-					if s != chosen {
-						sink.Event(obs.Event{Type: obs.TypeReject, Kind: obs.KindContention,
-							Round: r, Node: int32(v), Peer: s})
-					}
-				}
-			}
-			continue
-		}
-		e.partner[v] = chosen
-		e.partner[chosen] = int32(v)
-		e.connCount[v]++
-		e.connCount[chosen]++
-		connections++
-		rejects += len(inbox) - 1
-		if sink != nil {
-			sink.Event(obs.Event{Type: obs.TypeAccept, Round: r, Node: int32(v), Peer: chosen})
-			for _, s := range inbox {
-				if s != chosen {
-					sink.Event(obs.Event{Type: obs.TypeReject, Kind: obs.KindContention,
-						Round: r, Node: int32(v), Peer: s})
-				}
-			}
-			lo, hi := int32(v), chosen
-			if hi < lo {
-				lo, hi = hi, lo
-			}
-			sink.Event(obs.Event{Type: obs.TypeConnect, Round: r, Node: lo, Peer: hi})
-		}
-	}
-	return proposals, connections, rejects, busyLost, faultLost
-}
-
-// bucketAcceptParallel is the pool's step-4 core: a two-pass parallel
-// counting sort buckets proposals (per-worker histograms, one sequential
-// column-major prefix merge that turns histogram cells into scatter cursor
-// bases, then a parallel scatter), followed by a parallel accept phase —
-// legal because each receiver's choice draws only from its own rngs[v]
-// stream. Worker chunks ascend in sender id, so every inbox comes out in
-// the exact sender order the sequential core produces. The partner/
-// connCount materialization happens afterwards in stepCore, fused into the
-// exchange dispatch.
-//
-//mtmlint:hotpath
-func (e *Engine) bucketAcceptParallel() (proposals, connections, rejects, busyLost, faultLost int) {
+func (e *Engine) bucketAccept() (proposals, connections, rejects, busyLost, faultLost int) {
 	e.parallelFor(obs.PhaseCount, e.phCount)
 	e.flushWorkerBufs()
 	t0 := e.profStart()
+	n, hist, inboxAt := e.n, e.hist, e.inboxAt
 	total := int32(0)
-	for t := 0; t < e.n; t++ {
-		e.inboxAt[t] = total
-		for w := 0; w < e.workers; w++ {
-			i := w*e.n + t
-			c := e.hist[i]
-			e.hist[i] = total
+	for t := 0; t < n; t++ {
+		inboxAt[t] = total
+		for i := t; i < len(hist); i += n { // row w's cell for receiver t
+			c := hist[i]
+			hist[i] = total
 			total += c
 		}
 	}
-	e.inboxAt[e.n] = total
+	inboxAt[n] = total
 	if cap(e.inboxTo) < int(total) {
-		// Amortized doubling, as in the sequential core.
-		newCap := 2 * cap(e.inboxTo)
-		if newCap < int(total) {
-			newCap = int(total)
-		}
-		e.inboxTo = make([]int32, total, newCap)
+		// Amortized doubling: rounding the new capacity up keeps regrowth
+		// O(log n) over an execution instead of once per high-water mark.
+		e.inboxTo = make([]int32, total, max(2*cap(e.inboxTo), int(total)))
 	} else {
 		e.inboxTo = e.inboxTo[:total]
 	}
@@ -1063,9 +901,8 @@ func (e *Engine) bucketAcceptParallel() (proposals, connections, rejects, busyLo
 	e.parallelFor(obs.PhaseScatter, e.phScatter)
 	e.parallelFor(obs.PhaseAccept, e.phAccept)
 	e.flushWorkerBufs()
-	// The round's accounting is complete after count + accept (partner
-	// materialization touches no counters), so the sums happen here and the
-	// caller is free to fuse the partner sweep into the exchange dispatch.
+	// The round's accounting is complete after count + accept: the sweep
+	// that derives partners and exchanges touches no counters.
 	for w := range e.counters {
 		c := &e.counters[w]
 		proposals += int(c.proposals)
@@ -1269,31 +1106,6 @@ func (e *Engine) phaseDecide(w, lo, hi int) {
 	}
 }
 
-// phaseExchange runs step 5 for pairs whose smaller endpoint is in [lo, hi).
-//
-//mtmlint:hotpath
-func (e *Engine) phaseExchange(w, lo, hi int) {
-	ctxU, ctxV := &e.ctxA[w], &e.ctxB[w]
-	e.bindCtx(ctxU, w)
-	e.bindCtx(ctxV, w)
-	for u := lo; u < hi; u++ {
-		v := e.partner[u]
-		if v == noPartner || int(v) < u {
-			continue // each pair handled once, by its smaller endpoint
-		}
-		ctxU.Node = int32(u)
-		ctxV.Node = v
-		mu := e.protocols[u].Outgoing(ctxU, v)
-		mv := e.protocols[v].Outgoing(ctxV, int32(u))
-		e.checkMessage(u, mu)
-		e.checkMessage(int(v), mv)
-		e.emitDeliver(ctxU.sink, int32(u), v, mv)
-		e.protocols[u].Deliver(ctxU, v, mv)
-		e.emitDeliver(ctxU.sink, v, int32(u), mu)
-		e.protocols[v].Deliver(ctxV, int32(u), mu)
-	}
-}
-
 // emitDeliver publishes one message delivery (recipient <- sender) to the
 // given sink (the worker's buffer in traced parallel runs); the event
 // precedes the Deliver callback so any transition the message causes
@@ -1376,68 +1188,78 @@ func (e *Engine) nodeRNG(u int32) *xrand.RNG {
 }
 
 // phaseCount is counting-sort pass one: worker w histograms the proposals of
-// senders [lo, hi) into its private row of e.hist, counting every proposal
-// (delivered or busy-lost) into its proposals counter — the same accounting
-// as the sequential core. Traced runs also emit the propose and busy-reject
-// events here, into the worker's private buffer, in the exact per-sender
-// order the sequential core emits them.
+// senders [lo, hi) into its private row of e.hist and tallies every
+// proposal (delivered, busy-lost or fault-lost) into its counters. Traced
+// runs also emit the propose, proposal-loss and busy-reject events here,
+// into the worker's private buffer, in ascending sender order.
 //
 //mtmlint:hotpath
 func (e *Engine) phaseCount(w, lo, hi int) {
-	row := e.hist[w*e.n : (w+1)*e.n]
+	n := e.n
+	row := e.hist[w*n : (w+1)*n]
 	clear(row)
-	ctr := &e.counters[w]
-	ctr.proposals = 0
-	ctr.busyLost = 0
-	ctr.faultLost = 0
-	traced := e.wbufs != nil
+	actions, tags, lost, faults := e.actions, e.tags, e.propLost, e.cfg.Faults
+	var buf *obs.WorkerBuf // nil in untraced runs
+	if e.wbufs != nil {
+		buf = &e.wbufs[w]
+	}
 	r := e.curRound
+	var proposals, busyLost, faultLost int64
 	for u := lo; u < hi; u++ {
-		if t := e.actions[u]; t >= 0 {
-			if traced {
-				e.wbufs[w].Event(obs.Event{Type: obs.TypePropose, Round: r,
-					Node: int32(u), Peer: t, A: e.tags[u], B: e.tags[t]})
-			}
-			ctr.proposals++
-			// Node-addressed drop draw, evaluated at the same per-sender
-			// point as the sequential core; the verdict lands in the
-			// chunk-local propLost[u] cell for the scatter pass.
-			if e.cfg.Faults != nil {
-				if e.cfg.Faults.DropProposal(int32(u), r) {
-					e.propLost[u] = true
-					ctr.faultLost++
-					if traced {
-						e.wbufs[w].Event(obs.Event{Type: obs.TypeFault, Kind: obs.KindPropLoss,
-							Round: r, Node: t, Peer: int32(u)})
-					}
-					continue
-				}
-				e.propLost[u] = false
-			}
-			if e.actions[t] == actionReceive {
-				row[t]++
-			} else {
-				ctr.busyLost++
-				if traced {
-					e.wbufs[w].Event(obs.Event{Type: obs.TypeReject, Kind: obs.KindBusy,
+		t := actions[u]
+		if t < 0 {
+			continue
+		}
+		if buf != nil {
+			buf.Event(obs.Event{Type: obs.TypePropose, Round: r,
+				Node: int32(u), Peer: t, A: tags[u], B: tags[t]})
+		}
+		proposals++
+		// One node-addressed fault draw per proposal: a dropped proposal
+		// never reaches its target (but the node still transmitted, so
+		// proposals aimed at it stay busy-lost). The verdict lands in the
+		// chunk-local propLost[u] cell for the scatter pass.
+		if faults != nil {
+			if faults.DropProposal(int32(u), r) {
+				lost[u] = true
+				faultLost++
+				if buf != nil {
+					buf.Event(obs.Event{Type: obs.TypeFault, Kind: obs.KindPropLoss,
 						Round: r, Node: t, Peer: int32(u)})
 				}
+				continue
+			}
+			lost[u] = false
+		}
+		// A proposal to a node that itself proposed is lost (the model: a
+		// node that sends cannot also receive).
+		if actions[t] == actionReceive {
+			row[t]++
+		} else {
+			busyLost++
+			if buf != nil {
+				buf.Event(obs.Event{Type: obs.TypeReject, Kind: obs.KindBusy,
+					Round: r, Node: t, Peer: int32(u)})
 			}
 		}
 	}
+	ctr := &e.counters[w]
+	ctr.proposals, ctr.busyLost, ctr.faultLost = proposals, busyLost, faultLost
 }
 
 // phaseScatter is counting-sort pass two: after the sequential merge rewrote
 // worker w's histogram row into scatter cursor bases, each worker writes its
 // senders into the shared inboxTo. Distinct (w, t) cursor ranges are
 // disjoint by construction of the merge, and chunks ascend in sender id, so
-// each receiver's inbox is exactly the sequential core's.
+// each receiver's inbox lists its senders in ascending order.
 //
 //mtmlint:hotpath
 func (e *Engine) phaseScatter(w, lo, hi int) {
-	row := e.hist[w*e.n : (w+1)*e.n]
+	n := e.n
+	row := e.hist[w*n : (w+1)*n]
+	actions, lost := e.actions, e.propLost // lost is nil exactly when Faults is nil
 	for u := lo; u < hi; u++ {
-		if t := e.actions[u]; t >= 0 && e.actions[t] == actionReceive && (e.propLost == nil || !e.propLost[u]) {
+		if t := actions[u]; t >= 0 && actions[t] == actionReceive && (lost == nil || !lost[u]) {
 			e.inboxTo[row[t]] = int32(u)
 			row[t]++
 		}
@@ -1445,35 +1267,36 @@ func (e *Engine) phaseScatter(w, lo, hi int) {
 }
 
 // phaseAccept runs step 4's accept decision for receivers [lo, hi): each
-// picks among its inbox exactly as the sequential core does, drawing only
-// from its own rngs[v] stream, and records the winner in e.chosen. Every v
-// in the chunk gets a chosen entry (noPartner for non-receivers) so
+// picks one sender of its inbox by the configured policy, drawing only from
+// its own rngs[v] stream, and records the winner in e.chosen. Every v in the
+// chunk gets a chosen entry (noPartner for non-receivers) so
 // phasePartnerExchange can test chosen[t] for any target. Traced runs also
-// emit the accept, contention-reject, and connect events here, into the
-// worker's private buffer, in the exact per-receiver order of the
-// sequential core.
+// emit the accept (or connection-loss), contention-reject and connect
+// events here, into the worker's private buffer, in ascending receiver
+// order.
 //
 //mtmlint:hotpath
 func (e *Engine) phaseAccept(w, lo, hi int) {
-	ctr := &e.counters[w]
-	ctr.connections = 0
-	ctr.rejects = 0
-	traced := e.wbufs != nil
+	inboxAt, inboxTo, chosen := e.inboxAt, e.inboxTo, e.chosen
+	faults, policy := e.cfg.Faults, e.cfg.Accept
+	var buf *obs.WorkerBuf // nil in untraced runs
+	if e.wbufs != nil {
+		buf = &e.wbufs[w]
+	}
 	r := e.curRound
-	faulted := e.cfg.Faults != nil
+	var connections, rejects, faultLost int64
 	for v := lo; v < hi; v++ {
-		if e.actions[v] != actionReceive {
-			e.chosen[v] = noPartner
-			continue
-		}
-		inbox := e.inboxTo[e.inboxAt[v]:e.inboxAt[v+1]]
+		chosen[v] = noPartner
+		// Only a receiver's inbox can be non-empty: the counting sort
+		// delivers no proposal to a sender or an inactive node.
+		inbox := inboxTo[inboxAt[v]:inboxAt[v+1]]
 		if len(inbox) == 0 {
-			e.chosen[v] = noPartner
 			continue
 		}
 		c := inbox[0] // inbox is sorted by sender id
-		switch e.cfg.Accept {
+		switch policy {
 		case AcceptUniform:
+			// A lone proposal is accepted without a draw.
 			if len(inbox) > 1 {
 				c = inbox[e.nodeRNG(int32(v)).Intn(len(inbox))]
 			}
@@ -1482,44 +1305,48 @@ func (e *Engine) phaseAccept(w, lo, hi int) {
 		case AcceptHighestID:
 			c = inbox[len(inbox)-1]
 		default:
-			panic(fmt.Sprintf("sim: unknown accept policy %d", e.cfg.Accept))
+			panic(fmt.Sprintf("sim: unknown accept policy %d", policy))
 		}
-		// Node-addressed connection-drop draw, after the accept choice like
-		// the sequential core: the receiver wastes its round (no partner),
-		// and the turned-down proposals stay contention rejects.
-		if faulted && e.cfg.Faults.DropConnection(int32(v), c, r) {
-			e.chosen[v] = noPartner
-			ctr.faultLost++
-			ctr.rejects += int64(len(inbox) - 1)
-			if traced {
-				e.wbufs[w].Event(obs.Event{Type: obs.TypeFault, Kind: obs.KindConnLoss,
-					Round: r, Node: int32(v), Peer: c})
-				for _, s := range inbox {
-					if s != c {
-						e.wbufs[w].Event(obs.Event{Type: obs.TypeReject, Kind: obs.KindContention,
-							Round: r, Node: int32(v), Peer: s})
-					}
-				}
-			}
-			continue
+		// One node-addressed fault draw per acceptance, after the accept
+		// choice so the node RNG streams match the fault-free run: a dropped
+		// connection exchanges nothing (the receiver wastes its round), and
+		// the proposals the receiver turned down stay contention rejects.
+		dropped := faults != nil && faults.DropConnection(int32(v), c, r)
+		if dropped {
+			faultLost++
+		} else {
+			chosen[v] = c
+			connections++
 		}
-		e.chosen[v] = c
-		ctr.connections++
-		ctr.rejects += int64(len(inbox) - 1)
-		if traced {
-			e.wbufs[w].Event(obs.Event{Type: obs.TypeAccept, Round: r, Node: int32(v), Peer: c})
-			for _, s := range inbox {
-				if s != c {
-					e.wbufs[w].Event(obs.Event{Type: obs.TypeReject, Kind: obs.KindContention,
-						Round: r, Node: int32(v), Peer: s})
-				}
-			}
-			lo32, hi32 := int32(v), c
-			if hi32 < lo32 {
-				lo32, hi32 = hi32, lo32
-			}
-			e.wbufs[w].Event(obs.Event{Type: obs.TypeConnect, Round: r, Node: lo32, Peer: hi32})
+		rejects += int64(len(inbox) - 1)
+		if buf != nil {
+			emitAccept(buf, r, int32(v), c, inbox, dropped)
 		}
+	}
+	ctr := &e.counters[w]
+	ctr.connections, ctr.rejects = connections, rejects
+	ctr.faultLost += faultLost
+}
+
+// emitAccept publishes receiver v's round-r step-4 outcome to a worker
+// buffer: the accept of c (or, when a fault dropped the connection, the
+// connection-loss event), a contention reject for every other sender in
+// the inbox, and the connect event of an established pair.
+//
+//mtmlint:hotpath
+func emitAccept(buf *obs.WorkerBuf, r int, v, c int32, inbox []int32, dropped bool) {
+	if dropped {
+		buf.Event(obs.Event{Type: obs.TypeFault, Kind: obs.KindConnLoss, Round: r, Node: v, Peer: c})
+	} else {
+		buf.Event(obs.Event{Type: obs.TypeAccept, Round: r, Node: v, Peer: c})
+	}
+	for _, s := range inbox {
+		if s != c {
+			buf.Event(obs.Event{Type: obs.TypeReject, Kind: obs.KindContention, Round: r, Node: v, Peer: s})
+		}
+	}
+	if !dropped {
+		buf.Event(obs.Event{Type: obs.TypeConnect, Round: r, Node: min(v, c), Peer: max(v, c)})
 	}
 }
 
@@ -1539,34 +1366,56 @@ func (e *Engine) phaseScanAdvertise(w, lo, hi int) {
 	e.profBusy(obs.PhaseAdvertise, w, t0)
 }
 
-// phasePartnerExchange is the fused step-4b + step-5 body of the parallel
-// core: one dispatch materializes partner and connCount for nodes [lo, hi)
-// from the accept results, then exchanges over the chunk's pairs. A
+// phasePartnerExchange is the step-5 sweep over nodes [lo, hi): it derives
+// each node's partner and lifetime connection count from the accept results
+// and exchanges over every pair whose smaller endpoint is the node. A
 // receiver pairs with its chosen sender, and a sender pairs with its target
-// iff that target chose it, so each node writes only its own entries. No
-// barrier is needed between the sweeps: the exchange reads only partner
-// entries its own partner sweep wrote (a pair is handled by the worker
-// owning its smaller endpoint), the peer state it touches (protocols,
-// rngs) is disjoint from the partner/connCount cells the peer's worker may
-// still be writing, and chosen/actions were frozen at the accept/decide
-// barriers. Profiled runs self-time the sweeps, as in phaseScanAdvertise.
+// iff that target chose it, so each node writes only its own partner and
+// connCount entries. The exchange reads no partner entry: it runs on the
+// pair just derived, and the peer state it touches (protocols, rngs) is
+// disjoint from the partner/connCount cells the peer's worker may still be
+// writing; chosen and actions were frozen at the accept and decide
+// barriers. Pairs are handled in ascending order of their smaller endpoint,
+// which is the trace order. The dispatch charges its wall time to
+// obs.PhasePartnerExchange and the sweep self-times its busy time under
+// obs.PhaseExchange.
 //
 //mtmlint:hotpath
 func (e *Engine) phasePartnerExchange(w, lo, hi int) {
 	t0 := e.profStart()
+	ctxU, ctxV := &e.ctxA[w], &e.ctxB[w]
+	e.bindCtx(ctxU, w)
+	e.bindCtx(ctxV, w)
+	actions, chosen, partner, connCount := e.actions, e.chosen, e.partner, e.connCount
+	protocols := e.protocols
 	for u := lo; u < hi; u++ {
-		if c := e.chosen[u]; c != noPartner {
-			e.partner[u] = c
-			e.connCount[u]++
-		} else if t := e.actions[u]; t >= 0 && e.chosen[t] == int32(u) {
-			e.partner[u] = t
-			e.connCount[u]++
-		} else {
-			e.partner[u] = noPartner
+		// chosen[x] == u only if u proposed to x, so for a receiver or an
+		// inactive node (t < 0) the lookup at index t&^(t>>31) == 0 never
+		// matches: the select needs no branch on the node's role, which is
+		// a coin flip under blind gossip.
+		v, t := chosen[u], actions[u]
+		if chosen[t&^(t>>31)] == int32(u) {
+			v = t
 		}
+		partner[u] = v
+		if v == noPartner {
+			continue
+		}
+		connCount[u]++
+		if int(v) < u {
+			continue // each pair handled once, by its smaller endpoint
+		}
+		ctxU.Node = int32(u)
+		ctxV.Node = v
+		mu := protocols[u].Outgoing(ctxU, v)
+		mv := protocols[v].Outgoing(ctxV, int32(u))
+		e.checkMessage(u, mu)
+		e.checkMessage(int(v), mv)
+		e.emitDeliver(ctxU.sink, int32(u), v, mv)
+		protocols[u].Deliver(ctxU, v, mv)
+		e.emitDeliver(ctxU.sink, v, int32(u), mu)
+		protocols[v].Deliver(ctxV, int32(u), mu)
 	}
-	t0 = e.profBusy(obs.PhasePartner, w, t0)
-	e.phaseExchange(w, lo, hi)
 	e.profBusy(obs.PhaseExchange, w, t0)
 }
 

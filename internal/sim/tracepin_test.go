@@ -18,39 +18,35 @@ import (
 	"mobiletel/internal/sim"
 )
 
-// TestTracePin pins the engine's observable output across versions. The
-// conformance sweep compares worker counts and dispatch cores within one
-// build; this test compares the build against SHA-256 digests recorded from
-// an earlier one, so a refactor of the round core that changes a single
-// trace byte, round statistic or final leader fails here even when every
-// column still agrees with every other.
-//
-// Each digest covers the full mtmtrace/v1 JSONL trace (header through the
-// final round_end), every RoundStats the observer saw, and the final leader
-// variable of every node. Runs go through Run with a MaxRounds cap and no
-// stop condition, so every case executes exactly the same rounds and the
-// sink is ended (its tail flushed). Each case runs inline at Workers 1 and 2
-// and on the forced pool at Workers 3; all three must match the pin.
-//
-// The faulted cases exercise every round-start fault path: staggered
-// activations with a corruption burst that names both active and
-// not-yet-active nodes, rate churn with crash-with-amnesia recovery,
-// proposal and connection loss, tag flips and a healing partition.
-//
-// A digest changes only when the engine's semantics or the trace format
-// change on purpose; regenerate the pins then, and say why in the commit.
-func TestTracePin(t *testing.T) {
-	const (
-		n      = 48
-		rounds = 150
-	)
+// Size, length and engine seed of the TestTracePin configurations.
+const (
+	tracePinN      = 48
+	tracePinRounds = 150
+	tracePinSeed   = 31
+)
+
+// tracePinCase is one configuration TestTracePin holds to a digest.
+type tracePinCase struct {
+	name      string
+	want      string
+	sched     func() dyngraph.Schedule
+	build     func() []sim.Protocol
+	tagBits   int
+	faulted   bool
+	classical bool
+}
+
+// tracePinCases returns TestTracePin's configurations, and the fault plan
+// and activations the faulted ones run under.
+func tracePinCases() (cases []tracePinCase, plan fault.Plan, acts []int) {
+	const n = tracePinN
 	base := gen.RandomRegular(n, 6, 21)
 	permuted := func() dyngraph.Schedule { return dyngraph.NewPermuted(base, 3, 22) }
-	acts := make([]int, n)
+	acts = make([]int, n)
 	for u := range acts {
 		acts[u] = 1 + (u*7)%12
 	}
-	plan := fault.Plan{
+	plan = fault.Plan{
 		Seed: 23, CrashRate: 0.02, RecoverRate: 0.3, MaxDown: 6, ResetOnRecover: true,
 		ProposalLoss: 0.05, ConnLoss: 0.05, TagFlipRate: 0.05,
 		// Nodes 0 and 12 are active at round 4; nodes 1 and 30 activate at
@@ -59,15 +55,7 @@ func TestTracePin(t *testing.T) {
 		Partitions:  []fault.Partition{{Start: 20, Heal: 60, Parts: 2}},
 	}
 	params := core.DefaultBitConvParams(n, 6)
-	cases := []struct {
-		name      string
-		want      string
-		sched     func() dyngraph.Schedule
-		build     func() []sim.Protocol
-		tagBits   int
-		faulted   bool
-		classical bool
-	}{
+	cases = []tracePinCase{
 		{
 			name:  "asyncbitconv-faulted",
 			want:  "96518f68c66f59169baa2b2dbe12fb29fc7c9942609ee10d3a443a5090fcae1d",
@@ -105,6 +93,33 @@ func TestTracePin(t *testing.T) {
 			build: func() []sim.Protocol { return rumor.NewPPushNetwork(n, map[int]bool{0: true}) },
 		},
 	}
+	return cases, plan, acts
+}
+
+// TestTracePin pins the engine's observable output across versions. The
+// conformance sweep compares worker counts and dispatch modes within one
+// build, and TestEngineMatchesOracle compares the engine with the reference
+// executor; this test compares the build against SHA-256 digests recorded
+// from an earlier one, so a refactor of the round core that changes a
+// single trace byte, round statistic or final leader fails here even when
+// every column still agrees with every other.
+//
+// Each digest covers the full mtmtrace/v1 JSONL trace (header through the
+// final round_end), every RoundStats the observer saw, and the final leader
+// variable of every node. Runs go through Run with a MaxRounds cap and no
+// stop condition, so every case executes exactly the same rounds and the
+// sink is ended (its tail flushed). Each case runs inline at Workers 1 and 2
+// and on the forced pool at Workers 3; all three must match the pin.
+//
+// The faulted cases exercise every round-start fault path: staggered
+// activations with a corruption burst that names both active and
+// not-yet-active nodes, rate churn with crash-with-amnesia recovery,
+// proposal and connection loss, tag flips and a healing partition.
+//
+// A digest changes only when the engine's semantics or the trace format
+// change on purpose; regenerate the pins then, and say why in the commit.
+func TestTracePin(t *testing.T) {
+	cases, plan, acts := tracePinCases()
 	columns := []struct {
 		name    string
 		workers int
@@ -121,13 +136,13 @@ func TestTracePin(t *testing.T) {
 				var trace bytes.Buffer
 				h := sha256.New()
 				cfg := sim.Config{
-					Seed: 31, TagBits: tc.tagBits, MaxRounds: rounds, Workers: col.workers,
+					Seed: tracePinSeed, TagBits: tc.tagBits, MaxRounds: tracePinRounds, Workers: col.workers,
 					Classical: tc.classical, Sink: obs.NewJSONL(&trace),
 					Observer: func(s sim.RoundStats) { fmt.Fprintf(h, "%+v\n", s) },
 				}
 				if tc.faulted {
 					cfg.Activations = acts
-					cfg.Faults = mustInjector(t, plan, n)
+					cfg.Faults = mustInjector(t, plan, tracePinN)
 				}
 				if col.pool {
 					cfg = sim.ForcePool(cfg)

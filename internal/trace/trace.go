@@ -1,6 +1,5 @@
 // Package trace renders experiment output: fixed-width text tables for the
-// terminal, CSV for downstream plotting, and a per-round event recorder for
-// debugging executions.
+// terminal, CSV for downstream plotting, and sparklines for curves.
 package trace
 
 import (
@@ -8,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"mobiletel/internal/sim"
 )
 
 // Table is a simple column-aligned table with a title, assembled row by row
@@ -112,56 +109,6 @@ func (t *Table) Text() string {
 		panic(err) // strings.Builder cannot fail
 	}
 	return b.String()
-}
-
-// Recorder collects per-round engine statistics; plug its Observe method
-// into sim.Config.Observer.
-type Recorder struct {
-	Stats []sim.RoundStats
-}
-
-// Observe appends one round's stats.
-func (r *Recorder) Observe(s sim.RoundStats) { r.Stats = append(r.Stats, s) }
-
-// TotalConnections sums connections over all recorded rounds.
-func (r *Recorder) TotalConnections() int {
-	total := 0
-	for _, s := range r.Stats {
-		total += s.Connections
-	}
-	return total
-}
-
-// ConnectionsCurve returns the per-round connection counts, e.g. for
-// inspecting how parallelism evolves as an execution converges.
-func (r *Recorder) ConnectionsCurve() []int {
-	out := make([]int, len(r.Stats))
-	for i, s := range r.Stats {
-		out[i] = s.Connections
-	}
-	return out
-}
-
-// AcceptsCurve returns the per-round accepted-proposal counts.
-func (r *Recorder) AcceptsCurve() []int {
-	out := make([]int, len(r.Stats))
-	for i, s := range r.Stats {
-		out[i] = s.Accepts
-	}
-	return out
-}
-
-// AcceptanceRateCurve returns the per-round fraction of proposals that were
-// accepted (Accepts/Proposals). Rounds with no proposals report 0 rather
-// than NaN so the curve stays plottable.
-func (r *Recorder) AcceptanceRateCurve() []float64 {
-	out := make([]float64, len(r.Stats))
-	for i, s := range r.Stats {
-		if s.Proposals > 0 {
-			out[i] = float64(s.Accepts) / float64(s.Proposals)
-		}
-	}
-	return out
 }
 
 // Sparkline renders a series of non-negative values as a compact unicode

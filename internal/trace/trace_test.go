@@ -3,8 +3,6 @@ package trace
 import (
 	"strings"
 	"testing"
-
-	"mobiletel/internal/sim"
 )
 
 func TestTableText(t *testing.T) {
@@ -101,38 +99,6 @@ func TestColumnAlignment(t *testing.T) {
 	// offset in both lines.
 	if idxHeader, idxRow := strings.Index(lines[0], "x"), strings.Index(lines[2], "1"); idxHeader != idxRow {
 		t.Fatalf("misaligned columns:\n%s", text)
-	}
-}
-
-func TestRecorder(t *testing.T) {
-	r := &Recorder{}
-	r.Observe(sim.RoundStats{Round: 1, Connections: 3})
-	r.Observe(sim.RoundStats{Round: 2, Connections: 5})
-	if r.TotalConnections() != 8 {
-		t.Fatalf("total = %d", r.TotalConnections())
-	}
-	curve := r.ConnectionsCurve()
-	if len(curve) != 2 || curve[0] != 3 || curve[1] != 5 {
-		t.Fatalf("curve = %v", curve)
-	}
-}
-
-func TestRecorderAcceptanceCurves(t *testing.T) {
-	r := &Recorder{}
-	r.Observe(sim.RoundStats{Round: 1, Proposals: 8, Accepts: 4, Rejects: 2, Connections: 4})
-	r.Observe(sim.RoundStats{Round: 2, Proposals: 0, Accepts: 0, Connections: 0})
-	r.Observe(sim.RoundStats{Round: 3, Proposals: 5, Accepts: 5, Connections: 5})
-	accepts := r.AcceptsCurve()
-	if len(accepts) != 3 || accepts[0] != 4 || accepts[1] != 0 || accepts[2] != 5 {
-		t.Fatalf("accepts curve = %v", accepts)
-	}
-	rate := r.AcceptanceRateCurve()
-	if len(rate) != 3 || rate[0] != 0.5 || rate[2] != 1 {
-		t.Fatalf("acceptance rate curve = %v", rate)
-	}
-	// A round with zero proposals must report 0, not NaN.
-	if rate[1] != 0 {
-		t.Fatalf("zero-proposal round rate = %v, want 0", rate[1])
 	}
 }
 
