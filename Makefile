@@ -105,12 +105,21 @@ fault-smoke:
 # trace-smoke mirrors the CI obs-smoke job: record the same run twice and
 # require byte-identical traces — executions (and their event streams) are
 # pure functions of (seed, schedule, protocol, config), so any diff output
-# here is a determinism regression.
+# here is a determinism regression. Then one faulted, partitioned run goes
+# through both mtmsim and mtmtrace record, which share their simulation
+# flags and the facade's one run path: their traces and metrics must be
+# byte-identical.
+SMOKE_FAULTED = -topo regular -n 64 -deg 6 -algo asyncbitconv -crash-rate 0.005 -recover-rate 0.3 -max-down 4 \
+	-proposal-loss 0.1 -conn-loss 0.05 -tagflip-rate 0.02 -partition 10:40:2 -seed 5 -max-rounds 200000
 trace-smoke:
 	$(GO) run ./cmd/mtmtrace record -topo regular -n 64 -deg 8 -algo blindgossip -seed 7 -o /tmp/mtmtrace-smoke-a.jsonl
 	$(GO) run ./cmd/mtmtrace record -topo regular -n 64 -deg 8 -algo blindgossip -seed 7 -o /tmp/mtmtrace-smoke-b.jsonl
 	$(GO) run ./cmd/mtmtrace diff /tmp/mtmtrace-smoke-a.jsonl /tmp/mtmtrace-smoke-b.jsonl
 	$(GO) run ./cmd/mtmtrace summary /tmp/mtmtrace-smoke-a.jsonl
+	$(GO) run ./cmd/mtmsim $(SMOKE_FAULTED) -trace /tmp/mtmtrace-smoke-sim.jsonl -metrics /tmp/mtmtrace-smoke-sim.metrics.json
+	$(GO) run ./cmd/mtmtrace record $(SMOKE_FAULTED) -o /tmp/mtmtrace-smoke-rec.jsonl -metrics /tmp/mtmtrace-smoke-rec.metrics.json
+	cmp /tmp/mtmtrace-smoke-sim.jsonl /tmp/mtmtrace-smoke-rec.jsonl
+	cmp /tmp/mtmtrace-smoke-sim.metrics.json /tmp/mtmtrace-smoke-rec.metrics.json
 
 # fault-par-smoke mirrors the CI fault-par-smoke job: faulted runs ride the
 # parallel round core, so a faulted, partitioned, invariant-audited trace at

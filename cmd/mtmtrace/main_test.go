@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mobiletel/cmd/internal/simflags"
 )
 
 // goldenConfig must match the invocation that generated
@@ -17,7 +19,7 @@ import (
 // MaxRounds is not part of the trace header, so it is capped far below the
 // CLI default: a test built on this config that cannot stabilize fails
 // fast with ErrNotStabilized instead of buffering millions of rounds.
-var goldenConfig = recordConfig{
+var goldenConfig = recordConfig{Flags: simflags.Flags{
 	Topo:      "clique",
 	N:         8,
 	Deg:       8,
@@ -26,7 +28,7 @@ var goldenConfig = recordConfig{
 	Tau:       4,
 	Seed:      42,
 	MaxRounds: 20_000,
-}
+}}
 
 const goldenPath = "testdata/golden.trace.jsonl"
 

@@ -21,24 +21,20 @@
 package consensus
 
 import (
-	"fmt"
-
 	"mobiletel/internal/core"
 	"mobiletel/internal/sim"
 	"mobiletel/internal/xrand"
 )
 
 // Proposer is a consensus node: an AsyncBitConv leader election machine
-// carrying a proposal value with its smallest ID pair.
+// carrying a proposal value with its smallest ID pair. It runs
+// AsyncBitConv's advertise, decide and end-of-round rules unchanged; only
+// the exchange, which carries the value, and the state reset differ.
 type Proposer struct {
-	params core.BitConvParams
-	self   core.IDPair
+	core.AsyncBitConv
 
-	best  core.IDPair
-	value uint64 // proposal of best's owner
-
-	localRound int
-	position   int
+	proposal uint64 // this node's own input
+	value    uint64 // proposal of the current smallest pair's owner
 
 	// buf backs the UID slice of outgoing messages: the engine delivers
 	// each message before this node's next Outgoing, and Deliver only reads
@@ -46,85 +42,47 @@ type Proposer struct {
 	buf [2]uint64
 }
 
-var _ sim.Protocol = (*Proposer)(nil)
+var (
+	_ sim.Protocol    = (*Proposer)(nil)
+	_ sim.Corruptible = (*Proposer)(nil)
+)
 
 // NewProposer creates a consensus node with the given UID, random tag, and
 // proposal value.
 func NewProposer(uid, tag, value uint64, params core.BitConvParams) *Proposer {
-	if err := params.Validate(); err != nil {
-		panic(err)
-	}
-	if tag == 0 || tag >= uint64(1)<<uint(params.K) {
-		panic(fmt.Sprintf("consensus: tag %d outside [1, 2^%d)", tag, params.K))
-	}
-	pair := core.IDPair{UID: uid, Tag: tag}
-	return &Proposer{params: params, self: pair, best: pair, value: value}
-}
-
-// bitValue returns the advertised bit of the current smallest tag at the
-// node's current position.
-func (p *Proposer) bitValue() uint64 {
-	return (p.best.Tag >> uint(p.params.K-p.position)) & 1
-}
-
-// encodeTag packs (position, bit) exactly as AsyncBitConv does.
-func encodeTag(position int, bit uint64) uint64 {
-	return uint64(position-1)*2 + bit
-}
-
-// Advertise starts a new local group when due and advertises
-// (position, bit).
-func (p *Proposer) Advertise(ctx *sim.Context) uint64 {
-	if p.localRound%p.params.GroupLen == 0 {
-		p.position = 1 + ctx.RNG().Intn(p.params.K)
-	}
-	return encodeTag(p.position, p.bitValue())
-}
-
-// Decide follows the AsyncBitConv PPUSH rule.
-func (p *Proposer) Decide(ctx *sim.Context) (int32, bool) {
-	if p.bitValue() != 0 {
-		return 0, false
-	}
-	target, ok := ctx.RandomNeighborWithTag(encodeTag(p.position, 1))
-	if !ok {
-		return 0, false
-	}
-	return target, true
+	return &Proposer{AsyncBitConv: *core.NewAsyncBitConv(uid, tag, params), proposal: value, value: value}
 }
 
 // Outgoing sends (pair, proposal-of-pair-owner). The UID and the value are
 // the two UID-sized payload slots; the tag travels in the auxiliary bits.
 func (p *Proposer) Outgoing(*sim.Context, int32) sim.Message {
-	p.buf = [2]uint64{p.best.UID, p.value}
-	return sim.Message{UIDs: p.buf[:], Aux: p.best.Tag}
+	best := p.Best()
+	p.buf = [2]uint64{best.UID, p.value}
+	return sim.Message{UIDs: p.buf[:], Aux: best.Tag}
 }
 
 // Deliver adopts the peer's pair and value together when the pair is
 // smaller.
-func (p *Proposer) Deliver(_ *sim.Context, _ int32, msg sim.Message) {
+func (p *Proposer) Deliver(ctx *sim.Context, _ int32, msg sim.Message) {
 	if len(msg.UIDs) != 2 {
 		return
 	}
-	got := core.IDPair{UID: msg.UIDs[0], Tag: msg.Aux}
-	if got.Less(p.best) {
-		p.best = got
+	if p.Adopt(ctx, core.IDPair{UID: msg.UIDs[0], Tag: msg.Aux}) {
 		p.value = msg.UIDs[1]
 	}
 }
 
-// EndRound advances the local round counter.
-func (p *Proposer) EndRound(*sim.Context) { p.localRound++ }
-
-// Leader returns the UID of the current smallest ID pair.
-func (p *Proposer) Leader() uint64 { return p.best.UID }
+// CorruptState implements sim.Corruptible: the node reverts to its initial
+// state, its own pair and its own proposal together, so a reset node never
+// carries a value that is not its pair owner's.
+func (p *Proposer) CorruptState(rng *xrand.RNG) {
+	p.AsyncBitConv.CorruptState(rng)
+	p.value = p.proposal
+}
 
 // Value returns the proposal currently associated with the node's smallest
 // pair — after stabilization, the decided consensus value.
 func (p *Proposer) Value() uint64 { return p.value }
-
-// Best returns the node's current smallest ID pair.
-func (p *Proposer) Best() core.IDPair { return p.best }
 
 // AllAgree is the consensus stop condition: every node holds the same
 // (leader, value).
@@ -132,7 +90,7 @@ func AllAgree(_ int, protocols []sim.Protocol) bool {
 	first := protocols[0].(*Proposer)
 	for _, p := range protocols[1:] {
 		q := p.(*Proposer)
-		if q.best != first.best || q.value != first.value {
+		if q.Best() != first.Best() || q.value != first.value {
 			return false
 		}
 	}

@@ -1,11 +1,13 @@
 package consensus_test
 
 import (
+	"slices"
 	"testing"
 
 	"mobiletel/internal/consensus"
 	"mobiletel/internal/core"
 	"mobiletel/internal/dyngraph"
+	"mobiletel/internal/fault"
 	"mobiletel/internal/graph/gen"
 	"mobiletel/internal/sim"
 	"mobiletel/internal/xrand"
@@ -193,5 +195,93 @@ func TestAllAgreeDetectsDisagreement(t *testing.T) {
 	c := consensus.NewProposer(1, 2, 10, params)
 	if !consensus.AllAgree(1, []sim.Protocol{a, c}) {
 		t.Fatal("identical nodes reported as disagreeing")
+	}
+}
+
+// TestProposerRecoversFromLeaderCrash runs experiment R1's scenario on a
+// consensus network: once the network agrees, the owner of the minimum pair
+// crashes and every survivor's state is reset. After the up nodes agree
+// again, each one's value must be the proposal of the node whose UID it
+// names as leader — a reset node must not keep the crashed leader's value.
+func TestProposerRecoversFromLeaderCrash(t *testing.T) {
+	const n = 32
+	f := gen.RandomRegular(n, 6, 19)
+	params := core.DefaultBitConvParams(n, 6)
+	uids := core.UniqueUIDs(n, 3)
+	// Distinct tags, as in the R-series: two owners of the minimum tag could
+	// never exchange, which would read as a recovery failure.
+	var tags []uint64
+	for seed := uint64(4); ; seed++ {
+		tags = core.AssignTags(n, params.K, seed)
+		sorted := slices.Clone(tags)
+		slices.Sort(sorted)
+		if len(slices.Compact(sorted)) == n {
+			break
+		}
+	}
+	proposalOf := make(map[uint64]uint64, n)
+	network := func() []sim.Protocol {
+		protocols := make([]sim.Protocol, n)
+		for i := range protocols {
+			protocols[i] = consensus.NewProposer(uids[i], tags[i], 7000+uint64(i), params)
+			proposalOf[uids[i]] = 7000 + uint64(i)
+		}
+		return protocols
+	}
+	cfg := sim.Config{Seed: 8, TagBits: consensus.TagBits(params), MaxRounds: 1_000_000}
+
+	// A fault-free run finds the round the network first agrees in; scripted
+	// faults draw nothing before their round, so the faulted run below is
+	// the same execution up to there.
+	eng, err := sim.New(dyngraph.NewStatic(f), network(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(consensus.AllAgree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashRound := res.StabilizedRound + 1
+
+	pairs := make([]core.IDPair, n)
+	for i := range pairs {
+		pairs[i] = core.IDPair{UID: uids[i], Tag: tags[i]}
+	}
+	crashed := slices.Index(pairs, core.MinPair(pairs))
+	var survivors []int
+	for u := 0; u < n; u++ {
+		if u != crashed {
+			survivors = append(survivors, u)
+		}
+	}
+	in, err := fault.NewInjector(fault.Plan{
+		Seed:        5,
+		Crashes:     []fault.NodeRound{{Round: crashRound, Node: crashed}},
+		Corruptions: []fault.Burst{{Round: crashRound, Nodes: survivors}},
+	}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = in
+	protocols := network()
+	eng, err = sim.New(dyngraph.NewStatic(f), protocols, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upAgree := sim.UpLeadersEqual(in)
+	if _, err := eng.Run(func(r int, ps []sim.Protocol) bool { return r > crashRound && upAgree(r, ps) }); err != nil {
+		t.Fatal(err)
+	}
+	for u, p := range protocols {
+		if u == crashed {
+			continue
+		}
+		q := p.(*consensus.Proposer)
+		if q.Leader() == uids[crashed] {
+			t.Fatalf("node %d still follows the crashed leader", u)
+		}
+		if want := proposalOf[q.Leader()]; q.Value() != want {
+			t.Fatalf("node %d holds value %d, but its leader %#x proposed %d", u, q.Value(), q.Leader(), want)
+		}
 	}
 }

@@ -110,13 +110,20 @@ func (p *AsyncBitConv) Deliver(ctx *sim.Context, _ int32, msg sim.Message) {
 	if len(msg.UIDs) != 1 {
 		return
 	}
-	got := IDPair{UID: msg.UIDs[0], Tag: msg.Aux}
-	if got.Less(p.best) {
-		if got.UID != p.best.UID {
-			ctx.EmitTransition(obs.KindLeader, p.best.UID, got.UID)
-		}
-		p.best = got
+	p.Adopt(ctx, IDPair{UID: msg.UIDs[0], Tag: msg.Aux})
+}
+
+// Adopt makes got the node's smallest ID pair if it is smaller than the
+// current one, and reports whether it did.
+func (p *AsyncBitConv) Adopt(ctx *sim.Context, got IDPair) bool {
+	if !got.Less(p.best) {
+		return false
 	}
+	if got.UID != p.best.UID {
+		ctx.EmitTransition(obs.KindLeader, p.best.UID, got.UID)
+	}
+	p.best = got
+	return true
 }
 
 // EndRound advances the local round counter (activation-relative time).

@@ -174,9 +174,6 @@ func (p *BitConv) CorruptState(*xrand.RNG) {
 // Best returns the node's current smallest ID pair (for tests/trace).
 func (p *BitConv) Best() IDPair { return p.best }
 
-// Pending returns the pair that will be adopted at the next phase boundary.
-func (p *BitConv) Pending() IDPair { return p.pending }
-
 // NewBitConvNetwork builds one BitConv protocol per node: UIDs are supplied,
 // tags are drawn from seed via AssignTags, parameters via params.
 // It returns the protocols and the tag assignment (for verification).

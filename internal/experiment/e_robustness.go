@@ -149,24 +149,9 @@ func runR1(cfg Config) (*trace.Table, error) {
 			// The crashed leader keeps its stale state forever, so the stop
 			// condition (and Check below) quantify over *up* nodes only.
 			MakeStop: func(trial int, simCfg sim.Config) sim.StopCondition {
-				in := simCfg.Faults
+				upAgree := sim.UpLeadersEqual(simCfg.Faults)
 				return func(round int, protocols []sim.Protocol) bool {
-					if round <= rc {
-						return false
-					}
-					var want uint64
-					first := true
-					for u, p := range protocols {
-						if in.Down(u) {
-							continue
-						}
-						if first {
-							want, first = p.Leader(), false
-						} else if p.Leader() != want {
-							return false
-						}
-					}
-					return true
+					return round > rc && upAgree(round, protocols)
 				}
 			},
 			Check: func(trial int, protocols []sim.Protocol) error {

@@ -305,17 +305,6 @@ func withoutCheckpoint(cfg Config) Config {
 	return cfg
 }
 
-// runTrials executes `trials` independent simulations of a single point and
-// returns the stabilization round of each. Any engine error or failed Check
-// aborts with that error.
-func runTrials(cfg Config, trials int, spec trialSpec) ([]int, error) {
-	rounds, err := runPointTrials(cfg, []pointSpec{{Trials: trials, Spec: spec}})
-	if err != nil {
-		return nil, err
-	}
-	return rounds[0], nil
-}
-
 // progressReporter emits throttled live progress lines for a trial batch.
 // The zero-value-like nil-writer form is a no-op, so call sites need no
 // branching.

@@ -5,6 +5,7 @@ import (
 
 	"mobiletel/internal/core"
 	"mobiletel/internal/dyngraph"
+	"mobiletel/internal/fault"
 	"mobiletel/internal/graph/gen"
 	"mobiletel/internal/rumor"
 	"mobiletel/internal/sim"
@@ -98,5 +99,35 @@ func TestClassicalDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("classical mode nondeterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestClassicalRoundStatsConserveProposals holds faulted classical rounds to
+// the conservation identity RoundStats documents: every proposal lands in
+// exactly one bucket, so a proposal that fault injection drops counts in
+// FaultLost.
+func TestClassicalRoundStatsConserveProposals(t *testing.T) {
+	const n = 48
+	protocols := core.NewBlindGossipNetwork(core.UniqueUIDs(n, 27))
+	dropped, rounds := 0, 0
+	eng, err := sim.New(dyngraph.NewPermuted(gen.RandomRegular(n, 6, 21), 3, 22), protocols, sim.Config{
+		Seed: 31, MaxRounds: 150, Classical: true,
+		Faults: mustInjector(t, fault.Plan{Seed: 23, CrashRate: 0.02, RecoverRate: 0.3, MaxDown: 6,
+			ResetOnRecover: true, ProposalLoss: 0.05, ConnLoss: 0.05}, n),
+		Observer: func(s sim.RoundStats) {
+			rounds++
+			dropped += s.FaultLost
+			if got := s.Accepts + s.Rejects + s.BusyLost + s.FaultLost; got != s.Proposals {
+				t.Errorf("round %d: accepts %d + rejects %d + busy %d + fault %d = %d, want %d proposals",
+					s.Round, s.Accepts, s.Rejects, s.BusyLost, s.FaultLost, got, s.Proposals)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = eng.Run(nil)
+	if rounds != 150 || dropped == 0 {
+		t.Fatalf("ran %d rounds with %d fault-dropped proposals; want 150 rounds and some drops", rounds, dropped)
 	}
 }

@@ -15,8 +15,6 @@ type ConformanceConfig struct {
 	Rounds int
 	// TagBits the protocol is entitled to (checked by the engine).
 	TagBits int
-	// MaxUIDs per message (default 2).
-	MaxUIDs int
 }
 
 // CheckConformance runs a protocol factory through a battery of randomized
@@ -125,7 +123,6 @@ func runConformance(factory func(node int) Protocol, sc conformanceScenario, cfg
 	eng, err := New(sc.sched, protocols, Config{
 		Seed:        cfg.Seed,
 		TagBits:     cfg.TagBits,
-		MaxUIDs:     cfg.MaxUIDs,
 		MaxRounds:   cfg.Rounds,
 		Activations: sc.activations,
 		Workers:     1,

@@ -19,15 +19,12 @@ import (
 // phase, dispatch, chunking or counting-sort code. A throwaway Engine value
 // only holds the node streams that Context.RNG serves.
 //
-// It honors Seed, TagBits, MaxUIDs, Activations, Accept, Classical, Faults
-// and Sink; Workers, Observer, Check and Profiler do not change a model
-// execution. It returns every round's statistics and each node's lifetime
-// connection count.
+// It honors Seed, TagBits, Activations, Accept, Classical, Faults and Sink,
+// and enforces the MaxUIDs budget; Workers, Observer, Check and Profiler do
+// not change a model execution. It returns every round's statistics and
+// each node's lifetime connection count.
 func RunOracle(sched dyngraph.Schedule, protocols []Protocol, cfg Config, rounds int) ([]RoundStats, []int64) {
 	n := sched.N()
-	if cfg.MaxUIDs == 0 {
-		cfg.MaxUIDs = defaultMaxUIDs
-	}
 	o := &oracle{
 		cfg:       cfg,
 		protocols: protocols,
@@ -277,8 +274,8 @@ func (o *oracle) accept(v int, inbox []int32) int32 {
 }
 
 // classical runs the classical telephone model instead of steps 4 and 5:
-// every proposal that arrives is answered, in sender order. Its statistics
-// count connections and proposals only.
+// every proposal that arrives is answered, in sender order. A proposal
+// fault injection drops counts in FaultLost, every other one is accepted.
 func (o *oracle) classical(s *RoundStats) {
 	in, r := o.cfg.Faults, o.r
 	for u, v := range o.action {
@@ -288,6 +285,7 @@ func (o *oracle) classical(s *RoundStats) {
 		s.Proposals++
 		o.emit(obs.Event{Type: obs.TypePropose, Round: r, Node: int32(u), Peer: v, A: o.tags[u], B: o.tags[v]})
 		if in != nil && in.DropProposal(int32(u), r) {
+			s.FaultLost++
 			o.emit(obs.Event{Type: obs.TypeFault, Kind: obs.KindPropLoss, Round: r, Node: v, Peer: int32(u)})
 			continue
 		}
@@ -307,8 +305,8 @@ func (o *oracle) exchange(u, v int32) {
 	cu, cv := o.ctx(u), o.ctx(v)
 	mu := o.protocols[u].Outgoing(cu, v)
 	mv := o.protocols[v].Outgoing(cv, u)
-	if len(mu.UIDs) > o.cfg.MaxUIDs || len(mv.UIDs) > o.cfg.MaxUIDs {
-		panic(fmt.Sprintf("oracle: connection (%d, %d) exceeds the %d-UID message budget", u, v, o.cfg.MaxUIDs))
+	if len(mu.UIDs) > MaxUIDs || len(mv.UIDs) > MaxUIDs {
+		panic(fmt.Sprintf("oracle: connection (%d, %d) exceeds the %d-UID message budget", u, v, MaxUIDs))
 	}
 	o.deliver(cu, v, mv)
 	o.deliver(cv, u, mu)

@@ -37,7 +37,7 @@ import (
 )
 
 // Message is the bounded payload exchanged over one connection: at most
-// Config.MaxUIDs opaque UIDs plus 64 auxiliary bits.
+// MaxUIDs opaque UIDs plus 64 auxiliary bits.
 type Message struct {
 	UIDs []uint64
 	Aux  uint64
@@ -226,10 +226,6 @@ type Config struct {
 	// TagBits is b, the advertisement tag length in bits (0..64).
 	TagBits int
 
-	// MaxUIDs bounds the number of UIDs per message (the paper's O(1)).
-	// Zero means the default of 2.
-	MaxUIDs int
-
 	// MaxRounds aborts the run if no stop condition fires earlier.
 	// Zero means the default of 10 million.
 	MaxRounds int
@@ -372,9 +368,6 @@ type Result struct {
 	Proposals   int64
 }
 
-// Stopped reports whether the stop condition fired.
-func (r Result) Stopped() bool { return r.StabilizedRound > 0 }
-
 // StopCondition is evaluated at the end of every round; returning true ends
 // the run. For the leader-election protocols in this repository, "all leader
 // variables equal" is a correct stabilization detector: each node's
@@ -394,14 +387,40 @@ func AllLeadersEqual(round int, protocols []Protocol) bool {
 	return true
 }
 
+// UpLeadersEqual is the election stop condition for runs whose fault plan
+// may crash devices: a crashed device keeps whatever leader it last held, so
+// demanding network-wide agreement would never fire. It holds when every up
+// device holds the same leader and at least one device is up. With faults
+// nil it is AllLeadersEqual.
+func UpLeadersEqual(faults *fault.Injector) StopCondition {
+	if faults == nil {
+		return AllLeadersEqual
+	}
+	return func(_ int, protocols []Protocol) bool {
+		var want uint64
+		first := true
+		for u, p := range protocols {
+			if faults.Down(u) {
+				continue
+			}
+			if first {
+				want, first = p.Leader(), false
+			} else if p.Leader() != want {
+				return false
+			}
+		}
+		return !first
+	}
+}
+
 // ErrNotStabilized is wrapped by Run when MaxRounds elapses without the stop
 // condition firing.
 var ErrNotStabilized = errors.New("sim: run did not stabilize within MaxRounds")
 
-const (
-	defaultMaxUIDs   = 2
-	defaultMaxRounds = 10_000_000
-)
+// MaxUIDs bounds the number of UIDs per message: the paper's O(1).
+const MaxUIDs = 2
+
+const defaultMaxRounds = 10_000_000
 
 // Engine executes protocols over a schedule. Create with New, run with Run.
 type Engine struct {
@@ -549,9 +568,6 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 	}
 	if cfg.TagBits < 0 || cfg.TagBits > 64 {
 		return nil, fmt.Errorf("sim: TagBits %d outside [0, 64]", cfg.TagBits)
-	}
-	if cfg.MaxUIDs == 0 {
-		cfg.MaxUIDs = defaultMaxUIDs
 	}
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = defaultMaxRounds
@@ -1431,8 +1447,7 @@ func (e *Engine) classicalFinish(r, activeCount int) RoundStats {
 	ctxU, ctxV := &e.ctxA[0], &e.ctxB[0]
 	e.bindCtx(ctxU, 0)
 	e.bindCtx(ctxV, 0)
-	connections := 0
-	proposals := 0
+	connections, proposals, faultLost := 0, 0, 0
 	sink := e.workerSink(0)
 	t0 := e.profStart()
 	for u := 0; u < e.n; u++ {
@@ -1449,6 +1464,7 @@ func (e *Engine) classicalFinish(r, activeCount int) RoundStats {
 		// (ConnLoss draws nothing here — classical connects every proposal
 		// that arrives).
 		if e.cfg.Faults != nil && e.cfg.Faults.DropProposal(int32(u), r) {
+			faultLost++
 			if sink != nil {
 				sink.Event(obs.Event{Type: obs.TypeFault, Kind: obs.KindPropLoss,
 					Round: r, Node: v, Peer: int32(u)})
@@ -1487,12 +1503,12 @@ func (e *Engine) classicalFinish(r, activeCount int) RoundStats {
 			A: uint64(proposals), B: uint64(connections)})
 	}
 	return RoundStats{Round: r, Proposals: proposals, Connections: connections,
-		ActiveNodes: activeCount, Accepts: connections, Rejects: 0}
+		ActiveNodes: activeCount, Accepts: connections, FaultLost: faultLost}
 }
 
 func (e *Engine) checkMessage(u int, m Message) {
-	if len(m.UIDs) > e.cfg.MaxUIDs {
-		panic(fmt.Sprintf("sim: node %d sent %d UIDs, budget is %d", u, len(m.UIDs), e.cfg.MaxUIDs))
+	if len(m.UIDs) > MaxUIDs {
+		panic(fmt.Sprintf("sim: node %d sent %d UIDs, budget is %d", u, len(m.UIDs), MaxUIDs))
 	}
 }
 
@@ -1556,26 +1572,6 @@ func (e *Engine) dispatch(ph obs.Phase, fn func(w, lo, hi int), selfTimed bool) 
 	}
 }
 
-// StableFor wraps a stop condition with a realistic stabilization detector:
-// it fires only after inner has held continuously for k consecutive rounds.
-// AllLeadersEqual is a correct instant detector for this repository's
-// protocols (candidates only improve toward a unique minimum), but StableFor
-// models what a deployment without that structural knowledge would measure.
-func StableFor(inner StopCondition, k int) StopCondition {
-	if k < 1 {
-		panic("sim: StableFor needs k >= 1")
-	}
-	streak := 0
-	return func(round int, protocols []Protocol) bool {
-		if inner(round, protocols) {
-			streak++
-		} else {
-			streak = 0
-		}
-		return streak >= k
-	}
-}
-
 // NodeLoad reports per-node lifetime connection counts — the simulator's
 // proxy for radio/battery cost, the practical resource the paper's
 // introduction motivates conserving. The returned slice is a copy.
@@ -1583,38 +1579,4 @@ func (e *Engine) NodeLoad() []int64 {
 	out := make([]int64, len(e.connCount))
 	copy(out, e.connCount)
 	return out
-}
-
-// LoadStats summarizes per-node connection load.
-type LoadStats struct {
-	Min, Max int64
-	Mean     float64
-	// Imbalance is Max/Mean (1 = perfectly even; large = hot spots).
-	Imbalance float64
-}
-
-// Load computes LoadStats over the engine's lifetime connection counts.
-// An engine tracking no nodes yields the zero LoadStats (rather than a
-// sentinel Min and NaN Mean).
-func (e *Engine) Load() LoadStats {
-	if len(e.connCount) == 0 {
-		return LoadStats{}
-	}
-	var total, maxLoad int64
-	minLoad := int64(1<<62 - 1)
-	for _, c := range e.connCount {
-		total += c
-		if c > maxLoad {
-			maxLoad = c
-		}
-		if c < minLoad {
-			minLoad = c
-		}
-	}
-	mean := float64(total) / float64(len(e.connCount))
-	imb := 0.0
-	if mean > 0 {
-		imb = float64(maxLoad) / mean
-	}
-	return LoadStats{Min: minLoad, Max: maxLoad, Mean: mean, Imbalance: imb}
 }

@@ -73,7 +73,7 @@ func tracePinCases() (cases []tracePinCase, plan fault.Plan, acts []int) {
 		},
 		{
 			name:  "classical-faulted",
-			want:  "ed495f6bd0dc6d265cd44f0c147a68ca87e8a05e2fe9cb2fe7c77c687c94e990",
+			want:  "7ed1852113a3efce87ae98a2df767b486498beb7d6c9f2e21e1000cc0de48f74",
 			sched: permuted, faulted: true, classical: true,
 			build: func() []sim.Protocol { return core.NewBlindGossipNetwork(core.UniqueUIDs(n, 27)) },
 		},

@@ -88,9 +88,6 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns the next 32 uniformly random bits.
-func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // FillUint64s fills dst with the next len(dst) outputs of the stream —
 // exactly the values len(dst) successive Uint64 calls would return, so
 // batch and per-call consumption are interchangeable draw for draw. The

@@ -14,8 +14,13 @@
 //   - ElectLeader, running any of the paper's three leader election
 //     algorithms (BlindGossip, BitConv, AsyncBitConv) to stabilization;
 //   - SpreadRumor, running PUSH-PULL or PPUSH rumor spreading;
+//   - Decide, Aggregate and GossipAll, the consensus, data aggregation and
+//     all-to-all gossip problems the paper's conclusion names next;
 //   - Experiments / RunExperiment, regenerating every table in
 //     EXPERIMENTS.md.
+//
+// All five run entry points share one execution path, so every Options
+// field applies to each of them (UIDs to ElectLeader only).
 //
 // A minimal election:
 //
@@ -35,6 +40,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -223,19 +229,25 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	}
 }
 
-// Options configures an execution.
+// Options configures an execution. Every field applies to every entry point
+// (ElectLeader, SpreadRumor, Decide, Aggregate and GossipAll) except UIDs,
+// which only ElectLeader reads.
 type Options struct {
 	// Seed drives all randomness; runs are deterministic in it.
 	Seed uint64
 	// MaxRounds aborts a run that has not stabilized (default 10M).
 	MaxRounds int
-	// Activations gives each device's activation round (1-based). Only
-	// meaningful for AsyncBitConv; nil means all start at round 1.
+	// Activations gives each device's activation round (1-based); nil means
+	// all start at round 1. A device takes no part in rounds before its
+	// own, and no run stops before the last activation. Of the election
+	// algorithms only AsyncBitConv (and Decide, which runs on it) is built
+	// for unsynchronized starts.
 	Activations []int
 	// Workers controls engine parallelism (0 = GOMAXPROCS, 1 = sequential).
 	Workers int
-	// UIDs optionally fixes device UIDs; nil draws unique random UIDs from
-	// Seed. Must be distinct and nonzero when provided.
+	// UIDs optionally fixes ElectLeader's device UIDs; nil draws unique
+	// random UIDs from Seed. Must be distinct and nonzero when provided.
+	// The other entry points ignore it.
 	UIDs []uint64
 	// OnRound, when non-nil, receives (round, connections) after every
 	// executed round — e.g. to render a convergence curve.
@@ -280,8 +292,11 @@ type Options struct {
 	// churn, message loss, advertisement corruption, adversarial state
 	// resets) into the execution. Faulted runs remain a pure function of
 	// (Seed, schedule, algorithm, Options, Faults) at any worker count.
-	// With crash faults, ElectLeader's stop condition and reported Leader
-	// quantify over up devices only (a crashed device keeps stale state).
+	// A crashed device keeps stale state. Under crash faults only
+	// ElectLeader's stop condition (and its reported Leader) ignores down
+	// devices; the other entry points' stop conditions count them too, so a
+	// device that crashes before it has converged holds the run until it
+	// recovers and catches up, or to MaxRounds.
 	Faults *FaultPlan
 	// Check audits every round against the engine's safety invariants
 	// (proposal conservation, matching symmetry, down-device silence,
@@ -316,18 +331,27 @@ type FaultPartition struct {
 
 // ParsePartitions parses a comma-separated list of start:heal:parts triples
 // (the CLI -partition syntax), e.g. "10:40:2" or "10:40:2,60:0:3". Heal 0
-// means the partition never heals. An empty string is no partitions.
+// means the partition never heals. An empty string is no partitions. Each
+// spec must be exactly three integers; spaces around them are ignored.
 func ParsePartitions(s string) ([]FaultPartition, error) {
 	if s == "" {
 		return nil, nil
 	}
 	var out []FaultPartition
 	for _, spec := range strings.Split(s, ",") {
-		var p FaultPartition
-		if _, err := fmt.Sscanf(spec, "%d:%d:%d", &p.Start, &p.Heal, &p.Parts); err != nil {
-			return nil, fmt.Errorf("mobiletel: bad partition %q (want start:heal:parts): %v", spec, err)
+		fields := strings.Split(spec, ":")
+		if len(fields) != 3 {
+			return nil, fmt.Errorf("mobiletel: bad partition %q (want start:heal:parts)", spec)
 		}
-		out = append(out, p)
+		var v [3]int
+		for i, f := range fields {
+			x, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil {
+				return nil, fmt.Errorf("mobiletel: bad partition %q (want start:heal:parts): %v", spec, err)
+			}
+			v[i] = x
+		}
+		out = append(out, FaultPartition{Start: v[0], Heal: v[1], Parts: v[2]})
 	}
 	return out, nil
 }
@@ -391,112 +415,142 @@ func (p *FaultPlan) compile(n int) (*fault.Injector, error) {
 	return fault.NewInjector(plan, n)
 }
 
-// mayCrash reports whether the plan can ever take a device down — the case
-// where stop conditions must ignore down devices.
-func (p *FaultPlan) mayCrash() bool {
-	return p != nil && (p.CrashRate > 0 || len(p.Crashes) > 0)
-}
-
-// observer adapts Options.OnRound to the engine's observer hook.
-func (o Options) observer() func(sim.RoundStats) {
-	if o.OnRound == nil {
-		return nil
+// run is the one execution path behind every entry point. It compiles
+// o.Faults, attaches the observers o names, runs protocols over s until the
+// stop condition that stop builds from the compiled injector (nil without a
+// fault plan) fires, and writes the metrics and phase profile. It returns
+// the injector so an election can report an up device's leader.
+func (o Options) run(s Schedule, protocols []sim.Protocol, tagBits int, stop func(*fault.Injector) sim.StopCondition) (sim.Result, *fault.Injector, error) {
+	n := s.sched.N()
+	injector, err := o.Faults.compile(n)
+	if err != nil {
+		return sim.Result{}, nil, err
 	}
-	return func(s sim.RoundStats) { o.OnRound(s.Round, s.Connections) }
+	out, err := o.outputs()
+	if err != nil {
+		return sim.Result{}, nil, err
+	}
+	var observer func(sim.RoundStats)
+	if o.OnRound != nil {
+		observer = func(st sim.RoundStats) { o.OnRound(st.Round, st.Connections) }
+	}
+	eng, err := sim.New(s.sched, protocols, sim.Config{
+		Seed:        o.Seed,
+		TagBits:     tagBits,
+		MaxRounds:   o.MaxRounds,
+		Activations: o.Activations,
+		Workers:     o.Workers,
+		Observer:    observer,
+		Classical:   o.Classical,
+		Sink:        out.sink,
+		Profiler:    out.prof,
+		Faults:      injector,
+		Check:       o.Check,
+	})
+	if err != nil {
+		return sim.Result{}, nil, err
+	}
+	defer eng.Close()
+	res, err := eng.Run(stop(injector))
+	if err != nil {
+		return sim.Result{}, nil, err
+	}
+	// The exact cut-matching number γ is computable for a static schedule
+	// small enough for matching.GammaExact's exhaustive cut enumeration.
+	if out.metrics != nil && s.sched.Tau() == math.MaxInt && n >= 2 && n <= 16 {
+		out.metrics.SetGammaBound(matching.GammaExact(s.sched.GraphAt(1)))
+	}
+	return res, injector, out.write(o)
 }
 
-// buildSink assembles the engine event sink for TraceTo/MetricsTo; every
-// return is nil when neither destination is set. TraceSample/TraceTypes
-// filter the JSONL trace only — the metrics aggregator always sees the full
-// stream, so summaries of sampled traces stay exact.
-func (o Options) buildSink() (obs.Sink, *obs.JSONL, *obs.Metrics, error) {
-	var jsonl *obs.JSONL
-	var metrics *obs.Metrics
+// always adapts a stop condition that no fault plan changes to run's stop
+// parameter.
+func always(stop sim.StopCondition) func(*fault.Injector) sim.StopCondition {
+	return func(*fault.Injector) sim.StopCondition { return stop }
+}
+
+// outputs are a run's observers: the event sink behind TraceTo and
+// MetricsTo, the trace writer and metrics aggregator it feeds, and the
+// phase profiler behind PhaseProfTo. A field is nil when its destination is
+// unset.
+type outputs struct {
+	sink    obs.Sink
+	jsonl   *obs.JSONL
+	metrics *obs.Metrics
+	prof    *obs.Profiler
+}
+
+// outputs builds the observers for o.TraceTo, o.MetricsTo and
+// o.PhaseProfTo. TraceSample/TraceTypes filter the JSONL trace only — the
+// metrics aggregator always sees the full stream, so summaries of sampled
+// traces stay exact. The profiler gets a monotonic clock here: the engine
+// never reads wall time (the norand contract keeps internal/ clock-free;
+// the facade is where time enters).
+func (o Options) outputs() (outputs, error) {
+	var out outputs
 	var sinks []obs.Sink
 	if o.TraceTo != nil {
-		jsonl = obs.NewJSONL(o.TraceTo)
-		var trace obs.Sink = jsonl
+		out.jsonl = obs.NewJSONL(o.TraceTo)
+		var trace obs.Sink = out.jsonl
 		if o.TraceSample > 1 || len(o.TraceTypes) > 0 {
 			types := make([]obs.Type, 0, len(o.TraceTypes))
 			for _, name := range o.TraceTypes {
 				t, err := obs.ParseType(name)
 				if err != nil {
-					return nil, nil, nil, fmt.Errorf("mobiletel: trace type filter: %w", err)
+					return outputs{}, fmt.Errorf("mobiletel: trace type filter: %w", err)
 				}
 				types = append(types, t)
 			}
-			trace = obs.NewFilter(jsonl, o.TraceSample, types)
+			trace = obs.NewFilter(out.jsonl, o.TraceSample, types)
 		}
 		sinks = append(sinks, trace)
 	}
 	if o.MetricsTo != nil {
-		metrics = obs.NewMetrics()
-		sinks = append(sinks, metrics)
+		out.metrics = obs.NewMetrics()
+		sinks = append(sinks, out.metrics)
 	}
 	switch len(sinks) {
-	case 0:
-		return nil, nil, nil, nil
 	case 1:
-		return sinks[0], jsonl, metrics, nil
-	default:
-		return obs.Tee(sinks...), jsonl, metrics, nil
+		out.sink = sinks[0]
+	case 2:
+		out.sink = obs.Tee(sinks...)
 	}
+	if o.PhaseProfTo != nil {
+		base := time.Now()
+		out.prof = obs.NewProfiler(func() int64 { return int64(time.Since(base)) })
+	}
+	return out, nil
 }
 
-// buildProfiler constructs the phase profiler for PhaseProfTo, injecting a
-// monotonic clock (the engine never reads wall time — the norand contract
-// keeps internal/ clock-free; the facade is where time enters).
-func (o Options) buildProfiler() *obs.Profiler {
-	if o.PhaseProfTo == nil {
-		return nil
-	}
-	base := time.Now()
-	return obs.NewProfiler(func() int64 { return int64(time.Since(base)) })
-}
-
-// writeProf renders the profiler's mtmprof/v1 report as indented JSON.
-func writeProf(prof *obs.Profiler, w io.Writer) error {
-	if prof == nil {
-		return nil
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	rep := prof.Report()
-	if err := enc.Encode(&rep); err != nil {
-		return fmt.Errorf("mobiletel: writing phase profile: %w", err)
-	}
-	return nil
-}
-
-// drainSinks finalizes trace/metrics output after a run: it surfaces any
-// latched trace write error and renders the metrics summary to metricsTo.
-func drainSinks(jsonl *obs.JSONL, metrics *obs.Metrics, metricsTo io.Writer) error {
-	if jsonl != nil {
-		if err := jsonl.Err(); err != nil {
+// write finalizes the outputs after a run: it surfaces any latched trace
+// write error and renders the metrics summary to o.MetricsTo and the
+// mtmprof/v1 report to o.PhaseProfTo, both as indented JSON.
+func (out outputs) write(o Options) error {
+	if out.jsonl != nil {
+		if err := out.jsonl.Err(); err != nil {
 			return fmt.Errorf("mobiletel: writing trace: %w", err)
 		}
 	}
-	if metrics != nil {
-		enc := json.NewEncoder(metricsTo)
-		enc.SetIndent("", "  ")
-		summary := metrics.Summary()
-		if err := enc.Encode(&summary); err != nil {
+	if out.metrics != nil {
+		summary := out.metrics.Summary()
+		if err := writeJSON(o.MetricsTo, &summary); err != nil {
 			return fmt.Errorf("mobiletel: writing metrics: %w", err)
+		}
+	}
+	if out.prof != nil {
+		rep := out.prof.Report()
+		if err := writeJSON(o.PhaseProfTo, &rep); err != nil {
+			return fmt.Errorf("mobiletel: writing phase profile: %w", err)
 		}
 	}
 	return nil
 }
 
-// setGammaBound supplies the exact cut-matching number γ to the metrics
-// aggregator when it is computable: a static schedule small enough for
-// matching.GammaExact's exhaustive cut enumeration.
-func setGammaBound(metrics *obs.Metrics, s Schedule) {
-	if metrics == nil {
-		return
-	}
-	if n := s.sched.N(); s.sched.Tau() == math.MaxInt && n >= 2 && n <= 16 {
-		metrics.SetGammaBound(matching.GammaExact(s.sched.GraphAt(1)))
-	}
+// writeJSON encodes v to w as indented JSON.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 // ElectionResult reports a stabilized leader election.
@@ -515,7 +569,8 @@ type ElectionResult struct {
 var ErrNotStabilized = sim.ErrNotStabilized
 
 // ElectLeader runs the chosen algorithm over the schedule until every
-// device's leader variable agrees.
+// device's leader variable agrees — every up device's, when Options.Faults
+// can crash devices.
 func ElectLeader(s Schedule, algo Algorithm, opts Options) (ElectionResult, error) {
 	n := s.sched.N()
 	if n < 1 {
@@ -544,72 +599,13 @@ func ElectLeader(s Schedule, algo Algorithm, opts Options) (ElectionResult, erro
 		return ElectionResult{}, fmt.Errorf("mobiletel: unknown algorithm %v", algo)
 	}
 
-	injector, err := opts.Faults.compile(n)
+	res, injector, err := opts.run(s, protocols, tagBits, sim.UpLeadersEqual)
 	if err != nil {
-		return ElectionResult{}, err
-	}
-
-	sink, jsonl, metrics, err := opts.buildSink()
-	if err != nil {
-		return ElectionResult{}, err
-	}
-	prof := opts.buildProfiler()
-	cfg := sim.Config{
-		Seed:        opts.Seed,
-		TagBits:     tagBits,
-		MaxRounds:   opts.MaxRounds,
-		Activations: opts.Activations,
-		Workers:     opts.Workers,
-		Observer:    opts.observer(),
-		Classical:   opts.Classical,
-		Sink:        sink,
-		Profiler:    prof,
-		Faults:      injector,
-		Check:       opts.Check,
-	}
-	eng, err := sim.New(s.sched, protocols, cfg)
-	if err != nil {
-		return ElectionResult{}, err
-	}
-	defer eng.Close()
-	stop := sim.StopCondition(sim.AllLeadersEqual)
-	if opts.Faults.mayCrash() {
-		// A crashed device keeps whatever leader it last held, so demanding
-		// network-wide agreement would never fire. Elections under crash
-		// faults stabilize when every *up* device agrees.
-		stop = func(round int, protocols []sim.Protocol) bool {
-			var want uint64
-			first := true
-			for u, p := range protocols {
-				if injector.Down(u) {
-					continue
-				}
-				if first {
-					want, first = p.Leader(), false
-				} else if p.Leader() != want {
-					return false
-				}
-			}
-			return !first // at least one device must be up
-		}
-	}
-	res, err := eng.Run(stop)
-	if err != nil {
-		return ElectionResult{}, err
-	}
-	setGammaBound(metrics, s)
-	if err := drainSinks(jsonl, metrics, opts.MetricsTo); err != nil {
-		return ElectionResult{}, err
-	}
-	if err := writeProf(prof, opts.PhaseProfTo); err != nil {
 		return ElectionResult{}, err
 	}
 	leaderOf := 0
-	for u := range protocols {
-		if !injectorDown(injector, u) {
-			leaderOf = u
-			break
-		}
+	for injector != nil && injector.Down(leaderOf) {
+		leaderOf++ // the stop condition fired, so some device is up
 	}
 	return ElectionResult{
 		Leader:      protocols[leaderOf].Leader(),
@@ -617,11 +613,6 @@ func ElectLeader(s Schedule, algo Algorithm, opts Options) (ElectionResult, erro
 		Connections: res.Connections,
 		UIDs:        uids,
 	}, nil
-}
-
-// injectorDown reports whether device u is down, tolerating a nil injector.
-func injectorDown(in *fault.Injector, u int) bool {
-	return in != nil && in.Down(u)
 }
 
 // RumorStrategy selects a rumor spreading strategy from Section V.
@@ -675,45 +666,8 @@ func SpreadRumor(s Schedule, strategy RumorStrategy, sources []int, opts Options
 	default:
 		return RumorResult{}, fmt.Errorf("mobiletel: unknown strategy %v", strategy)
 	}
-	// Loss faults (ProposalLoss, ConnLoss) slow spreading realistically;
-	// crash faults would leave the crashed device uninformed forever and the
-	// AllInformed stop condition would never fire — callers who want churn
-	// experiments should use ElectLeader, whose stop quantifies over up
-	// devices only.
-	injector, err := opts.Faults.compile(n)
+	res, _, err := opts.run(s, protocols, tagBits, always(rumor.AllInformed))
 	if err != nil {
-		return RumorResult{}, err
-	}
-	sink, jsonl, metrics, err := opts.buildSink()
-	if err != nil {
-		return RumorResult{}, err
-	}
-	prof := opts.buildProfiler()
-	eng, err := sim.New(s.sched, protocols, sim.Config{
-		Seed:      opts.Seed,
-		TagBits:   tagBits,
-		MaxRounds: opts.MaxRounds,
-		Workers:   opts.Workers,
-		Observer:  opts.observer(),
-		Classical: opts.Classical,
-		Sink:      sink,
-		Profiler:  prof,
-		Faults:    injector,
-		Check:     opts.Check,
-	})
-	if err != nil {
-		return RumorResult{}, err
-	}
-	defer eng.Close()
-	res, err := eng.Run(rumor.AllInformed)
-	if err != nil {
-		return RumorResult{}, err
-	}
-	setGammaBound(metrics, s)
-	if err := drainSinks(jsonl, metrics, opts.MetricsTo); err != nil {
-		return RumorResult{}, err
-	}
-	if err := writeProf(prof, opts.PhaseProfTo); err != nil {
 		return RumorResult{}, err
 	}
 	return RumorResult{Rounds: res.StabilizedRound, Connections: res.Connections}, nil
@@ -788,11 +742,11 @@ func RunExperiment(id string, opts ExperimentOptions) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("mobiletel: unknown experiment %q", id)
 	}
-	sink, jsonl, metrics, err := Options{TraceTo: opts.TraceTo, MetricsTo: opts.MetricsTo}.buildSink()
+	o := Options{TraceTo: opts.TraceTo, MetricsTo: opts.MetricsTo, PhaseProfTo: opts.PhaseProfTo}
+	out, err := o.outputs()
 	if err != nil {
 		return "", err
 	}
-	prof := Options{PhaseProfTo: opts.PhaseProfTo}.buildProfiler()
 	var ck *experiment.Checkpoint
 	if opts.CheckpointDir != "" {
 		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
@@ -819,18 +773,15 @@ func RunExperiment(id string, opts ExperimentOptions) (string, error) {
 		Quick:      opts.Quick,
 		Progress:   opts.Progress,
 		Now:        time.Now,
-		Sink:       sink,
-		Profiler:   prof,
+		Sink:       out.sink,
+		Profiler:   out.prof,
 		Checkpoint: ck,
 		Interrupt:  opts.Interrupt,
 	})
 	if err != nil {
 		return "", err
 	}
-	if err := drainSinks(jsonl, metrics, opts.MetricsTo); err != nil {
-		return "", err
-	}
-	if err := writeProf(prof, opts.PhaseProfTo); err != nil {
+	if err := out.write(o); err != nil {
 		return "", err
 	}
 	if opts.CSV {
@@ -847,7 +798,7 @@ func RunExperiment(id string, opts ExperimentOptions) (string, error) {
 // a value, and the network agrees on the proposal of the elected leader.
 // Validity (the decision is some device's proposal) and agreement are
 // inherited from leader election; the substrate is the non-synchronized bit
-// convergence algorithm, so Options.Activations is honored.
+// convergence algorithm, so staggered Options.Activations are safe.
 func Decide(s Schedule, proposals []uint64, opts Options) (DecisionResult, error) {
 	n := s.sched.N()
 	if len(proposals) != n {
@@ -855,18 +806,7 @@ func Decide(s Schedule, proposals []uint64, opts Options) (DecisionResult, error
 	}
 	params := core.DefaultBitConvParams(n, s.sched.MaxDegree())
 	protocols, _ := consensus.NewNetwork(proposals, params, opts.Seed^0xdec1de)
-	eng, err := sim.New(s.sched, protocols, sim.Config{
-		Seed:        opts.Seed,
-		TagBits:     consensus.TagBits(params),
-		MaxRounds:   opts.MaxRounds,
-		Activations: opts.Activations,
-		Workers:     opts.Workers,
-	})
-	if err != nil {
-		return DecisionResult{}, err
-	}
-	defer eng.Close()
-	res, err := eng.Run(consensus.AllAgree)
+	res, _, err := opts.run(s, protocols, consensus.TagBits(params), always(consensus.AllAgree))
 	if err != nil {
 		return DecisionResult{}, err
 	}
@@ -971,14 +911,7 @@ func Aggregate(s Schedule, kind AggregateKind, inputs []float64, rel float64, op
 		return AggregateResult{}, fmt.Errorf("mobiletel: unknown aggregate %v", kind)
 	}
 
-	eng, err := sim.New(s.sched, protocols, sim.Config{
-		Seed: opts.Seed, MaxRounds: opts.MaxRounds, Workers: opts.Workers,
-	})
-	if err != nil {
-		return AggregateResult{}, err
-	}
-	defer eng.Close()
-	res, err := eng.Run(stop)
+	res, _, err := opts.run(s, protocols, 0, always(stop))
 	if err != nil {
 		return AggregateResult{}, err
 	}
@@ -1007,19 +940,7 @@ type GossipResult struct {
 // the follow-on problems from the paper's conclusion). Each connection
 // carries one rumor in each direction, respecting the O(1)-UID budget.
 func GossipAll(s Schedule, opts Options) (GossipResult, error) {
-	n := s.sched.N()
-	protocols := gossip.NewNetwork(n)
-	eng, err := sim.New(s.sched, protocols, sim.Config{
-		Seed:      opts.Seed,
-		MaxRounds: opts.MaxRounds,
-		Workers:   opts.Workers,
-		Observer:  opts.observer(),
-	})
-	if err != nil {
-		return GossipResult{}, err
-	}
-	defer eng.Close()
-	res, err := eng.Run(gossip.AllComplete)
+	res, _, err := opts.run(s, gossip.NewNetwork(s.sched.N()), 0, always(gossip.AllComplete))
 	if err != nil {
 		return GossipResult{}, err
 	}
