@@ -48,13 +48,17 @@ race-smoke:
 	$(GO) test -race -timeout 20m ./internal/sim ./internal/fault -run 'Parallel|Workers|Fault|Chaos|Pool|EngineMatchesOracle'
 	$(GO) test -race -timeout 20m ./internal/experiment -run 'TestQuickRuns|TestAdaptiveStars|TestCheckpoint|TestInterrupt'
 
-# fuzz-smoke mirrors the CI fuzz-smoke job: 30 seconds of native fuzzing
-# that decodes small configurations (topology, schedule, protocol, fault
-# plan, workers, dispatch, classical mode, accept policy) and requires the
-# engine to run each exactly as the test-only reference executor does. A
-# failing input is saved under internal/sim/testdata/fuzz/ for replay.
+# fuzz-smoke mirrors the CI fuzz-smoke job. First, 30 seconds of native
+# fuzzing that decodes small configurations (topology, schedule, protocol,
+# fault plan, workers, dispatch, classical mode, accept policy) and requires
+# the engine to run each exactly as the test-only reference executor does.
+# Then 15 seconds that decode small CSR arrays and require graph.FromCSR
+# never to panic and to reach the test-only reference validator's verdict,
+# naming a truly missing reverse entry when it rejects an asymmetric input.
+# A failing input is saved under the package's testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesOracle$$' -fuzztime 30s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzFromCSR$$' -fuzztime 15s ./internal/graph
 
 lint:
 	$(GO) run ./cmd/mtmlint ./...

@@ -56,27 +56,52 @@ func Log2Ceil(x int) int {
 // algorithms treat UIDs as opaque black boxes; tests use this to avoid
 // accidentally encoding node indices into UID structure.
 func UniqueUIDs(n int, seed uint64) []uint64 {
-	rng := xrand.New(seed)
-	seen := make(map[uint64]bool, n)
-	out := make([]uint64, 0, n)
-	// Draw in batches of exactly the shortfall: the batch fill consumes the
-	// stream draw for draw like per-call Uint64 would, and the accept loop
-	// keeps the first n valid values in draw order, so the result is
-	// bit-identical to the historical one-call-per-draw loop. Every
-	// benchmark and experiment builds its UID space through here, so at
-	// paper-scale n the batch fill is what keeps setup off the profile.
-	buf := make([]uint64, n)
-	for len(out) < n {
-		batch := buf[:n-len(out)]
-		rng.FillUint64s(batch)
+	uids := make([]uint64, n)
+	fillDistinct(uids, xrand.New(seed).FillUint64s)
+	return uids
+}
+
+// fillDistinct fills out with the first len(out) distinct nonzero values
+// that draw produces, in draw order. It draws in batches of exactly the
+// shortfall, straight into the unfilled tail of out, and compacts the
+// accepted values forward in place: a batch fill consumes the stream draw
+// for draw like per-call Uint64 would, so UniqueUIDs is bit-identical to the
+// historical one-call-per-draw loop. Every benchmark and experiment builds
+// its UID space through here, so at paper-scale n this is what keeps
+// set-up off the profile.
+//
+// Seen values live in an open-addressing set of at least 2·len(out) slots
+// with linear probing, indexed by a value's top bits (UIDs are uniform
+// draws, so their top bits are too); 0 marks an empty slot, which is why 0
+// is never a UID.
+func fillDistinct(out []uint64, draw func([]uint64)) {
+	if len(out) == 0 {
+		return
+	}
+	bitLen := bits.Len(uint(2*len(out) - 1))
+	set := make([]uint64, 1<<bitLen)
+	mask, shift := uint64(len(set)-1), uint(64-bitLen)
+	filled := 0
+	for filled < len(out) {
+		batch := out[filled:]
+		draw(batch)
+	next:
 		for _, u := range batch {
-			if u != 0 && !seen[u] {
-				seen[u] = true
-				out = append(out, u)
+			if u == 0 {
+				continue
 			}
+			i := u >> shift
+			for set[i] != 0 {
+				if set[i] == u {
+					continue next
+				}
+				i = (i + 1) & mask
+			}
+			set[i] = u
+			out[filled] = u
+			filled++
 		}
 	}
-	return out
 }
 
 // MinUID returns the smallest UID in the slice.

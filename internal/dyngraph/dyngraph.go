@@ -15,6 +15,7 @@
 package dyngraph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -224,9 +225,8 @@ type Churn struct {
 	swapsPerEpoch int
 
 	curEpoch int
-	edges    [][2]int32
-	edgeSet  map[[2]int32]int
-	deg      []int32 // buildGraph counting scratch, reused across epochs
+	chain    *gen.Swapper
+	backup   [][2]int32 // the edges at the current epoch's start, reused across epochs
 	cur      *graph.Graph
 	rng      *xrand.RNG
 }
@@ -245,127 +245,41 @@ func NewChurn(base gen.Family, tau, swapsPerEpoch int, seed uint64) *Churn {
 func (c *Churn) reset() {
 	c.curEpoch = 0
 	c.rng = xrand.Derive(c.seed, 0xc4, 0)
-	c.edges = c.edges[:0]
-	c.edgeSet = make(map[[2]int32]int, c.base.Graph.M())
-	c.base.Graph.Edges(func(u, v int) {
-		e := [2]int32{int32(u), int32(v)}
-		c.edgeSet[e] = len(c.edges)
-		c.edges = append(c.edges, e)
-	})
+	edges := make([][2]int32, 0, c.base.Graph.M())
+	c.base.Graph.Edges(func(u, v int) { edges = append(edges, [2]int32{int32(u), int32(v)}) })
+	c.chain = gen.NewSwapper(c.base.N(), edges)
 	c.cur = c.base.Graph
 }
 
 // advanceOneEpoch applies one epoch's worth of swaps and rebuilds the graph,
 // retrying the burst if it disconnected the topology.
 func (c *Churn) advanceOneEpoch() {
-	m := len(c.edges)
-	if m < 2 || c.swapsPerEpoch == 0 {
+	edges := c.chain.Edges()
+	if len(edges) < 2 || c.swapsPerEpoch == 0 {
 		c.curEpoch++
 		return
 	}
-	backupEdges := append([][2]int32(nil), c.edges...)
+	c.backup = append(c.backup[:0], edges...)
 	for attempt := 0; ; attempt++ {
 		for i := 0; i < c.swapsPerEpoch; i++ {
-			c.trySwap()
+			c.chain.Try(c.rng)
 		}
-		g := c.buildGraph()
+		g := c.chain.Graph()
 		if g.Connected() {
 			c.cur = g
 			c.curEpoch++
 			return
 		}
+		// Restore the epoch's starting edges, then retry with fresh
+		// randomness (the rng has advanced) or, after 51 attempts, give up
+		// churning this epoch and keep the previous topology (a legal
+		// dynamic graph — changes are optional).
+		c.chain.Restore(c.backup)
 		if attempt > 50 {
-			// Give up churning this epoch; keep the previous topology
-			// (a legal dynamic graph — changes are optional).
-			c.edges = backupEdges
-			c.rebuildSet()
 			c.curEpoch++
 			return
 		}
-		// Restore and retry with fresh randomness (the rng has advanced).
-		c.edges = append(c.edges[:0], backupEdges...)
-		c.rebuildSet()
 	}
-}
-
-func (c *Churn) rebuildSet() {
-	for k := range c.edgeSet {
-		delete(c.edgeSet, k)
-	}
-	for i, e := range c.edges {
-		c.edgeSet[e] = i
-	}
-}
-
-func (c *Churn) trySwap() {
-	m := len(c.edges)
-	i, j := c.rng.Intn(m), c.rng.Intn(m)
-	if i == j {
-		return
-	}
-	a, b := c.edges[i][0], c.edges[i][1]
-	d, e := c.edges[j][0], c.edges[j][1]
-	if c.rng.Bool() {
-		d, e = e, d
-	}
-	if a == e || d == b || a == d || b == e {
-		return
-	}
-	ne1 := canonEdge(a, e)
-	ne2 := canonEdge(d, b)
-	if _, dup := c.edgeSet[ne1]; dup {
-		return
-	}
-	if _, dup := c.edgeSet[ne2]; dup {
-		return
-	}
-	delete(c.edgeSet, c.edges[i])
-	delete(c.edgeSet, c.edges[j])
-	c.edges[i], c.edges[j] = ne1, ne2
-	c.edgeSet[ne1] = i
-	c.edgeSet[ne2] = j
-}
-
-func canonEdge(u, v int32) [2]int32 {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]int32{u, v}
-}
-
-// buildGraph materializes the current edge list in O(n + m log Δ) without
-// the Builder's global O(m log m) edge sort: counting-sort endpoints into
-// CSR (degree/cursor scratch reused across epochs), then sort each short
-// adjacency list. The offsets/adj arrays are fresh per epoch on purpose —
-// consumers hold the previous epoch's graph across the boundary.
-func (c *Churn) buildGraph() *graph.Graph {
-	n := c.base.N()
-	if cap(c.deg) < n {
-		c.deg = make([]int32, n)
-	}
-	deg := c.deg[:n]
-	clear(deg)
-	for _, e := range c.edges {
-		deg[e[0]]++
-		deg[e[1]]++
-	}
-	offsets := make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		offsets[u+1] = offsets[u] + deg[u]
-	}
-	adj := make([]int32, 2*len(c.edges))
-	cursor := deg // degree counts double as scatter cursors
-	copy(cursor, offsets[:n])
-	for _, e := range c.edges {
-		adj[cursor[e[0]]] = e[1]
-		cursor[e[0]]++
-		adj[cursor[e[1]]] = e[0]
-		cursor[e[1]]++
-	}
-	for u := 0; u < n; u++ {
-		slices.Sort(adj[offsets[u]:offsets[u+1]])
-	}
-	return graph.MustFromCSR(offsets, adj)
 }
 
 func (c *Churn) GraphAt(r int) *graph.Graph {
@@ -405,9 +319,23 @@ type Waypoint struct {
 	curEpoch int
 	px, py   []float64
 	dx, dy   []float64
+	cells    []cellNode // rebuild's bucketing scratch, reused across epochs
 	cur      *graph.Graph
 	maxDeg   int
 	rng      *xrand.RNG
+}
+
+// cellNode places a node in the grid cell (cx, cy) of rebuild's index.
+type cellNode struct{ cx, cy, node int }
+
+func compareCellNodes(a, b cellNode) int {
+	if c := cmp.Compare(a.cx, b.cx); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.cy, b.cy); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.node, b.node)
 }
 
 // NewWaypoint creates a mobility schedule for n nodes with communication
@@ -455,52 +383,54 @@ func (w *Waypoint) step() {
 // rebuild constructs the unit-disk graph over current positions via a grid
 // index, then adds an x-order chain among consecutive non-adjacent nodes if
 // the disk graph is disconnected.
+//
+// Sorting the nodes by (cell, id) makes each cell's nodes one run, found by
+// binary search. Scanning the nine cells around each cell for pairs u < v
+// meets every pair of nearby nodes exactly once, and the Builder sorts its
+// edges, so the order of the scan never reaches the graph.
 func (w *Waypoint) rebuild() {
 	cell := w.radius
-	type cellKey struct{ cx, cy int }
-	// Track first-seen key order so edge insertion below never depends on
-	// map iteration order (node positions are deterministic per seed, so
-	// this order is too).
-	buckets := make(map[cellKey][]int)
-	var order []cellKey
+	cells := w.cells[:0]
 	for i := 0; i < w.n; i++ {
-		k := cellKey{int(w.px[i] / cell), int(w.py[i] / cell)}
-		if _, ok := buckets[k]; !ok {
-			order = append(order, k)
+		cells = append(cells, cellNode{int(w.px[i] / cell), int(w.py[i] / cell), i})
+	}
+	slices.SortFunc(cells, compareCellNodes)
+	w.cells = cells
+	bucket := func(cx, cy int) []cellNode {
+		lo, _ := slices.BinarySearchFunc(cells, cellNode{cx, cy, -1}, compareCellNodes)
+		hi := lo
+		for hi < len(cells) && cells[hi].cx == cx && cells[hi].cy == cy {
+			hi++
 		}
-		buckets[k] = append(buckets[k], i)
+		return cells[lo:hi]
 	}
 	b := graph.NewBuilder(w.n)
-	added := make(map[[2]int32]bool)
-	addEdge := func(u, v int) {
-		e := canonEdge(int32(u), int32(v))
-		if !added[e] {
-			added[e] = true
-			b.AddEdge(int(e[0]), int(e[1]))
-		}
-	}
 	r2 := w.radius * w.radius
-	for _, k := range order {
-		nodes := buckets[k]
+	for lo := 0; lo < len(cells); {
+		cx, cy := cells[lo].cx, cells[lo].cy
+		home := bucket(cx, cy)
 		for ddx := -1; ddx <= 1; ddx++ {
 			for ddy := -1; ddy <= 1; ddy++ {
-				other := buckets[cellKey{k.cx + ddx, k.cy + ddy}]
-				for _, u := range nodes {
-					for _, v := range other {
-						if u < v {
+				other := bucket(cx+ddx, cy+ddy)
+				for _, cu := range home {
+					u := cu.node
+					for _, cv := range other {
+						if v := cv.node; u < v {
 							ux, uy := w.px[u]-w.px[v], w.py[u]-w.py[v]
 							if ux*ux+uy*uy <= r2 {
-								addEdge(u, v)
+								b.AddEdge(u, v)
 							}
 						}
 					}
 				}
 			}
 		}
+		lo += len(home)
 	}
 	g := b.MustBuild()
 	if !g.Connected() {
-		// Connectivity backstop: chain nodes in x-order.
+		// Connectivity backstop: chain nodes in x-order, skipping pairs
+		// the disk graph already joins.
 		order := make([]int, w.n)
 		for i := range order {
 			order[i] = i
@@ -512,7 +442,9 @@ func (w *Waypoint) rebuild() {
 			return order[i] < order[j]
 		})
 		for i := 0; i+1 < w.n; i++ {
-			addEdge(order[i], order[i+1])
+			if u, v := order[i], order[i+1]; !g.HasEdge(u, v) {
+				b.AddEdge(u, v)
+			}
 		}
 		g = b.MustBuild()
 	}

@@ -303,8 +303,8 @@ func Grid(rows, cols int) Family {
 }
 
 // Torus returns the rows×cols torus (grid with wraparound), a 4-regular
-// graph for rows,cols >= 3. Like Grid it emits CSR directly; the four
-// neighbor ids wrap around the edges, so each quad is sorted in place.
+// graph for rows,cols >= 3. Like Grid it emits CSR directly, each node's
+// four neighbor ids written in ascending order.
 func Torus(rows, cols int) Family {
 	if rows < 3 || cols < 3 {
 		panic("gen: Torus needs dimensions >= 3")
@@ -315,8 +315,10 @@ func Torus(rows, cols int) Family {
 	for u := 0; u <= n; u++ {
 		offsets[u] = int32(4 * u)
 	}
-	var nb [4]int32
-	u := 0
+	// Row-major ids order a node's neighbors by row first: the vertical
+	// pair sits in rows ra < rb, and the same-row pair (columns ca < cb)
+	// comes before both on row 0, after both on the last row, and between
+	// them elsewhere.
 	for r := 0; r < rows; r++ {
 		rup, rdn := r-1, r+1
 		if rup < 0 {
@@ -325,6 +327,7 @@ func Torus(rows, cols int) Family {
 		if rdn == rows {
 			rdn = 0
 		}
+		ra, rb := min(rup, rdn), max(rup, rdn)
 		for c := 0; c < cols; c++ {
 			cl, cr := c-1, c+1
 			if cl < 0 {
@@ -333,13 +336,18 @@ func Torus(rows, cols int) Family {
 			if cr == cols {
 				cr = 0
 			}
-			nb[0] = int32(rup*cols + c)
-			nb[1] = int32(rdn*cols + c)
-			nb[2] = int32(r*cols + cl)
-			nb[3] = int32(r*cols + cr)
-			slices.Sort(nb[:])
-			copy(adj[4*u:], nb[:])
-			u++
+			ca, cb := min(cl, cr), max(cl, cr)
+			va, vb := int32(ra*cols+c), int32(rb*cols+c)
+			ha, hb := int32(r*cols+ca), int32(r*cols+cb)
+			quad := adj[4*(r*cols+c):][:4]
+			switch r {
+			case 0:
+				quad[0], quad[1], quad[2], quad[3] = ha, hb, va, vb
+			case rows - 1:
+				quad[0], quad[1], quad[2], quad[3] = va, vb, ha, hb
+			default:
+				quad[0], quad[1], quad[2], quad[3] = va, ha, hb, vb
+			}
 		}
 	}
 	short := rows
@@ -463,93 +471,47 @@ func RandomRegular(n, d int, seed uint64) Family {
 		panic(fmt.Sprintf("gen: RandomRegular(%d, %d) infeasible", n, d))
 	}
 	rng := xrand.New(seed)
+	edges := regularBase(n, d)
 
-	// Circulant base: offsets 1..⌊d/2⌋, plus the antipodal matching when d
-	// is odd (feasible because d odd forces n even).
-	type edge [2]int32
-	canon := func(u, v int32) edge {
-		if u > v {
-			u, v = v, u
-		}
-		return edge{u, v}
-	}
-	edgeSet := make(map[edge]int) // edge -> index in edges
-	var edges []edge
-	addBase := func(u, v int) {
-		e := canon(int32(u), int32(v))
-		if _, dup := edgeSet[e]; dup {
-			panic("gen: duplicate base edge")
-		}
-		edgeSet[e] = len(edges)
-		edges = append(edges, e)
-	}
-	for off := 1; off <= d/2; off++ {
-		for u := 0; u < n; u++ {
-			v := (u + off) % n
-			if canonLess(u, v, off, n) {
-				addBase(u, v)
-			}
-		}
-	}
-	if d%2 == 1 {
-		for u := 0; u < n/2; u++ {
-			addBase(u, u+n/2)
-		}
-	}
-
-	// Double-edge swaps: (a,b),(c,e) -> (a,e),(c,b) when the result stays
-	// simple. ~20 accepted swaps per edge mixes well in practice.
+	// Double-edge swaps: ~20 accepted swaps per edge mixes well in practice.
 	m := len(edges)
-	swapEdge := func() {
-		i, j := rng.Intn(m), rng.Intn(m)
-		if i == j {
-			return
-		}
-		a, b := edges[i][0], edges[i][1]
-		c, e := edges[j][0], edges[j][1]
-		if rng.Bool() {
-			c, e = e, c
-		}
-		if a == e || c == b || a == c || b == e {
-			return
-		}
-		ne1, ne2 := canon(a, e), canon(c, b)
-		if _, dup := edgeSet[ne1]; dup {
-			return
-		}
-		if _, dup := edgeSet[ne2]; dup {
-			return
-		}
-		delete(edgeSet, edges[i])
-		delete(edgeSet, edges[j])
-		edges[i], edges[j] = ne1, ne2
-		edgeSet[ne1] = i
-		edgeSet[ne2] = j
-	}
-
-	build := func() *graph.Graph {
-		b := graph.NewBuilder(n)
-		for _, e := range edges {
-			b.AddEdge(int(e[0]), int(e[1]))
-		}
-		return b.MustBuild()
-	}
-
+	chain := NewSwapper(n, edges)
 	for i := 0; i < 20*m; i++ {
-		swapEdge()
+		chain.Try(rng)
 	}
-	g := build()
+	g := chain.Graph()
 	// Swaps can (rarely) disconnect the graph; keep mixing until connected.
 	for attempts := 0; !g.Connected(); attempts++ {
 		if attempts > 100 {
 			panic(fmt.Sprintf("gen: RandomRegular(%d, %d) could not reach a connected state", n, d))
 		}
 		for i := 0; i < 2*m; i++ {
-			swapEdge()
+			chain.Try(rng)
 		}
-		g = build()
+		g = chain.Graph()
 	}
 	return Family{Name: "random-regular", Graph: g, Alpha: 0.3, AlphaExact: false}
+}
+
+// regularBase returns the edges of RandomRegular's circulant d-regular base
+// in the order its swap chain indexes them: offsets 1..⌊d/2⌋, plus the
+// antipodal matching when d is odd (feasible because d odd forces n even).
+func regularBase(n, d int) [][2]int32 {
+	edges := make([][2]int32, 0, n*d/2)
+	for off := 1; off <= d/2; off++ {
+		for u := 0; u < n; u++ {
+			v := (u + off) % n
+			if canonLess(u, v, off, n) {
+				edges = append(edges, canonEdge(int32(u), int32(v)))
+			}
+		}
+	}
+	if d%2 == 1 {
+		for u := 0; u < n/2; u++ {
+			edges = append(edges, [2]int32{int32(u), int32(u + n/2)})
+		}
+	}
+	return edges
 }
 
 // canonLess reports whether the circulant edge (u, u+off mod n) should be

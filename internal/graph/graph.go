@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -297,8 +298,15 @@ func (g *Graph) String() string {
 // insertions and self-loops are rejected at Build time.
 type Builder struct {
 	n     int
-	edges [][2]int32
+	edges []uint64 // packed (min, max) keys, see edgeKey
 }
+
+// edgeKey packs the edge {u, v}, u < v, into one key whose integer order is
+// the (u, v) lexicographic order.
+func edgeKey(u, v int32) uint64 { return uint64(u)<<32 | uint64(v) }
+
+// edgeEnds unpacks an edgeKey into (min, max).
+func edgeEnds(k uint64) (int32, int32) { return int32(k >> 32), int32(uint32(k)) }
 
 // NewBuilder returns a builder for a graph on n nodes, 0..n-1.
 func NewBuilder(n int) *Builder {
@@ -319,7 +327,7 @@ func (b *Builder) AddEdge(u, v int) *Builder {
 	if u > v {
 		u, v = v, u
 	}
-	b.edges = append(b.edges, [2]int32{int32(u), int32(v)})
+	b.edges = append(b.edges, edgeKey(int32(u), int32(v)))
 	return b
 }
 
@@ -328,50 +336,48 @@ func (b *Builder) N() int { return b.n }
 
 // Build freezes the accumulated edges into an immutable Graph.
 // It returns an error if any edge was inserted twice.
+//
+// The packed keys are sorted once, by (min, max). Every adjacency list is
+// then written already sorted, in two passes over the keys: the first
+// appends each edge's smaller end to its larger end's list, so a list's
+// smaller neighbors arrive in ascending order, and the second appends each
+// edge's larger end to its smaller end's list, after them and in ascending
+// order too. The builder keeps its edges, so more may be added and Build
+// called again.
 func (b *Builder) Build() (*Graph, error) {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i][0] != b.edges[j][0] {
-			return b.edges[i][0] < b.edges[j][0]
-		}
-		return b.edges[i][1] < b.edges[j][1]
-	})
+	slices.Sort(b.edges)
 	for i := 1; i < len(b.edges); i++ {
 		if b.edges[i] == b.edges[i-1] {
-			return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", b.edges[i][0], b.edges[i][1])
+			u, v := edgeEnds(b.edges[i])
+			return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
 		}
 	}
 
-	deg := make([]int32, b.n)
-	for _, e := range b.edges {
-		deg[e[0]]++
-		deg[e[1]]++
-	}
 	offsets := make([]int32, b.n+1)
+	for _, k := range b.edges {
+		u, v := edgeEnds(k)
+		offsets[u+1]++
+		offsets[v+1]++
+	}
 	maxDeg := 0
-	for u, d := range deg {
-		offsets[u+1] = offsets[u] + d
-		if int(d) > maxDeg {
-			maxDeg = int(d)
-		}
+	for u := 0; u < b.n; u++ {
+		maxDeg = max(maxDeg, int(offsets[u+1]))
+		offsets[u+1] += offsets[u]
 	}
 	adj := make([]int32, 2*len(b.edges))
 	cursor := make([]int32, b.n)
 	copy(cursor, offsets[:b.n])
-	for _, e := range b.edges {
-		adj[cursor[e[0]]] = e[1]
-		cursor[e[0]]++
-		adj[cursor[e[1]]] = e[0]
-		cursor[e[1]]++
+	for _, k := range b.edges {
+		u, v := edgeEnds(k)
+		adj[cursor[v]] = u
+		cursor[v]++
 	}
-	g := &Graph{offsets: offsets, adj: adj, n: b.n, m: len(b.edges), maxDeg: maxDeg}
-	// Adjacency lists are sorted because edges were sorted by (min, max) and
-	// appended in order for the first endpoint — but not for the second.
-	// Sort each list to restore the invariant.
-	for u := 0; u < g.n; u++ {
-		nbrs := adj[offsets[u]:offsets[u+1]]
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
+	for _, k := range b.edges {
+		u, v := edgeEnds(k)
+		adj[cursor[u]] = v
+		cursor[u]++
 	}
-	return g, nil
+	return &Graph{offsets: offsets, adj: adj, n: b.n, m: len(b.edges), maxDeg: maxDeg}, nil
 }
 
 // MustBuild is Build but panics on error; intended for tests and generators
@@ -399,12 +405,12 @@ func FromEdges(n int, edges [][2]int) (*Graph, error) {
 // in O(n+m)). The graph takes ownership of both slices; the caller must not
 // modify them afterwards.
 //
-// The arrays are fully validated in O(n + m log Δ): offsets must start at 0,
-// be non-decreasing, and end at len(adj); every adjacency list must be
-// strictly increasing (sorted, duplicate-free), in range, and self-loop
-// free; and the adjacency relation must be symmetric. Validation is linear
-// in the input, so adopting is still asymptotically free compared to
-// building.
+// The arrays are fully validated in O(n + m): offsets must start at 0, be
+// non-decreasing, stay within adj, and end at len(adj); every adjacency
+// list must be strictly increasing (sorted, duplicate-free), in range, and
+// self-loop free; and the adjacency relation must be symmetric. Validation
+// is linear in the input, so adopting is still asymptotically free
+// compared to building.
 func FromCSR(offsets, adj []int32) (*Graph, error) {
 	if len(offsets) == 0 || offsets[0] != 0 {
 		return nil, fmt.Errorf("graph: FromCSR offsets must start with 0 (len %d)", len(offsets))
@@ -420,6 +426,9 @@ func FromCSR(offsets, adj []int32) (*Graph, error) {
 	for u := 0; u < n; u++ {
 		if offsets[u+1] < offsets[u] {
 			return nil, fmt.Errorf("graph: FromCSR offsets decrease at node %d", u)
+		}
+		if int(offsets[u+1]) > len(adj) {
+			return nil, fmt.Errorf("graph: FromCSR offset %d of node %d exceeds the %d adjacency entries", offsets[u+1], u+1, len(adj))
 		}
 		if d := int(offsets[u+1] - offsets[u]); d > maxDeg {
 			maxDeg = d
@@ -438,15 +447,46 @@ func FromCSR(offsets, adj []int32) (*Graph, error) {
 			prev = v
 		}
 	}
-	g := &Graph{offsets: offsets, adj: adj, n: n, m: len(adj) / 2, maxDeg: maxDeg}
+	if err := checkSymmetric(offsets, adj); err != nil {
+		return nil, err
+	}
+	return &Graph{offsets: offsets, adj: adj, n: n, m: len(adj) / 2, maxDeg: maxDeg}, nil
+}
+
+// checkSymmetric checks that every entry of well-formed CSR arrays (sorted,
+// in-range, loop-free lists) has its reverse entry, in O(n+m) with one
+// cursor per node. Nodes u are visited in ascending order, and cursor[x]
+// advances past x's entries as the nodes they name are visited, so it
+// sits at x's first entry not below u. The reverse entry of an edge (u, v)
+// with v > u is therefore the one at v's cursor. An entry w < u that still
+// sits at a cursor was not consumed when w was visited, so w's list lacks
+// the reverse entry. Checking stops at the first failure, which therefore
+// names an edge whose reverse entry really is missing.
+func checkSymmetric(offsets, adj []int32) error {
+	n := len(offsets) - 1
+	cursor := make([]int32, n)
+	copy(cursor, offsets[:n])
 	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(u) {
-			if !g.HasEdge(int(v), u) {
-				return nil, fmt.Errorf("graph: FromCSR edge (%d,%d) has no reverse entry", u, v)
+		c, end := cursor[u], offsets[u+1]
+		if c < end && int(adj[c]) < u {
+			return missingReverse(u, adj[c])
+		}
+		for _, v := range adj[c:end] { // all above u
+			k := cursor[v]
+			if k == offsets[v+1] || int(adj[k]) > u {
+				return missingReverse(u, v)
 			}
+			if int(adj[k]) < u {
+				return missingReverse(int(v), adj[k])
+			}
+			cursor[v] = k + 1
 		}
 	}
-	return g, nil
+	return nil
+}
+
+func missingReverse(u int, v int32) error {
+	return fmt.Errorf("graph: FromCSR edge (%d,%d) has no reverse entry", u, v)
 }
 
 // MustFromCSR is FromCSR but panics on error; intended for generators whose

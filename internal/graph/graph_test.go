@@ -481,24 +481,31 @@ func TestFromCSRRoundTrips(t *testing.T) {
 	}
 }
 
+// malformedCSR lists one input per FromCSR rejection; FuzzFromCSR's corpus
+// starts from them.
+var malformedCSR = map[string]struct{ offsets, adj []int32 }{
+	"empty offsets":     {nil, nil},
+	"nonzero start":     {[]int32{1, 1}, nil},
+	"length mismatch":   {[]int32{0, 2}, []int32{1}},
+	"odd adjacency":     {[]int32{0, 1, 1}, []int32{1}},
+	"decreasing":        {[]int32{0, 2, 1, 4}, []int32{1, 2, 0, 0}},
+	"offset past adj":   {[]int32{0, 5, 2}, []int32{1, 0}},
+	"out of range":      {[]int32{0, 1, 2}, []int32{1, 2}},
+	"negative neighbor": {[]int32{0, 1, 2}, []int32{1, -1}},
+	"self loop":         {[]int32{0, 1, 2}, []int32{0, 0}},
+	"unsorted list":     {[]int32{0, 2, 3, 5, 6}, []int32{2, 1, 0, 0, 3, 2}},
+	"duplicate edge":    {[]int32{0, 2, 4}, []int32{1, 1, 0, 0}},
+	"asymmetric":        {[]int32{0, 1, 2, 2}, []int32{1, 2}},
+	// Node 2 lists 0, which does not list 2: the cursor of 2 is stuck there
+	// when node 1 looks for its reverse entry.
+	"stuck cursor": {[]int32{0, 0, 1, 3, 4}, []int32{2, 0, 1, 1}},
+	// Node 3 lists 1 and 2, neither of which lists 3; found when node 3 is
+	// visited.
+	"unconsumed below": {[]int32{0, 1, 2, 2, 4}, []int32{1, 0, 1, 2}},
+}
+
 func TestFromCSRRejectsMalformed(t *testing.T) {
-	cases := map[string]struct {
-		offsets []int32
-		adj     []int32
-	}{
-		"empty offsets":     {nil, nil},
-		"nonzero start":     {[]int32{1, 1}, nil},
-		"length mismatch":   {[]int32{0, 2}, []int32{1}},
-		"odd adjacency":     {[]int32{0, 1, 1}, []int32{1}},
-		"decreasing":        {[]int32{0, 2, 1, 4}, []int32{1, 2, 0, 0}},
-		"out of range":      {[]int32{0, 1, 2}, []int32{1, 2}},
-		"negative neighbor": {[]int32{0, 1, 2}, []int32{1, -1}},
-		"self loop":         {[]int32{0, 1, 2}, []int32{0, 0}},
-		"unsorted list":     {[]int32{0, 2, 3, 5, 6}, []int32{2, 1, 0, 0, 3, 2}},
-		"duplicate edge":    {[]int32{0, 2, 4}, []int32{1, 1, 0, 0}},
-		"asymmetric":        {[]int32{0, 1, 2, 2}, []int32{1, 2}},
-	}
-	for name, tc := range cases {
+	for name, tc := range malformedCSR {
 		if _, err := FromCSR(tc.offsets, tc.adj); err == nil {
 			t.Errorf("%s: FromCSR accepted malformed input", name)
 		}
