@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test tier1 race race-smoke fuzz-smoke lint lint-baseline baseline-check check bench bench-smoke trace-smoke fault-smoke fault-par-smoke prof-smoke
+.PHONY: build vet fmt-check test tier1 race race-smoke fuzz-smoke lint lint-baseline baseline-check check bench bench-smoke trace-smoke fault-smoke fault-par-smoke prof-smoke tables-check
 
 build:
 	$(GO) build ./...
@@ -156,3 +156,18 @@ prof-smoke:
 	/tmp/mtm-prof-smoke/mtmtrace summary /tmp/mtm-prof-smoke/w8.jsonl
 	$(GO) run ./cmd/mtmsim -topo expander -n 65536 -workers 8 -phase-prof /tmp/mtm-prof-smoke/run.prof.json
 	/tmp/mtm-prof-smoke/mtmtrace prof /tmp/mtm-prof-smoke/run.prof.json
+
+# tables-check mirrors the CI tables-check job: it regenerates every
+# published table (mtmexp -run all, full mode, at the published seed) and
+# diffs the output against experiments_full.txt, ignoring only the
+# "(<ID> in <t>s)" timing lines. A difference means the code no longer
+# prints what the repository publishes; when the change is intended,
+# regenerate with `go run ./cmd/mtmexp -run all | tee experiments_full.txt`.
+TIMING_LINE = '^\([A-Z][0-9]+-[a-z0-9-]+ in [0-9]+\.[0-9]+s\)$$'
+tables-check:
+	rm -rf /tmp/mtm-tables-check && mkdir -p /tmp/mtm-tables-check
+	$(GO) build -o /tmp/mtm-tables-check/mtmexp ./cmd/mtmexp
+	/tmp/mtm-tables-check/mtmexp -run all -seed 20170529 > /tmp/mtm-tables-check/all.txt
+	grep -Ev $(TIMING_LINE) experiments_full.txt > /tmp/mtm-tables-check/want.txt
+	grep -Ev $(TIMING_LINE) /tmp/mtm-tables-check/all.txt > /tmp/mtm-tables-check/got.txt
+	diff -u /tmp/mtm-tables-check/want.txt /tmp/mtm-tables-check/got.txt

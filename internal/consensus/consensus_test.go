@@ -268,7 +268,7 @@ func TestProposerRecoversFromLeaderCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	upAgree := sim.UpLeadersEqual(in)
+	upAgree := sim.UpOnly(in, sim.AllLeadersEqual)
 	if _, err := eng.Run(func(r int, ps []sim.Protocol) bool { return r > crashRound && upAgree(r, ps) }); err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ type CheckpointKey struct {
 }
 
 // checkpointCell is one completed trial: batch is the ordinal of the
-// runPointTrials call within the experiment (experiments run their batches
+// RunCells call within the experiment (experiments run their batches
 // in a deterministic order, so the counter realigns on resume).
 type checkpointCell struct {
 	Batch  int `json:"batch"`
@@ -161,7 +161,7 @@ func readCheckpoint(path string, key CheckpointKey) (map[cellKey]int, []checkpoi
 	return cells, order, healed, nil
 }
 
-// NextBatch hands out the next batch ordinal. runPointTrials calls it once
+// NextBatch hands out the next batch ordinal. RunCells calls it once
 // per batch, so within one experiment run the Nth batch always gets ordinal
 // N — the property that lets cells recorded by a killed process line up with
 // the re-run that resumes them.

@@ -193,9 +193,10 @@ func runWithCheckpoint(t *testing.T, id, path string, key CheckpointKey) string 
 
 // TestCheckpointResumeBitIdentical is the crash-safety contract: a sweep
 // killed mid-run and resumed from its checkpoint renders a table
-// byte-identical to an uninterrupted sweep. E5 and E11 keep measurements
-// that a cell cannot hold, so they record no cells and re-run in full; a
-// checkpoint attached to them must still leave the table unchanged.
+// byte-identical to an uninterrupted sweep. A2, E5 and E11 keep
+// measurements that a cell cannot hold, so they record no cells and re-run
+// in full; a checkpoint attached to them must still leave the table
+// unchanged.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resume sweep skipped in -short mode")
@@ -207,6 +208,8 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		{"E1-blindgossip-scaling", true},
 		{"E9-self-stabilization", true},
 		{"E10-churn-robustness", true},
+		{"R1-leader-crash-reelection", true},
+		{"A2-ablation-tagbits", false},
 		{"E5-ppush-approx", false},
 		{"E11-good-edge-probability", false},
 	} {
@@ -280,8 +283,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 // every trial-batch experiment before it runs a trial.
 func TestInterruptAbortsSweep(t *testing.T) {
 	for _, id := range []string{
-		"E1-blindgossip-scaling", "E5-ppush-approx", "E9-self-stabilization",
-		"E10-churn-robustness", "E11-good-edge-probability",
+		"A2-ablation-tagbits", "E1-blindgossip-scaling", "E5-ppush-approx",
+		"E9-self-stabilization", "E10-churn-robustness", "E11-good-edge-probability",
+		"R1-leader-crash-reelection",
 	} {
 		t.Run(id, func(t *testing.T) {
 			e, ok := ByID(id)

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 
 	"mobiletel/internal/core"
 	"mobiletel/internal/dyngraph"
@@ -52,22 +53,19 @@ func runA1(cfg Config) (*trace.Table, error) {
 	k := core.DefaultBitConvParams(n, d).K
 	mults := []int{1, 2, 4}
 	paramsFor := make([]core.BitConvParams, len(mults))
-	specs := make([]pointSpec, len(mults))
+	builds := make([]func(int) trialRun, len(mults))
 	for mi, mult := range mults {
-		mult := mult
 		params := core.BitConvParams{K: k, GroupLen: mult * logDelta}
 		paramsFor[mi] = params
-		specs[mi] = pointSpec{Trials: trials, Spec: trialSpec{
-			Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-				seed := trialSeed(cfg.Seed, 1100+mult, trial)
-				uids := core.UniqueUIDs(n, seed)
-				protocols, _ := core.NewBitConvNetwork(uids, params, seed+1)
-				return dyngraph.NewPermuted(base, tau, seed+2), protocols,
-					sim.Config{Seed: seed + 3, TagBits: 1, MaxRounds: 50_000_000}
-			},
-		}}
+		builds[mi] = func(trial int) trialRun {
+			seed := trialSeed(cfg.Seed, 1100+mult, trial)
+			uids := core.UniqueUIDs(n, seed)
+			protocols, _ := core.NewBitConvNetwork(uids, params, seed+1)
+			return trialRun{sched: dyngraph.NewPermuted(base, tau, seed+2), protocols: protocols,
+				cfg: sim.Config{Seed: seed + 3, TagBits: 1, MaxRounds: 50_000_000}}
+		}
 	}
-	allRounds, err := runPointTrials(cfg, specs)
+	allRounds, err := runPointTrials(cfg, trials, builds)
 	if err != nil {
 		return nil, err
 	}
@@ -91,69 +89,77 @@ func runA2(cfg Config) (*trace.Table, error) {
 
 	// A trial whose *minimum* tag is shared by two nodes cannot stabilize
 	// (the UID tie-break never propagates through 1-bit advertisements), so
-	// cap those trials instead of running forever.
-	cap := pick(cfg.Quick, 100_000, 400_000)
+	// its stop condition also fires at a round cap instead of running
+	// forever, and its check sorts it as stabilized or capped.
+	limit := pick(cfg.Quick, 100_000, 400_000)
+	agreeOrCap := func(round int, protocols []sim.Protocol) bool {
+		return round >= limit || sim.AllLeadersEqual(round, protocols)
+	}
 
-	for _, beta := range []float64{0.5, 1, 2, 3} {
-		k := int(beta * float64(logN))
-		if k < 1 {
-			k = 1
-		}
-		params := core.BitConvParams{K: k, GroupLen: 2 * core.Log2Ceil(d+1)}
-
-		collisions, minTagCollided, stabilized := 0, 0, 0
-		var okRounds []int
-		for trial := 0; trial < trials; trial++ {
+	// Each build hook and check fills its (point, trial) cell of these; the
+	// rows read them after the pool drains, so no checkpoint cell can hold
+	// them and the batch runs without one.
+	betas := []float64{0.5, 1, 2, 3}
+	ks := make([]int, len(betas))
+	collisions := cells[int](len(betas), trials)
+	minCollided := cells[bool](len(betas), trials)
+	stabilized := cells[bool](len(betas), trials)
+	builds := make([]func(int) trialRun, len(betas))
+	for bi, beta := range betas {
+		ks[bi] = max(int(beta*float64(logN)), 1)
+		params := core.BitConvParams{K: ks[bi], GroupLen: 2 * core.Log2Ceil(d+1)}
+		builds[bi] = func(trial int) trialRun {
 			seed := trialSeed(cfg.Seed, 1200+int(beta*10), trial)
 			uids := core.UniqueUIDs(n, seed)
 			protocols, tags := core.NewBitConvNetwork(uids, params, seed+1)
-
-			seen := map[uint64]bool{}
-			minTag := tags[0]
-			minCount := 0
-			for _, tag := range tags {
-				if seen[tag] {
-					collisions++
-				}
-				seen[tag] = true
-				if tag < minTag {
-					minTag = tag
+			sorted := slices.Clone(tags)
+			slices.Sort(sorted)
+			for i := 1; i < n; i++ {
+				if sorted[i] == sorted[i-1] {
+					collisions[bi][trial]++
 				}
 			}
-			for _, tag := range tags {
-				if tag == minTag {
-					minCount++
-				}
+			minShared := sorted[0] == sorted[1]
+			minCollided[bi][trial] = minShared
+			return trialRun{sched: dyngraph.NewStatic(base), protocols: protocols,
+				cfg:  sim.Config{Seed: seed + 2, TagBits: 1, MaxRounds: limit},
+				stop: agreeOrCap,
+				check: func() error {
+					if sim.AllLeadersEqual(0, protocols) {
+						stabilized[bi][trial] = true
+						return leaderIsMin(uids, tags, protocols)()
+					}
+					if !minShared {
+						// A real failure, not the expected collision deadlock.
+						return fmt.Errorf("beta=%v: unique min tag yet no stabilization within %d rounds", beta, limit)
+					}
+					return nil
+				}}
+		}
+	}
+	rounds, err := runPointTrials(withoutCheckpoint(cfg), trials, builds)
+	if err != nil {
+		return nil, err
+	}
+	for bi, beta := range betas {
+		sumCollisions, collided := 0, 0
+		var okRounds []int
+		for trial := range trials {
+			sumCollisions += collisions[bi][trial]
+			if minCollided[bi][trial] {
+				collided++
 			}
-			if minCount > 1 {
-				minTagCollided++
-			}
-
-			eng, err := sim.New(dyngraph.NewStatic(base), protocols,
-				sim.Config{Seed: seed + 2, TagBits: 1, MaxRounds: cap, Workers: 1})
-			if err != nil {
-				return nil, err
-			}
-			res, err := eng.Run(sim.AllLeadersEqual)
-			if err == nil {
-				stabilized++
-				okRounds = append(okRounds, res.StabilizedRound)
-				if err := checkMinPair(uids, tags, protocols); err != nil {
-					return nil, fmt.Errorf("beta=%v trial %d: %w", beta, trial, err)
-				}
-			} else if minCount == 1 {
-				// Unique minimum but no convergence within the cap: a real
-				// failure, not the expected collision deadlock.
-				return nil, fmt.Errorf("beta=%v trial %d: unique min tag yet no stabilization: %w", beta, trial, err)
+			if stabilized[bi][trial] {
+				okRounds = append(okRounds, rounds[bi][trial])
 			}
 		}
 		med := "—"
 		if len(okRounds) > 0 {
 			med = fmt.Sprintf("%.0f", stats.IntSummary(okRounds).Median)
 		}
-		table.AddRow(beta, k, float64(collisions)/float64(n*trials),
-			fmt.Sprintf("%d/%d", minTagCollided, trials),
-			fmt.Sprintf("%d/%d", stabilized, trials), med)
+		table.AddRow(beta, ks[bi], float64(sumCollisions)/float64(n*trials),
+			fmt.Sprintf("%d/%d", collided, trials),
+			fmt.Sprintf("%d/%d", len(okRounds), trials), med)
 	}
 	return table, nil
 }
@@ -175,26 +181,18 @@ func runA3(cfg Config) (*trace.Table, error) {
 		{"lowest-id", sim.AcceptLowestID},
 		{"highest-id", sim.AcceptHighestID},
 	}
-	specs := make([]pointSpec, len(policies))
+	builds := make([]func(int) trialRun, len(policies))
 	for pi, pol := range policies {
-		pi, pol := pi, pol
-		specs[pi] = pointSpec{Trials: trials, Spec: trialSpec{
-			Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-				seed := trialSeed(cfg.Seed, 1300+pi, trial)
-				uids := core.UniqueUIDs(f.N(), seed)
-				return dyngraph.NewStatic(f), core.NewBlindGossipNetwork(uids),
-					sim.Config{Seed: seed + 1, TagBits: 0, MaxRounds: 100_000_000, Accept: pol.policy}
-			},
-			Check: func(trial int, protocols []sim.Protocol) error {
-				seed := trialSeed(cfg.Seed, 1300+pi, trial)
-				if protocols[0].Leader() != core.MinUID(core.UniqueUIDs(f.N(), seed)) {
-					return fmt.Errorf("wrong leader under %s", pol.name)
-				}
-				return nil
-			},
-		}}
+		builds[pi] = func(trial int) trialRun {
+			seed := trialSeed(cfg.Seed, 1300+pi, trial)
+			uids := core.UniqueUIDs(f.N(), seed)
+			protocols := core.NewBlindGossipNetwork(uids)
+			return trialRun{sched: dyngraph.NewStatic(f), protocols: protocols,
+				cfg:   sim.Config{Seed: seed + 1, TagBits: 0, MaxRounds: 100_000_000, Accept: pol.policy},
+				check: leaderIsMin(uids, nil, protocols)}
+		}
 	}
-	allRounds, err := runPointTrials(cfg, specs)
+	allRounds, err := runPointTrials(cfg, trials, builds)
 	if err != nil {
 		return nil, err
 	}

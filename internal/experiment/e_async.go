@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"mobiletel/internal/core"
 	"mobiletel/internal/dyngraph"
 	"mobiletel/internal/graph"
@@ -47,42 +45,38 @@ func runE8(cfg Config) (*trace.Table, error) {
 	table := trace.NewTable("E8 synchronized vs non-synchronized bit convergence (Theorem VIII.2)",
 		"variant", "b (bits)", "activation spread", "median rounds*", "p90", "vs sync median")
 
-	// Spec 0 is the synchronized baseline; specs 1.. are the async variants
-	// at increasing activation spreads. All share one pipelined pool.
+	// Point 0 is the synchronized baseline; points 1.. are the async
+	// variants at increasing activation spreads. All share one pipelined
+	// pool.
 	spreads := []int{0, 200, 2000}
-	specs := make([]pointSpec, 0, 1+len(spreads))
-	specs = append(specs, pointSpec{Trials: trials, Spec: trialSpec{
-		Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-			seed := trialSeed(cfg.Seed, 800, trial)
-			uids := core.UniqueUIDs(n, seed)
-			protocols, _ := core.NewBitConvNetwork(uids, params, seed+1)
-			return dyngraph.NewStatic(base), protocols,
-				sim.Config{Seed: seed + 2, TagBits: 1, MaxRounds: 50_000_000}
-		},
-	}})
+	builds := make([]func(int) trialRun, 0, 1+len(spreads))
+	builds = append(builds, func(trial int) trialRun {
+		seed := trialSeed(cfg.Seed, 800, trial)
+		uids := core.UniqueUIDs(n, seed)
+		protocols, _ := core.NewBitConvNetwork(uids, params, seed+1)
+		return trialRun{sched: dyngraph.NewStatic(base), protocols: protocols,
+			cfg: sim.Config{Seed: seed + 2, TagBits: 1, MaxRounds: 50_000_000}}
+	})
 	for _, spread := range spreads {
-		spread := spread
-		specs = append(specs, pointSpec{Trials: trials, Spec: trialSpec{
-			Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-				seed := trialSeed(cfg.Seed, 810+spread, trial)
-				uids := core.UniqueUIDs(n, seed)
-				protocols, _ := core.NewAsyncBitConvNetwork(uids, params, seed+1)
-				cfgSim := sim.Config{
-					Seed: seed + 2, TagBits: core.TagBitsNeeded(params), MaxRounds: 50_000_000,
+		builds = append(builds, func(trial int) trialRun {
+			seed := trialSeed(cfg.Seed, 810+spread, trial)
+			uids := core.UniqueUIDs(n, seed)
+			protocols, _ := core.NewAsyncBitConvNetwork(uids, params, seed+1)
+			cfgSim := sim.Config{
+				Seed: seed + 2, TagBits: core.TagBitsNeeded(params), MaxRounds: 50_000_000,
+			}
+			if spread > 0 {
+				rng := xrand.New(seed + 3)
+				acts := make([]int, n)
+				for i := range acts {
+					acts[i] = 1 + rng.Intn(spread)
 				}
-				if spread > 0 {
-					rng := xrand.New(seed + 3)
-					acts := make([]int, n)
-					for i := range acts {
-						acts[i] = 1 + rng.Intn(spread)
-					}
-					cfgSim.Activations = acts
-				}
-				return dyngraph.NewStatic(base), protocols, cfgSim
-			},
-		}})
+				cfgSim.Activations = acts
+			}
+			return trialRun{sched: dyngraph.NewStatic(base), protocols: protocols, cfg: cfgSim}
+		})
 	}
-	allRounds, err := runPointTrials(cfg, specs)
+	allRounds, err := runPointTrials(cfg, trials, builds)
 	if err != nil {
 		return nil, err
 	}
@@ -130,32 +124,22 @@ func runE9(cfg Config) (*trace.Table, error) {
 		"pre-merge rounds", "median post-merge rounds", "p90", "correct leader")
 
 	preMerges := []int{1, 500, 5000}
-	specs := make([]pointSpec, len(preMerges))
+	builds := make([]func(int) trialRun, len(preMerges))
 	for pi, preMerge := range preMerges {
-		uidsBox, tagsBox := make([][]uint64, trials), make([][]uint64, trials)
-		specs[pi] = pointSpec{Trials: trials, Spec: trialSpec{
-			Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-				seed := trialSeed(cfg.Seed, 900+preMerge, trial)
-				pre := twoComponents(n, d, seed+10)
-				post := gen.RandomRegular(n, d, seed+11)
-				sched := dyngraph.NewSwitch(dyngraph.NewStatic(pre), dyngraph.NewStatic(post), preMerge+1)
+		builds[pi] = func(trial int) trialRun {
+			seed := trialSeed(cfg.Seed, 900+preMerge, trial)
+			pre := twoComponents(n, d, seed+10)
+			post := gen.RandomRegular(n, d, seed+11)
+			sched := dyngraph.NewSwitch(dyngraph.NewStatic(pre), dyngraph.NewStatic(post), preMerge+1)
 
-				uids := core.UniqueUIDs(n, seed)
-				protocols, tags := core.NewAsyncBitConvNetwork(uids, params, seed+1)
-				uidsBox[trial], tagsBox[trial] = uids, tags
-				return sched, protocols, sim.Config{
-					Seed: seed + 2, TagBits: core.TagBitsNeeded(params), MaxRounds: 50_000_000,
-				}
-			},
-			Check: func(trial int, protocols []sim.Protocol) error {
-				if err := checkMinPair(uidsBox[trial], tagsBox[trial], protocols); err != nil {
-					return fmt.Errorf("pre-merge %d: %w", preMerge, err)
-				}
-				return nil
-			},
-		}}
+			uids := core.UniqueUIDs(n, seed)
+			protocols, tags := core.NewAsyncBitConvNetwork(uids, params, seed+1)
+			return trialRun{sched: sched, protocols: protocols,
+				cfg:   sim.Config{Seed: seed + 2, TagBits: core.TagBitsNeeded(params), MaxRounds: 50_000_000},
+				check: leaderIsMin(uids, tags, protocols)}
+		}
 	}
-	allRounds, err := runPointTrials(cfg, specs)
+	allRounds, err := runPointTrials(cfg, trials, builds)
 	if err != nil {
 		return nil, err
 	}
@@ -190,73 +174,43 @@ func runE10(cfg Config) (*trace.Table, error) {
 	}
 
 	// build returns the protocols and their tag assignment (nil for blind
-	// gossip), which check needs.
+	// gossip), which the check reads.
 	type algoPoint struct {
 		name    string
-		tagBits func() int
+		tagBits int
 		build   func(uids []uint64, seed uint64) ([]sim.Protocol, []uint64)
-		check   func(uids, tags []uint64, protocols []sim.Protocol) error
 	}
 	params := core.DefaultBitConvParams(n, n-1) // waypoint Δ can be large; be generous
 	algos := []algoPoint{
-		{
-			name:    "blindgossip",
-			tagBits: func() int { return 0 },
-			build: func(uids []uint64, seed uint64) ([]sim.Protocol, []uint64) {
-				return core.NewBlindGossipNetwork(uids), nil
-			},
-			check: func(uids, _ []uint64, protocols []sim.Protocol) error {
-				if protocols[0].Leader() != core.MinUID(uids) {
-					return fmt.Errorf("wrong leader")
-				}
-				return nil
-			},
-		},
-		{
-			name:    "bitconv",
-			tagBits: func() int { return 1 },
-			build: func(uids []uint64, seed uint64) ([]sim.Protocol, []uint64) {
-				return core.NewBitConvNetwork(uids, params, seed)
-			},
-			check: checkMinPair,
-		},
-		{
-			name:    "asyncbitconv",
-			tagBits: func() int { return core.TagBitsNeeded(params) },
-			build: func(uids []uint64, seed uint64) ([]sim.Protocol, []uint64) {
-				return core.NewAsyncBitConvNetwork(uids, params, seed)
-			},
-			check: checkMinPair,
-		},
+		{"blindgossip", 0, func(uids []uint64, _ uint64) ([]sim.Protocol, []uint64) {
+			return core.NewBlindGossipNetwork(uids), nil
+		}},
+		{"bitconv", 1, func(uids []uint64, seed uint64) ([]sim.Protocol, []uint64) {
+			return core.NewBitConvNetwork(uids, params, seed)
+		}},
+		{"asyncbitconv", core.TagBitsNeeded(params), func(uids []uint64, seed uint64) ([]sim.Protocol, []uint64) {
+			return core.NewAsyncBitConvNetwork(uids, params, seed)
+		}},
 	}
 
 	table := trace.NewTable("E10 robustness across dynamic schedules (τ-adaptivity)",
 		"schedule", "algorithm", "median rounds", "p90", "all correct")
 
 	// Point si*len(algos)+ai is schedule si under algorithm ai.
-	specs := make([]pointSpec, 0, len(schedules)*len(algos))
+	builds := make([]func(int) trialRun, 0, len(schedules)*len(algos))
 	for si, sp := range schedules {
 		for ai, ap := range algos {
-			uidsBox, tagsBox := make([][]uint64, trials), make([][]uint64, trials)
-			specs = append(specs, pointSpec{Trials: trials, Spec: trialSpec{
-				Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-					seed := trialSeed(cfg.Seed, 1000+si*10+ai, trial)
-					uids := core.UniqueUIDs(n, seed)
-					protocols, tags := ap.build(uids, seed+1)
-					uidsBox[trial], tagsBox[trial] = uids, tags
-					return sp.mk(seed + 2), protocols,
-						sim.Config{Seed: seed + 3, TagBits: ap.tagBits(), MaxRounds: 50_000_000}
-				},
-				Check: func(trial int, protocols []sim.Protocol) error {
-					if err := ap.check(uidsBox[trial], tagsBox[trial], protocols); err != nil {
-						return fmt.Errorf("%s/%s trial %d: %w", sp.name, ap.name, trial, err)
-					}
-					return nil
-				},
-			}})
+			builds = append(builds, func(trial int) trialRun {
+				seed := trialSeed(cfg.Seed, 1000+si*10+ai, trial)
+				uids := core.UniqueUIDs(n, seed)
+				protocols, tags := ap.build(uids, seed+1)
+				return trialRun{sched: sp.mk(seed + 2), protocols: protocols,
+					cfg:   sim.Config{Seed: seed + 3, TagBits: ap.tagBits, MaxRounds: 50_000_000},
+					check: leaderIsMin(uids, tags, protocols)}
+			})
 		}
 	}
-	allRounds, err := runPointTrials(cfg, specs)
+	allRounds, err := runPointTrials(cfg, trials, builds)
 	if err != nil {
 		return nil, err
 	}

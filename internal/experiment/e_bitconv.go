@@ -33,18 +33,29 @@ func init() {
 	})
 }
 
-// checkMinPair validates that the elected leader is the owner of the
-// globally smallest (tag, UID) pair.
-func checkMinPair(uids, tags []uint64, protocols []sim.Protocol) error {
+// idPairs zips a network's UIDs and tags into its ID pairs.
+func idPairs(uids, tags []uint64) []core.IDPair {
 	pairs := make([]core.IDPair, len(uids))
 	for i := range uids {
 		pairs[i] = core.IDPair{UID: uids[i], Tag: tags[i]}
 	}
-	want := core.MinPair(pairs).UID
-	if got := protocols[0].Leader(); got != want {
-		return fmt.Errorf("elected %d, want min-pair owner %d", got, want)
+	return pairs
+}
+
+// leaderIsMin returns a trial check that the elected leader owns the
+// smallest (tag, UID) pair of uids and tags. With tags nil (blind gossip)
+// that is the smallest UID.
+func leaderIsMin(uids, tags []uint64, protocols []sim.Protocol) func() error {
+	return func() error {
+		want := core.MinUID(uids)
+		if tags != nil {
+			want = core.MinPair(idPairs(uids, tags)).UID
+		}
+		if got := protocols[0].Leader(); got != want {
+			return fmt.Errorf("elected %d, want %d", got, want)
+		}
+		return nil
 	}
-	return nil
 }
 
 func runE6(cfg Config) (*trace.Table, error) {
@@ -62,63 +73,50 @@ func runE6(cfg Config) (*trace.Table, error) {
 	params := core.DefaultBitConvParams(n, delta)
 	oblivious := gen.RandomRegular(n, 16, cfg.Seed+3000)
 
-	type e6Cell struct {
-		tau      int
-		adaptive bool
-	}
-	var cells []e6Cell
-	var specs []pointSpec
+	// Point 2·pi is τ = taus[pi] against the adaptive adversary and point
+	// 2·pi+1 the oblivious schedule; they draw trialSeed points 2·pi+11 and
+	// 2·pi+10.
+	var builds []func(int) trialRun
 	for pi, tau := range taus {
-		tau := tau
 		for _, adaptive := range []bool{true, false} {
-			adaptive := adaptive
-			var tagsBox = make([][]uint64, trials)
-			var uidsBox = make([][]uint64, trials)
-			cells = append(cells, e6Cell{tau: tau, adaptive: adaptive})
-			specs = append(specs, pointSpec{Trials: trials, Spec: trialSpec{
-				Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-					seed := trialSeed(cfg.Seed, pi*2+10+boolInt(adaptive), trial)
-					uids := core.UniqueUIDs(n, seed)
-					protocols, tags := core.NewBitConvNetwork(uids, params, seed+1)
-					uidsBox[trial], tagsBox[trial] = uids, tags
-					var sched dyngraph.Schedule
-					if adaptive {
-						adv := newAdaptiveStars(n, points, tau)
-						adv.SetSource(protocols)
-						sched = adv
-					} else {
-						sched = dyngraph.NewPermuted(oblivious, tau, seed+2)
-					}
-					return sched, protocols, sim.Config{Seed: seed + 3, TagBits: 1, MaxRounds: 50_000_000}
-				},
-				Check: func(trial int, protocols []sim.Protocol) error {
-					return checkMinPair(uidsBox[trial], tagsBox[trial], protocols)
-				},
-			}})
+			point := pi*2 + 10
+			if adaptive {
+				point++
+			}
+			builds = append(builds, func(trial int) trialRun {
+				seed := trialSeed(cfg.Seed, point, trial)
+				uids := core.UniqueUIDs(n, seed)
+				protocols, tags := core.NewBitConvNetwork(uids, params, seed+1)
+				var sched dyngraph.Schedule
+				if adaptive {
+					adv := newAdaptiveStars(n, points, tau)
+					adv.SetSource(protocols)
+					sched = adv
+				} else {
+					sched = dyngraph.NewPermuted(oblivious, tau, seed+2)
+				}
+				return trialRun{sched: sched, protocols: protocols,
+					cfg:   sim.Config{Seed: seed + 3, TagBits: 1, MaxRounds: 50_000_000},
+					check: leaderIsMin(uids, tags, protocols)}
+			})
 		}
 	}
-	allRounds, err := runPointTrials(cfg, specs)
+	allRounds, err := runPointTrials(cfg, trials, builds)
 	if err != nil {
 		return nil, err
 	}
-	for ci, cell := range cells {
-		s := stats.IntSummary(allRounds[ci])
-		tauHat := bounds.TauHat(cell.tau, delta)
+	for i, rounds := range allRounds {
+		tau := taus[i/2]
+		s := stats.IntSummary(rounds)
+		tauHat := bounds.TauHat(tau, delta)
 		factor := math.Pow(float64(delta), 1/float64(tauHat)) * float64(tauHat)
-		name := "oblivious-permuted"
-		if cell.adaptive {
-			name = "adaptive-stars"
+		name := "adaptive-stars"
+		if i%2 == 1 {
+			name = "oblivious-permuted"
 		}
-		table.AddRow(name, cell.tau, tauHat, s.Median, s.P90, factor, s.Median/factor)
+		table.AddRow(name, tau, tauHat, s.Median, s.P90, factor, s.Median/factor)
 	}
 	return table, nil
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // e7Point is one row of the E7 comparison.
@@ -148,53 +146,43 @@ func runE7(cfg Config) (*trace.Table, error) {
 
 	const advPoints = 15 // adversary star size - 1; Δ = 17
 
-	// Both election algorithms on every point feed one shared pool: specs
+	// Both election algorithms on every point feed one shared pool: points
 	// 2·pi and 2·pi+1 are point pi's blind-gossip and bit-convergence runs.
-	specs := make([]pointSpec, 0, 2*len(points))
+	builds := make([]func(int) trialRun, 0, 2*len(points))
 	for pi, pt := range points {
-		pi, pt := pi, pt
-		specs = append(specs, pointSpec{Trials: trials, Spec: trialSpec{
-			Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
+		for _, bitconv := range []bool{false, true} {
+			builds = append(builds, func(trial int) trialRun {
 				seed := trialSeed(cfg.Seed, pi+20, trial)
-				if pt.adaptive {
-					uids := core.UniqueUIDs(pt.advN, seed)
-					protocols := core.NewBlindGossipNetwork(uids)
-					adv := newAdaptiveStars(pt.advN, advPoints, pt.tau)
+				n, delta := pt.advN, advPoints+2
+				if !pt.adaptive {
+					n, delta = pt.family.N(), pt.family.MaxDegree()
+				}
+				uids := core.UniqueUIDs(n, seed)
+				var protocols []sim.Protocol
+				tagBits := 0
+				if bitconv {
+					protocols, _ = core.NewBitConvNetwork(uids, core.DefaultBitConvParams(n, delta), seed+1)
+					tagBits = 1
+				} else {
+					protocols = core.NewBlindGossipNetwork(uids)
+				}
+				var sched dyngraph.Schedule
+				switch {
+				case pt.adaptive:
+					adv := newAdaptiveStars(n, advPoints, pt.tau)
 					adv.SetSource(protocols)
-					return adv, protocols, sim.Config{Seed: seed + 2, TagBits: 0, MaxRounds: 100_000_000}
-				}
-				uids := core.UniqueUIDs(pt.family.N(), seed)
-				var sched dyngraph.Schedule = dyngraph.NewStatic(pt.family)
-				if pt.tau > 0 {
+					sched = adv
+				case pt.tau > 0:
 					sched = dyngraph.NewPermuted(pt.family, pt.tau, seed+1)
+				default:
+					sched = dyngraph.NewStatic(pt.family)
 				}
-				return sched, core.NewBlindGossipNetwork(uids),
-					sim.Config{Seed: seed + 2, TagBits: 0, MaxRounds: 100_000_000}
-			},
-		}})
-		specs = append(specs, pointSpec{Trials: trials, Spec: trialSpec{
-			Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-				seed := trialSeed(cfg.Seed, pi+20, trial)
-				if pt.adaptive {
-					params := core.DefaultBitConvParams(pt.advN, advPoints+2)
-					uids := core.UniqueUIDs(pt.advN, seed)
-					protocols, _ := core.NewBitConvNetwork(uids, params, seed+1)
-					adv := newAdaptiveStars(pt.advN, advPoints, pt.tau)
-					adv.SetSource(protocols)
-					return adv, protocols, sim.Config{Seed: seed + 2, TagBits: 1, MaxRounds: 100_000_000}
-				}
-				params := core.DefaultBitConvParams(pt.family.N(), pt.family.MaxDegree())
-				uids := core.UniqueUIDs(pt.family.N(), seed)
-				protocols, _ := core.NewBitConvNetwork(uids, params, seed+1)
-				var sched dyngraph.Schedule = dyngraph.NewStatic(pt.family)
-				if pt.tau > 0 {
-					sched = dyngraph.NewPermuted(pt.family, pt.tau, seed+1)
-				}
-				return sched, protocols, sim.Config{Seed: seed + 2, TagBits: 1, MaxRounds: 100_000_000}
-			},
-		}})
+				return trialRun{sched: sched, protocols: protocols,
+					cfg: sim.Config{Seed: seed + 2, TagBits: tagBits, MaxRounds: 100_000_000}}
+			})
+		}
 	}
-	allRounds, err := runPointTrials(cfg, specs)
+	allRounds, err := runPointTrials(cfg, trials, builds)
 	if err != nil {
 		return nil, err
 	}

@@ -7,9 +7,11 @@ import (
 	"mobiletel/internal/core"
 	"mobiletel/internal/dyngraph"
 	"mobiletel/internal/graph/gen"
+	"mobiletel/internal/rumor"
 	"mobiletel/internal/sim"
 	"mobiletel/internal/stats"
 	"mobiletel/internal/trace"
+	"mobiletel/internal/xrand"
 )
 
 func init() {
@@ -63,10 +65,13 @@ func e1Families(quick bool, seed uint64) []e1Point {
 	return points
 }
 
-// predictedBlindGossip evaluates the Theorem VI.1 bound shape via the
-// shared bounds package.
-func predictedBlindGossip(alpha float64, maxDeg, n int) float64 {
-	return bounds.BlindGossip(alpha, maxDeg, n)
+// schedule serves the point's family: statically, or relabelled every τ
+// rounds from seed.
+func (pt e1Point) schedule(seed uint64) dyngraph.Schedule {
+	if pt.tau > 0 {
+		return dyngraph.NewPermuted(pt.family, pt.tau, seed)
+	}
+	return dyngraph.NewStatic(pt.family)
 }
 
 func runE1(cfg Config) (*trace.Table, error) {
@@ -75,39 +80,24 @@ func runE1(cfg Config) (*trace.Table, error) {
 		"family", "n", "Δ", "α", "τ", "median", "p90", "bound", "median/bound")
 
 	points := e1Families(cfg.Quick, cfg.Seed+1000)
-	specs := make([]pointSpec, len(points))
+	builds := make([]func(int) trialRun, len(points))
 	for pi, pt := range points {
-		pi, pt := pi, pt
-		specs[pi] = pointSpec{Trials: trials, Spec: trialSpec{
-			Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-				seed := trialSeed(cfg.Seed, pi, trial)
-				uids := core.UniqueUIDs(pt.family.N(), seed)
-				var sched dyngraph.Schedule
-				if pt.tau > 0 {
-					sched = dyngraph.NewPermuted(pt.family, pt.tau, seed+1)
-				} else {
-					sched = dyngraph.NewStatic(pt.family)
-				}
-				return sched, core.NewBlindGossipNetwork(uids),
-					sim.Config{Seed: seed + 2, TagBits: 0, MaxRounds: 50_000_000}
-			},
-			Check: func(trial int, protocols []sim.Protocol) error {
-				seed := trialSeed(cfg.Seed, pi, trial)
-				want := core.MinUID(core.UniqueUIDs(pt.family.N(), seed))
-				if got := protocols[0].Leader(); got != want {
-					return fmt.Errorf("elected %d, want %d", got, want)
-				}
-				return nil
-			},
-		}}
+		builds[pi] = func(trial int) trialRun {
+			seed := trialSeed(cfg.Seed, pi, trial)
+			uids := core.UniqueUIDs(pt.family.N(), seed)
+			protocols := core.NewBlindGossipNetwork(uids)
+			return trialRun{sched: pt.schedule(seed + 1), protocols: protocols,
+				cfg:   sim.Config{Seed: seed + 2, TagBits: 0, MaxRounds: 50_000_000},
+				check: leaderIsMin(uids, nil, protocols)}
+		}
 	}
-	allRounds, err := runPointTrials(cfg, specs)
+	allRounds, err := runPointTrials(cfg, trials, builds)
 	if err != nil {
 		return nil, err
 	}
 	for pi, pt := range points {
 		s := stats.IntSummary(allRounds[pi])
-		bound := predictedBlindGossip(pt.family.Alpha, pt.family.MaxDegree(), pt.family.N())
+		bound := bounds.BlindGossip(pt.family.Alpha, pt.family.MaxDegree(), pt.family.N())
 		tau := "inf"
 		if pt.tau > 0 {
 			tau = fmt.Sprintf("%d", pt.tau)
@@ -130,30 +120,27 @@ func runE2(cfg Config) (*trace.Table, error) {
 		"side", "n", "Δ", "median", "p90", "Δ²·side", "median/(Δ²·side)")
 
 	families := make([]gen.Family, len(sides))
-	specs := make([]pointSpec, len(sides))
+	builds := make([]func(int) trialRun, len(sides))
 	for pi, side := range sides {
-		pi := pi
 		f := gen.SqrtLineOfStars(side)
 		families[pi] = f
-		specs[pi] = pointSpec{Trials: trials, Spec: trialSpec{
-			Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-				seed := trialSeed(cfg.Seed, pi, trial)
-				uids := core.UniqueUIDs(f.N(), seed)
-				// Plant the minimum UID at the head-of-line star center
-				// (node 0), the paper's worst-case initialization.
-				minIdx := 0
-				for i, u := range uids {
-					if u < uids[minIdx] {
-						minIdx = i
-					}
+		builds[pi] = func(trial int) trialRun {
+			seed := trialSeed(cfg.Seed, pi, trial)
+			uids := core.UniqueUIDs(f.N(), seed)
+			// Plant the minimum UID at the head-of-line star center
+			// (node 0), the paper's worst-case initialization.
+			minIdx := 0
+			for i, u := range uids {
+				if u < uids[minIdx] {
+					minIdx = i
 				}
-				uids[0], uids[minIdx] = uids[minIdx], uids[0]
-				return dyngraph.NewStatic(f), core.NewBlindGossipNetwork(uids),
-					sim.Config{Seed: seed + 2, TagBits: 0, MaxRounds: 100_000_000}
-			},
-		}}
+			}
+			uids[0], uids[minIdx] = uids[minIdx], uids[0]
+			return trialRun{sched: dyngraph.NewStatic(f), protocols: core.NewBlindGossipNetwork(uids),
+				cfg: sim.Config{Seed: seed + 2, TagBits: 0, MaxRounds: 100_000_000}}
+		}
 	}
-	allRounds, err := runPointTrials(cfg, specs)
+	allRounds, err := runPointTrials(cfg, trials, builds)
 	if err != nil {
 		return nil, err
 	}
@@ -179,17 +166,25 @@ func runE3(cfg Config) (*trace.Table, error) {
 
 	// Reuse the E1 grid; the corollary claims the same bound shape.
 	points := e1Families(cfg.Quick, cfg.Seed+2000)
-	specs := make([]pointSpec, len(points))
+	builds := make([]func(int) trialRun, len(points))
 	for pi, pt := range points {
-		specs[pi] = pointSpec{Trials: trials, Spec: rumorSpec(cfg.Seed, pi+100, pt, false)}
+		builds[pi] = func(trial int) trialRun {
+			seed := trialSeed(cfg.Seed, pi+100, trial)
+			// Source is a pseudo-random node.
+			src := int(xrand.Mix3(seed, 0x5c, 0) % uint64(pt.family.N()))
+			return trialRun{sched: pt.schedule(seed + 1),
+				protocols: rumor.NewPushPullNetwork(pt.family.N(), map[int]bool{src: true}),
+				cfg:       sim.Config{Seed: seed + 2, TagBits: 0, MaxRounds: 50_000_000},
+				stop:      rumor.AllInformed}
+		}
 	}
-	allRounds, err := runPointTrials(cfg, specs)
+	allRounds, err := runPointTrials(cfg, trials, builds)
 	if err != nil {
 		return nil, err
 	}
 	for pi, pt := range points {
 		s := stats.IntSummary(allRounds[pi])
-		bound := predictedBlindGossip(pt.family.Alpha, pt.family.MaxDegree(), pt.family.N())
+		bound := bounds.BlindGossip(pt.family.Alpha, pt.family.MaxDegree(), pt.family.N())
 		tau := "inf"
 		if pt.tau > 0 {
 			tau = fmt.Sprintf("%d", pt.tau)

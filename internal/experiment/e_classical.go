@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"mobiletel/internal/dyngraph"
 	"mobiletel/internal/graph/gen"
 	"mobiletel/internal/rumor"
@@ -46,34 +44,22 @@ func runE12(cfg Config) (*trace.Table, error) {
 	table := trace.NewTable("E12 classical vs mobile telephone model (PUSH-PULL rumor spreading)",
 		"topology", "n", "Δ", "classical med", "mobile med", "mobile/classical")
 
-	// Specs 2·pi and 2·pi+1 are point pi's classical and mobile runs; both
-	// model variants of every topology share one pipelined pool.
-	specs := make([]pointSpec, 0, 2*len(points))
+	// Points 2·pi and 2·pi+1 are point pi's classical and mobile runs;
+	// both model variants of every topology share one pipelined pool.
+	builds := make([]func(int) trialRun, 0, 2*len(points))
 	for pi, pt := range points {
-		pi, pt := pi, pt
-		mkSpec := func(classical bool) trialSpec {
-			return trialSpec{
-				Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-					seed := trialSeed(cfg.Seed, 1400+pi, trial)
-					src := pt.src(pt.family.N(), seed)
-					protocols := rumor.NewPushPullNetwork(pt.family.N(), map[int]bool{src: true})
-					return dyngraph.NewStatic(pt.family), protocols, sim.Config{
-						Seed: seed + 1, TagBits: 0, MaxRounds: 50_000_000, Classical: classical,
-					}
-				},
-				Stop: rumor.AllInformed,
-				Check: func(_ int, protocols []sim.Protocol) error {
-					if rumor.CountInformed(protocols) != len(protocols) {
-						return fmt.Errorf("incomplete dissemination")
-					}
-					return nil
-				},
-			}
+		for _, classical := range []bool{true, false} {
+			builds = append(builds, func(trial int) trialRun {
+				seed := trialSeed(cfg.Seed, 1400+pi, trial)
+				src := pt.src(pt.family.N(), seed)
+				return trialRun{sched: dyngraph.NewStatic(pt.family),
+					protocols: rumor.NewPushPullNetwork(pt.family.N(), map[int]bool{src: true}),
+					cfg:       sim.Config{Seed: seed + 1, TagBits: 0, MaxRounds: 50_000_000, Classical: classical},
+					stop:      rumor.AllInformed}
+			})
 		}
-		specs = append(specs, pointSpec{Trials: trials, Spec: mkSpec(true)})
-		specs = append(specs, pointSpec{Trials: trials, Spec: mkSpec(false)})
 	}
-	allRounds, err := runPointTrials(cfg, specs)
+	allRounds, err := runPointTrials(cfg, trials, builds)
 	if err != nil {
 		return nil, err
 	}

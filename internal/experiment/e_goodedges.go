@@ -76,35 +76,33 @@ func runE11(cfg Config) (*trace.Table, error) {
 		"family", "n", "edges checked", "min measured/floor", "median measured/floor")
 
 	// Each family is one point with one trial that runs the full horizon.
-	// Check turns the trial's connection counts into ratios[fi], the
+	// The check turns the trial's connection counts into ratios[fi], the
 	// measured/floor ratio of every directed edge; no checkpoint cell can
 	// hold those, so the batch runs without one.
 	ratios := make([][]float64, len(families))
-	specs := make([]pointSpec, len(families))
+	builds := make([]func(int) trialRun, len(families))
 	for fi, f := range families {
-		specs[fi] = pointSpec{Trials: 1, Spec: trialSpec{
-			Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-				counts := make(map[[2]int32]int)
-				protocols := make([]sim.Protocol, f.N())
-				uids := core.UniqueUIDs(f.N(), trialSeed(cfg.Seed, 9100+fi, trial))
-				for i := range protocols {
-					protocols[i] = &connCounter{
-						inner:  core.NewBlindGossip(uids[i]),
-						id:     int32(i),
-						counts: counts,
-					}
+		builds[fi] = func(trial int) trialRun {
+			counts := make(map[[2]int32]int)
+			protocols := make([]sim.Protocol, f.N())
+			uids := core.UniqueUIDs(f.N(), trialSeed(cfg.Seed, 9100+fi, trial))
+			for i := range protocols {
+				protocols[i] = &connCounter{
+					inner:  core.NewBlindGossip(uids[i]),
+					id:     int32(i),
+					counts: counts,
 				}
-				return dyngraph.NewStatic(f), protocols,
-					sim.Config{Seed: trialSeed(cfg.Seed, 9200+fi, trial), MaxRounds: rounds}
-			},
-			Stop: atHorizon(rounds),
-			Check: func(_ int, protocols []sim.Protocol) error {
-				ratios[fi] = goodEdgeRatios(f, protocols[0].(*connCounter).counts, rounds)
-				return nil
-			},
-		}}
+			}
+			return trialRun{sched: dyngraph.NewStatic(f), protocols: protocols,
+				cfg:  sim.Config{Seed: trialSeed(cfg.Seed, 9200+fi, trial), MaxRounds: rounds},
+				stop: atHorizon(rounds),
+				check: func() error {
+					ratios[fi] = goodEdgeRatios(f, counts, rounds)
+					return nil
+				}}
+		}
 	}
-	if _, err := runPointTrials(withoutCheckpoint(cfg), specs); err != nil {
+	if _, err := runPointTrials(withoutCheckpoint(cfg), 1, builds); err != nil {
 		return nil, err
 	}
 
@@ -133,12 +131,9 @@ func goodEdgeRatios(f gen.Family, counts map[[2]int32]int, rounds int) []float64
 	return ratios
 }
 
+// medianOf returns the upper median of xs, sorted[len/2].
 func medianOf(xs []float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
 	return sorted[len(sorted)/2]
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 
 	"mobiletel/internal/core"
 	"mobiletel/internal/dyngraph"
@@ -93,25 +94,6 @@ func asyncNetworkDistinctTags(uids []uint64, params core.BitConvParams, seed uin
 	}
 }
 
-// r1Setup derives everything round-trippable from a trial seed, so Build and
-// Check (which only receives the trial index) agree on the cast.
-func r1Setup(cfg Config, point, trial, n int, params core.BitConvParams) (seed uint64, uids, tags []uint64, crashed int) {
-	seed = trialSeed(cfg.Seed, 1100+point, trial)
-	uids = core.UniqueUIDs(n, seed)
-	_, tags = asyncNetworkDistinctTags(uids, params, seed+1)
-	pairs := make([]core.IDPair, n)
-	for i := range uids {
-		pairs[i] = core.IDPair{UID: uids[i], Tag: tags[i]}
-	}
-	min := core.MinPair(pairs)
-	for i, p := range pairs {
-		if p == min {
-			crashed = i
-		}
-	}
-	return seed, uids, tags, crashed
-}
-
 func runR1(cfg Config) (*trace.Table, error) {
 	trials := pickTrials(cfg, 3, 10)
 	n := pick(cfg.Quick, 32, 64)
@@ -123,59 +105,49 @@ func runR1(cfg Config) (*trace.Table, error) {
 		"crash round", "median re-election rounds", "p90", "new leader correct")
 
 	crashRounds := []int{1, pick(cfg.Quick, 100, 400), pick(cfg.Quick, 400, 2000)}
-	specs := make([]pointSpec, 0, len(crashRounds))
+	builds := make([]func(int) trialRun, len(crashRounds))
 	for pi, rc := range crashRounds {
-		pi, rc := pi, rc
-		specs = append(specs, pointSpec{Trials: trials, Spec: trialSpec{
-			Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-				seed, uids, _, crashed := r1Setup(cfg, pi, trial, n, params)
-				protocols, _ := asyncNetworkDistinctTags(uids, params, seed+1)
-				survivors := make([]int, 0, n-1)
-				for u := 0; u < n; u++ {
-					if u != crashed {
-						survivors = append(survivors, u)
-					}
+		builds[pi] = func(trial int) trialRun {
+			seed := trialSeed(cfg.Seed, 1100+pi, trial)
+			uids := core.UniqueUIDs(n, seed)
+			protocols, tags := asyncNetworkDistinctTags(uids, params, seed+1)
+			// Crash the min-pair owner and reset everyone else.
+			pairs := idPairs(uids, tags)
+			crashed := slices.Index(pairs, core.MinPair(pairs))
+			survivors := make([]int, 0, n-1)
+			for u := range n {
+				if u != crashed {
+					survivors = append(survivors, u)
 				}
-				in := mustInjector(fault.Plan{
-					Seed:        seed + 2,
-					Crashes:     []fault.NodeRound{{Round: rc, Node: crashed}},
-					Corruptions: []fault.Burst{{Round: rc, Nodes: survivors}},
-				}, n)
-				return dyngraph.NewStatic(base), protocols, sim.Config{
+			}
+			want := core.MinPair(slices.Delete(pairs, crashed, crashed+1)).UID
+			in := mustInjector(fault.Plan{
+				Seed:        seed + 2,
+				Crashes:     []fault.NodeRound{{Round: rc, Node: crashed}},
+				Corruptions: []fault.Burst{{Round: rc, Nodes: survivors}},
+			}, n)
+			// The crashed leader keeps its stale state forever, so the stop
+			// condition and the check quantify over *up* nodes only.
+			upAgree := sim.UpOnly(in, sim.AllLeadersEqual)
+			return trialRun{sched: dyngraph.NewStatic(base), protocols: protocols,
+				cfg: sim.Config{
 					Seed: seed + 3, TagBits: core.TagBitsNeeded(params),
 					MaxRounds: 50_000_000, Faults: in,
-				}
-			},
-			// The crashed leader keeps its stale state forever, so the stop
-			// condition (and Check below) quantify over *up* nodes only.
-			MakeStop: func(trial int, simCfg sim.Config) sim.StopCondition {
-				upAgree := sim.UpLeadersEqual(simCfg.Faults)
-				return func(round int, protocols []sim.Protocol) bool {
+				},
+				stop: func(round int, protocols []sim.Protocol) bool {
 					return round > rc && upAgree(round, protocols)
-				}
-			},
-			Check: func(trial int, protocols []sim.Protocol) error {
-				_, uids, tags, crashed := r1Setup(cfg, pi, trial, n, params)
-				pairs := make([]core.IDPair, 0, n-1)
-				for u := 0; u < n; u++ {
-					if u != crashed {
-						pairs = append(pairs, core.IDPair{UID: uids[u], Tag: tags[u]})
+				},
+				check: func() error {
+					for _, u := range survivors {
+						if got := protocols[u].Leader(); got != want {
+							return fmt.Errorf("node %d elected %d, want surviving min %d", u, got, want)
+						}
 					}
-				}
-				want := core.MinPair(pairs).UID
-				for u, p := range protocols {
-					if u == crashed {
-						continue
-					}
-					if got := p.Leader(); got != want {
-						return fmt.Errorf("node %d elected %d, want surviving min %d", u, got, want)
-					}
-				}
-				return nil
-			},
-		}})
+					return nil
+				}}
+		}
 	}
-	allRounds, err := runPointTrials(cfg, specs)
+	allRounds, err := runPointTrials(cfg, trials, builds)
 	if err != nil {
 		return nil, err
 	}
@@ -203,44 +175,38 @@ func runR2(cfg Config) (*trace.Table, error) {
 	table := trace.NewTable("R2 recovery time vs corrupted nodes k (Section VIII adversary)",
 		"k corrupted", "of n", "median recovery rounds", "p90", "correct leader")
 
+	// Gate past the burst so a pre-burst stabilization (expected: rc is
+	// chosen after clean convergence) does not end the run.
+	afterBurst := func(round int, protocols []sim.Protocol) bool {
+		return round > rc && sim.AllLeadersEqual(round, protocols)
+	}
 	ks := []int{1, n / 4, n / 2, n}
-	specs := make([]pointSpec, 0, len(ks))
+	builds := make([]func(int) trialRun, len(ks))
 	for pi, k := range ks {
-		pi, k := pi, k
-		specs = append(specs, pointSpec{Trials: trials, Spec: trialSpec{
-			Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-				seed := trialSeed(cfg.Seed, 1200+pi, trial)
-				uids := core.UniqueUIDs(n, seed)
-				protocols, _ := asyncNetworkDistinctTags(uids, params, seed+1)
-				// The UIDs are random, so corrupting the first k indices is
-				// already a uniformly random victim set.
-				victims := make([]int, k)
-				for i := range victims {
-					victims[i] = i
-				}
-				in := mustInjector(fault.Plan{
-					Seed:        seed + 2,
-					Corruptions: []fault.Burst{{Round: rc, Nodes: victims}},
-				}, n)
-				return dyngraph.NewStatic(base), protocols, sim.Config{
+		builds[pi] = func(trial int) trialRun {
+			seed := trialSeed(cfg.Seed, 1200+pi, trial)
+			uids := core.UniqueUIDs(n, seed)
+			protocols, tags := asyncNetworkDistinctTags(uids, params, seed+1)
+			// The UIDs are random, so corrupting the first k indices is
+			// already a uniformly random victim set.
+			victims := make([]int, k)
+			for i := range victims {
+				victims[i] = i
+			}
+			in := mustInjector(fault.Plan{
+				Seed:        seed + 2,
+				Corruptions: []fault.Burst{{Round: rc, Nodes: victims}},
+			}, n)
+			return trialRun{sched: dyngraph.NewStatic(base), protocols: protocols,
+				cfg: sim.Config{
 					Seed: seed + 3, TagBits: core.TagBitsNeeded(params),
 					MaxRounds: 50_000_000, Faults: in,
-				}
-			},
-			// Gate past the burst so a pre-burst stabilization (expected:
-			// rc is chosen after clean convergence) does not end the run.
-			Stop: func(round int, protocols []sim.Protocol) bool {
-				return round > rc && sim.AllLeadersEqual(round, protocols)
-			},
-			Check: func(trial int, protocols []sim.Protocol) error {
-				seed := trialSeed(cfg.Seed, 1200+pi, trial)
-				uids := core.UniqueUIDs(n, seed)
-				_, tags := asyncNetworkDistinctTags(uids, params, seed+1)
-				return checkMinPair(uids, tags, protocols)
-			},
-		}})
+				},
+				stop:  afterBurst,
+				check: leaderIsMin(uids, tags, protocols)}
+		}
 	}
-	allRounds, err := runPointTrials(cfg, specs)
+	allRounds, err := runPointTrials(cfg, trials, builds)
 	if err != nil {
 		return nil, err
 	}
@@ -276,39 +242,29 @@ func runR4(cfg Config) (*trace.Table, error) {
 		{4, start + pick(cfg.Quick, 40, 100)},
 		{4, start + pick(cfg.Quick, 150, 400)},
 	}
-	specs := make([]pointSpec, 0, len(points))
+	builds := make([]func(int) trialRun, len(points))
 	for pi, pt := range points {
-		pi, pt := pi, pt
-		specs = append(specs, pointSpec{Trials: trials, Spec: trialSpec{
-			Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-				seed := trialSeed(cfg.Seed, 1400+pi, trial)
-				uids := core.UniqueUIDs(n, seed)
-				in := mustInjector(fault.Plan{
-					Seed:       seed + 2,
-					Partitions: []fault.Partition{{Start: start, Heal: pt.heal, Parts: pt.parts}},
-				}, n)
-				// Check audits the partition's deterministic connection cuts
-				// against the conservation invariant on every round.
-				return dyngraph.NewStatic(base), core.NewBlindGossipNetwork(uids), sim.Config{
-					Seed: seed + 3, MaxRounds: 50_000_000, Faults: in, Check: true,
-				}
-			},
-			// Gate past the heal: agreement inside one component (or a
-			// lucky pre-partition stabilization) does not count.
-			Stop: func(round int, protocols []sim.Protocol) bool {
-				return round >= pt.heal && sim.AllLeadersEqual(round, protocols)
-			},
-			Check: func(trial int, protocols []sim.Protocol) error {
-				seed := trialSeed(cfg.Seed, 1400+pi, trial)
-				uids := core.UniqueUIDs(n, seed)
-				if got, want := protocols[0].Leader(), core.MinUID(uids); got != want {
-					return fmt.Errorf("elected %d, want global min %d", got, want)
-				}
-				return nil
-			},
-		}})
+		builds[pi] = func(trial int) trialRun {
+			seed := trialSeed(cfg.Seed, 1400+pi, trial)
+			uids := core.UniqueUIDs(n, seed)
+			protocols := core.NewBlindGossipNetwork(uids)
+			in := mustInjector(fault.Plan{
+				Seed:       seed + 2,
+				Partitions: []fault.Partition{{Start: start, Heal: pt.heal, Parts: pt.parts}},
+			}, n)
+			// Config.Check audits the partition's deterministic connection
+			// cuts against the conservation invariant on every round.
+			return trialRun{sched: dyngraph.NewStatic(base), protocols: protocols,
+				cfg: sim.Config{Seed: seed + 3, MaxRounds: 50_000_000, Faults: in, Check: true},
+				// Gate past the heal: agreement inside one component (or a
+				// lucky pre-partition stabilization) does not count.
+				stop: func(round int, protocols []sim.Protocol) bool {
+					return round >= pt.heal && sim.AllLeadersEqual(round, protocols)
+				},
+				check: leaderIsMin(uids, nil, protocols)}
+		}
 	}
-	allRounds, err := runPointTrials(cfg, specs)
+	allRounds, err := runPointTrials(cfg, trials, builds)
 	if err != nil {
 		return nil, err
 	}
@@ -330,72 +286,48 @@ func runR3(cfg Config) (*trace.Table, error) {
 	base := gen.RandomRegular(n, d, cfg.Seed+7200)
 	params := core.DefaultBitConvParams(n, d)
 
+	// build returns the protocols and their tags (nil for blind gossip).
 	type algoPoint struct {
 		name    string
 		tagBits int
-		build   func(uids []uint64, seed uint64) []sim.Protocol
-		check   func(uids []uint64, seed uint64, protocols []sim.Protocol) error
+		build   func(uids []uint64, seed uint64) ([]sim.Protocol, []uint64)
 	}
 	algos := []algoPoint{
-		{
-			name: "blindgossip", tagBits: 0,
-			build: func(uids []uint64, seed uint64) []sim.Protocol {
-				return core.NewBlindGossipNetwork(uids)
-			},
-			check: func(uids []uint64, _ uint64, protocols []sim.Protocol) error {
-				if got, want := protocols[0].Leader(), core.MinUID(uids); got != want {
-					return fmt.Errorf("elected %d, want %d", got, want)
-				}
-				return nil
-			},
-		},
-		{
-			name: "asyncbitconv", tagBits: core.TagBitsNeeded(params),
-			build: func(uids []uint64, seed uint64) []sim.Protocol {
-				protocols, _ := asyncNetworkDistinctTags(uids, params, seed)
-				return protocols
-			},
-			check: func(uids []uint64, seed uint64, protocols []sim.Protocol) error {
-				_, tags := asyncNetworkDistinctTags(uids, params, seed)
-				return checkMinPair(uids, tags, protocols)
-			},
-		},
+		{"blindgossip", 0, func(uids []uint64, _ uint64) ([]sim.Protocol, []uint64) {
+			return core.NewBlindGossipNetwork(uids), nil
+		}},
+		{"asyncbitconv", core.TagBitsNeeded(params), func(uids []uint64, seed uint64) ([]sim.Protocol, []uint64) {
+			return asyncNetworkDistinctTags(uids, params, seed)
+		}},
 	}
 	rates := []float64{0, 0.1, 0.3, 0.5}
 
 	table := trace.NewTable("R3 election slowdown vs message loss rate",
 		"algorithm", "loss rate", "median rounds", "p90", "slowdown vs lossless")
 
-	specs := make([]pointSpec, 0, len(algos)*len(rates))
+	builds := make([]func(int) trialRun, 0, len(algos)*len(rates))
 	for ai, ap := range algos {
 		for ri, rate := range rates {
-			ai, ri, ap, rate := ai, ri, ap, rate
-			specs = append(specs, pointSpec{Trials: trials, Spec: trialSpec{
-				Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-					seed := trialSeed(cfg.Seed, 1300+ai*10+ri, trial)
-					uids := core.UniqueUIDs(n, seed)
-					protocols := ap.build(uids, seed+1)
-					simCfg := sim.Config{
-						Seed: seed + 3, TagBits: ap.tagBits, MaxRounds: 50_000_000,
-					}
-					if rate > 0 {
-						// Losses split evenly between the two failure points:
-						// the proposal in flight and the accepted connection.
-						simCfg.Faults = mustInjector(fault.Plan{
-							Seed: seed + 2, ProposalLoss: rate, ConnLoss: rate,
-						}, n)
-					}
-					return dyngraph.NewStatic(base), protocols, simCfg
-				},
-				Check: func(trial int, protocols []sim.Protocol) error {
-					seed := trialSeed(cfg.Seed, 1300+ai*10+ri, trial)
-					uids := core.UniqueUIDs(n, seed)
-					return ap.check(uids, seed+1, protocols)
-				},
-			}})
+			builds = append(builds, func(trial int) trialRun {
+				seed := trialSeed(cfg.Seed, 1300+ai*10+ri, trial)
+				uids := core.UniqueUIDs(n, seed)
+				protocols, tags := ap.build(uids, seed+1)
+				simCfg := sim.Config{
+					Seed: seed + 3, TagBits: ap.tagBits, MaxRounds: 50_000_000,
+				}
+				if rate > 0 {
+					// Losses split evenly between the two failure points:
+					// the proposal in flight and the accepted connection.
+					simCfg.Faults = mustInjector(fault.Plan{
+						Seed: seed + 2, ProposalLoss: rate, ConnLoss: rate,
+					}, n)
+				}
+				return trialRun{sched: dyngraph.NewStatic(base), protocols: protocols, cfg: simCfg,
+					check: leaderIsMin(uids, tags, protocols)}
+			})
 		}
 	}
-	allRounds, err := runPointTrials(cfg, specs)
+	allRounds, err := runPointTrials(cfg, trials, builds)
 	if err != nil {
 		return nil, err
 	}

@@ -25,43 +25,6 @@ func init() {
 	})
 }
 
-// rumorSpec builds the trial spec for rumor-spreading trials (PUSH-PULL when
-// ppush is false) over an E1 grid point; trials complete when all nodes are
-// informed.
-func rumorSpec(baseSeed uint64, pointID int, pt e1Point, ppush bool) trialSpec {
-	tagBits := 0
-	if ppush {
-		tagBits = 1
-	}
-	return trialSpec{
-		Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-			seed := trialSeed(baseSeed, pointID, trial)
-			// Source is a pseudo-random node.
-			src := int(xrand.Mix3(seed, 0x5c, 0) % uint64(pt.family.N()))
-			var protocols []sim.Protocol
-			if ppush {
-				protocols = rumor.NewPPushNetwork(pt.family.N(), map[int]bool{src: true})
-			} else {
-				protocols = rumor.NewPushPullNetwork(pt.family.N(), map[int]bool{src: true})
-			}
-			var sched dyngraph.Schedule
-			if pt.tau > 0 {
-				sched = dyngraph.NewPermuted(pt.family, pt.tau, seed+1)
-			} else {
-				sched = dyngraph.NewStatic(pt.family)
-			}
-			return sched, protocols, sim.Config{Seed: seed + 2, TagBits: tagBits, MaxRounds: 50_000_000}
-		},
-		Stop: rumor.AllInformed,
-		Check: func(_ int, protocols []sim.Protocol) error {
-			if rumor.CountInformed(protocols) != len(protocols) {
-				return fmt.Errorf("stop fired before full dissemination")
-			}
-			return nil
-		},
-	}
-}
-
 // e5CutGraph builds the Theorem V.2 scenario: bipartitions L (informed) and
 // R (uninformed) of m nodes each, a planted perfect matching L_i–R_i, plus
 // extra random cross edges until informed-side degrees approach targetDeg —
@@ -105,25 +68,24 @@ func runE5(cfg Config) (*trace.Table, error) {
 	}
 	nu := matching.Nu(probe, inSet)
 
-	maxR := core0Log2(probe.MaxDegree())
+	maxR := max(bounds.Log2(probe.MaxDegree()), 1)
 	heavy := targetDeg - 1
 	horizon := 6
 	taus := []int{1, 2, 3, horizon}
 
 	// Both sweeps share one batch: points 0..maxR-1 are the first, the
 	// last len(taus) the second. newly[point][trial] is the trial's count
-	// of newly informed nodes at its horizon, stored by Check.
-	newly := make([][]int, maxR+len(taus))
-	specs := make([]pointSpec, 0, len(newly))
+	// of newly informed nodes at its horizon, stored by its check.
+	newly := cells[int](maxR+len(taus), trials)
+	builds := make([]func(int) trialRun, 0, len(newly))
 	// First sweep: r stable rounds on one cut graph.
 	for r := 1; r <= maxR; r++ {
-		newly[r-1] = make([]int, trials)
-		specs = append(specs, pointSpec{Trials: trials, Spec: e5Spec(m, r, newly[r-1],
+		builds = append(builds, e5Build(m, r, newly[r-1],
 			func(trial int) (dyngraph.Schedule, uint64) {
 				seed := trialSeed(cfg.Seed, r, trial)
 				g := e5CutGraph(m, targetDeg, xrand.Mix3(seed, 7, 0))
 				return dyngraph.NewStatic(gen.Family{Name: "e5cut", Graph: g}), seed
-			})})
+			}))
 	}
 	// Second sweep: the τ effect proper. Fix a horizon and re-randomize the
 	// cut graph every τ rounds using the attractor construction below: the
@@ -135,17 +97,16 @@ func runE5(cfg Config) (*trace.Table, error) {
 	// the horizon — the mechanism behind the Δ^{1/τ̂} term of Theorems VII.2
 	// and VIII.2.
 	for ti, tau := range taus {
-		newly[maxR+ti] = make([]int, trials)
-		specs = append(specs, pointSpec{Trials: trials, Spec: e5Spec(m, horizon, newly[maxR+ti],
+		builds = append(builds, e5Build(m, horizon, newly[maxR+ti],
 			func(trial int) (dyngraph.Schedule, uint64) {
 				seed := trialSeed(cfg.Seed, 5000+tau, trial)
 				sched := dyngraph.NewRegenerate("e5attract", tau, seed, func(s uint64) gen.Family {
 					return gen.Family{Name: "e5attract", Graph: e5AttractorGraph(m, heavy, s)}
 				})
 				return sched, seed + 1
-			})})
+			}))
 	}
-	if _, err := runPointTrials(withoutCheckpoint(cfg), specs); err != nil {
+	if _, err := runPointTrials(withoutCheckpoint(cfg), trials, builds); err != nil {
 		return nil, err
 	}
 
@@ -159,7 +120,7 @@ func runE5(cfg Config) (*trace.Table, error) {
 	for r := 1; r <= maxR; r++ {
 		s := fracs(r - 1)
 		delta := probe.MaxDegree()
-		fr := fOfR(delta, r, 2*m)
+		fr := bounds.F(r, delta, 2*m)
 		table.AddRow(m, delta, r, s.Median, s.Min, 1/fr, nu)
 	}
 	for ti, tau := range taus {
@@ -170,26 +131,25 @@ func runE5(cfg Config) (*trace.Table, error) {
 	return table, nil
 }
 
-// e5Spec is one E5 point: PPUSH with the left half L = 0..m-1 informed,
-// run for exactly horizon rounds over the schedule sched returns with the
-// trial's engine seed. Check stores each trial's count of newly informed
-// nodes in newly[trial].
-func e5Spec(m, horizon int, newly []int, sched func(trial int) (dyngraph.Schedule, uint64)) trialSpec {
-	return trialSpec{
-		Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
-			s, seed := sched(trial)
-			informed := make(map[int]bool, m)
-			for i := 0; i < m; i++ {
-				informed[i] = true
-			}
-			return s, rumor.NewPPushNetwork(2*m, informed),
-				sim.Config{Seed: seed, TagBits: 1, MaxRounds: horizon}
-		},
-		Stop: atHorizon(horizon),
-		Check: func(trial int, protocols []sim.Protocol) error {
-			newly[trial] = rumor.CountInformed(protocols) - m
-			return nil
-		},
+// e5Build builds one E5 point's trials: PPUSH with the left half
+// L = 0..m-1 informed, run for exactly horizon rounds over the schedule
+// sched returns with the trial's engine seed. The check stores each
+// trial's count of newly informed nodes in newly[trial].
+func e5Build(m, horizon int, newly []int, sched func(trial int) (dyngraph.Schedule, uint64)) func(int) trialRun {
+	return func(trial int) trialRun {
+		s, seed := sched(trial)
+		informed := make(map[int]bool, m)
+		for i := 0; i < m; i++ {
+			informed[i] = true
+		}
+		protocols := rumor.NewPPushNetwork(2*m, informed)
+		return trialRun{sched: s, protocols: protocols,
+			cfg:  sim.Config{Seed: seed, TagBits: 1, MaxRounds: horizon},
+			stop: atHorizon(horizon),
+			check: func() error {
+				newly[trial] = rumor.CountInformed(protocols) - m
+				return nil
+			}}
 	}
 }
 
@@ -202,7 +162,7 @@ func e5Spec(m, horizon int, newly []int, sched func(trial int) (dyngraph.Schedul
 // takes an extra stable round.
 func e5AttractorGraph(m, heavy int, seed uint64) *graph.Graph {
 	rng := xrand.New(seed)
-	attractors := rng.Perm(m)[:maxInt(1, m/16)]
+	attractors := rng.Perm(m)[:max(1, m/16)]
 	b := graph.NewBuilder(2 * m)
 	type edge struct{ l, r int }
 	seen := make(map[edge]bool, m*(heavy+1))
@@ -220,29 +180,4 @@ func e5AttractorGraph(m, heavy int, seed uint64) *graph.Graph {
 		}
 	}
 	return b.MustBuild()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// fOfR evaluates the approximation factor f(r) = Δ^{1/r}·c·r·log₂ n with
-// c = 1 (the theorem's constant is unspecified; shape is what matters).
-func fOfR(delta, r, n int) float64 {
-	return bounds.F(r, delta, n)
-}
-
-// core0Log2 is ⌈log₂ x⌉ with a floor of 1.
-func core0Log2(x int) int {
-	l := 0
-	for v := x - 1; v > 0; v >>= 1 {
-		l++
-	}
-	if l < 1 {
-		l = 1
-	}
-	return l
 }

@@ -48,30 +48,28 @@ type Config struct {
 	// batch's first trial (point 0, trial 0); all other trials run
 	// untraced so the batch keeps its parallel throughput. Every
 	// experiment runs its trials through runPointTrials except E4, which
-	// runs no engine, and A2, whose trials end at a round cap on purpose;
-	// those two ignore it.
+	// runs no engine and ignores it.
 	Sink obs.Sink
 	// Profiler, when non-nil, attaches the phase-timing profiler to the same
 	// first trial Sink observes (point 0, trial 0); the caller renders its
 	// mtmprof/v1 report after the run. Progress lines additionally carry the
 	// hottest phases once the profiled trial has finished. Like Now, the
 	// profiler's clock is injected by the caller — this package still never
-	// reads wall time itself. E4 and A2, which bypass runPointTrials,
-	// ignore it.
+	// reads wall time itself. E4 ignores it.
 	Profiler *obs.Profiler
 	// Checkpoint, when non-nil, makes the sweep crash-safe: every completed
 	// trial is recorded as it finishes and already-recorded trials are
 	// replayed instead of re-simulated, so a killed run resumed with the
-	// same checkpoint produces a bit-identical table. E4 and A2, which
-	// bypass runPointTrials, ignore it and re-run in full, and so do
-	// E5 and E11: their tables need per-trial measurements (E5's informed
-	// counts, E11's per-edge connection counts) that a cell, which holds
-	// only a stabilization round, cannot replay.
+	// same checkpoint produces a bit-identical table. E4, which runs no
+	// trials, ignores it, and A2, E5 and E11 run without it and re-run in
+	// full: their tables need per-trial measurements (A2's tag statistics
+	// and outcomes, E5's informed counts, E11's per-edge connection counts)
+	// that a cell, which holds only a stabilization round, cannot replay.
 	Checkpoint *Checkpoint
 	// Interrupt, when non-nil, requests a graceful abort when closed:
 	// the feeder stops handing out new trials, in-flight trials drain (and
-	// are still checkpointed), and the run returns ErrInterrupted. E4 and
-	// A2 ignore it.
+	// are still checkpointed), and the run returns ErrInterrupted. E4
+	// ignores it.
 	Interrupt <-chan struct{}
 }
 
@@ -122,130 +120,77 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// trialSpec describes one simulation trial for the parallel runner.
-type trialSpec struct {
-	// Build creates the schedule, protocols, and engine config for the
-	// trial. Called once, in the trial's own goroutine.
-	Build func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config)
-	// Stop is the stop condition (defaults to sim.AllLeadersEqual).
-	Stop sim.StopCondition
-	// MakeStop, if non-nil, builds a per-trial stop condition and overrides
-	// Stop. It is called after Build, in the trial's goroutine, with the
-	// trial's engine config — so fault experiments can close over the
-	// trial's injector (e.g. "all *up* nodes agree").
-	MakeStop func(trial int, simCfg sim.Config) sim.StopCondition
-	// Check, if non-nil, validates the converged state (e.g. elected leader
-	// equals the true minimum); failures become errors.
-	Check func(trial int, protocols []sim.Protocol) error
+// trialRun is one simulation trial, as a point's build hook returns it.
+type trialRun struct {
+	sched     dyngraph.Schedule
+	protocols []sim.Protocol
+	cfg       sim.Config
+	// stop ends the run; nil means sim.AllLeadersEqual.
+	stop sim.StopCondition
+	// check, if non-nil, runs once stop has fired. It closes over what the
+	// build hook drew (UIDs, tags, protocols) to validate the end state,
+	// and may store a measurement the table reads in a per-(point, trial)
+	// cell.
+	check func() error
 }
 
-// pointSpec bundles one data point's batch of trials for runPointTrials.
-type pointSpec struct {
-	Trials int
-	Spec   trialSpec
-}
-
-// runPointTrials executes every (point, trial) task through one shared
-// worker pool and returns the stabilization rounds indexed [point][trial].
+// RunCells runs cell(point, trial) for every trial of every point on one
+// pool of GOMAXPROCS workers and returns the results indexed
+// [point][trial]. It is the one pool trials run on: every experiment's
+// engine trials (through runPointTrials) and mobiletel.RunSweep.
 //
-// Feeding all points into a single pipelined pool — instead of running a
-// per-point pool with a barrier between points — means a slow straggler
-// trial of point p no longer idles the other workers: they immediately pick
-// up trials of point p+1. Results are written to distinct (point, trial)
-// cells and rows are emitted by the caller after the pool drains, so table
-// output is bit-identical to the per-point version; seeds are derived per
-// (point, trial) and never depend on execution order.
+// Feeding every cell of a batch into one pipelined pool, instead of a pool
+// per point with a barrier between points, means a slow trial of point p
+// no longer idles the other workers: they pick up cells of point p+1.
+// Results land in distinct cells and the caller reads them after the pool
+// drains, so the output does not depend on execution order as long as
+// each cell derives its randomness from (point, trial) alone.
 //
-// The first error in (point, trial) order aborts the batch.
-//
-// When cfg.Sink is non-nil, the batch's first trial (point 0, trial 0)
-// runs with the sink attached; when cfg.Progress is non-nil, throttled
-// progress lines are written as trials complete. Neither affects results.
-func runPointTrials(cfg Config, points []pointSpec) ([][]int, error) {
-	total := 0
-	rounds := make([][]int, len(points))
-	errs := make([][]error, len(points))
-	for p := range points {
-		if points[p].Spec.Stop == nil {
-			points[p].Spec.Stop = sim.AllLeadersEqual
-		}
-		rounds[p] = make([]int, points[p].Trials)
-		errs[p] = make([]error, points[p].Trials)
-		total += points[p].Trials
-	}
+// The first error in (point, trial) order wins. With cfg.Checkpoint set,
+// recorded cells are replayed instead of re-run and every newly finished
+// cell is recorded; closing cfg.Interrupt stops the feeder, lets in-flight
+// cells drain (they still record) and makes RunCells return
+// ErrInterrupted; cfg.Progress receives throttled progress lines. The
+// other fields of cfg are the cell's business.
+func RunCells(cfg Config, points, trials int, cell func(point, trial int) (int, error)) ([][]int, error) {
+	results, errs := cells[int](points, trials), cells[error](points, trials)
 	// The batch ordinal must advance even for empty batches so a resumed
-	// process hands out the same ordinals to the same runPointTrials calls.
+	// process hands out the same ordinals to the same batches.
 	batch := -1
 	if cfg.Checkpoint != nil {
 		batch = cfg.Checkpoint.NextBatch()
 	}
+	total := points * trials
 	if total == 0 {
-		return rounds, nil
+		return results, nil
 	}
-
-	progress := newProgress(cfg.Progress, cfg.Now, cfg.Profiler, total, points)
+	progress := newProgress(cfg, points, trials)
 
 	type task struct{ point, trial int }
-	workers := runtime.GOMAXPROCS(0)
-	if workers > total {
-		workers = total
-	}
-	var wg sync.WaitGroup
 	next := make(chan task)
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), total) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for t := range next {
-				spec := &points[t.point].Spec
+				// A replayed cell equals a re-run one because the cell
+				// depends only on (point, trial), and its checks passed
+				// before it was recorded. A replayed (0, 0) engine trial
+				// does not re-emit its trace, so a resumed -trace sink
+				// stays empty.
+				r, replayed := 0, false
 				if cfg.Checkpoint != nil {
-					// Replay a recorded cell instead of re-simulating. The
-					// result is identical because the trial's seed depends
-					// only on (cfg.Seed, point, trial); Check already passed
-					// before the cell was recorded. A replayed (0,0) trial
-					// does not re-emit its trace, so a resumed -trace sink
-					// stays empty.
-					if r, ok := cfg.Checkpoint.Lookup(batch, t.point, t.trial); ok {
-						rounds[t.point][t.trial] = r
-						progress.done(t.point)
-						continue
+					r, replayed = cfg.Checkpoint.Lookup(batch, t.point, t.trial)
+				}
+				var err error
+				if !replayed {
+					r, err = cell(t.point, t.trial)
+					if err == nil && cfg.Checkpoint != nil {
+						err = cfg.Checkpoint.Record(batch, t.point, t.trial, r)
 					}
 				}
-				sched, protocols, simCfg := spec.Build(t.trial)
-				// Inner engine steps stay sequential: parallelism lives at
-				// the (point, trial) level here.
-				simCfg.Workers = 1
-				if t.point == 0 && t.trial == 0 {
-					if cfg.Sink != nil {
-						simCfg.Sink = cfg.Sink
-					}
-					if cfg.Profiler != nil {
-						simCfg.Profiler = cfg.Profiler
-					}
-				}
-				stop := spec.Stop
-				if spec.MakeStop != nil {
-					stop = spec.MakeStop(t.trial, simCfg)
-				}
-				eng, err := sim.New(sched, protocols, simCfg)
-				if err != nil {
-					errs[t.point][t.trial] = err
-					progress.done(t.point)
-					continue
-				}
-				res, err := eng.Run(stop)
-				if err != nil {
-					errs[t.point][t.trial] = err
-					progress.done(t.point)
-					continue
-				}
-				rounds[t.point][t.trial] = res.StabilizedRound
-				if spec.Check != nil {
-					errs[t.point][t.trial] = spec.Check(t.trial, protocols)
-				}
-				if errs[t.point][t.trial] == nil && cfg.Checkpoint != nil {
-					errs[t.point][t.trial] = cfg.Checkpoint.Record(batch, t.point, t.trial, res.StabilizedRound)
-				}
+				results[t.point][t.trial], errs[t.point][t.trial] = r, err
 				progress.done(t.point)
 			}
 		}()
@@ -253,7 +198,7 @@ func runPointTrials(cfg Config, points []pointSpec) ([][]int, error) {
 	interrupted := false
 feed:
 	for p := range points {
-		for trial := 0; trial < points[p].Trials; trial++ {
+		for trial := range trials {
 			// The pre-check makes an already-signalled interrupt win even
 			// when a worker is simultaneously ready to receive (a two-way
 			// select would pick between the ready cases at random).
@@ -266,8 +211,6 @@ feed:
 			select {
 			case next <- task{p, trial}:
 			case <-cfg.Interrupt:
-				// Graceful abort: stop feeding, let in-flight trials drain
-				// (they still checkpoint), then report the interruption.
 				interrupted = true
 				break feed
 			}
@@ -277,29 +220,69 @@ feed:
 	wg.Wait()
 
 	for p := range errs {
-		for trial, err := range errs[p] {
+		for _, err := range errs[p] {
 			if err != nil {
-				return nil, fmt.Errorf("point %d trial %d: %w", p, trial, err)
+				return nil, err
 			}
 		}
 	}
 	if interrupted {
 		return nil, ErrInterrupted
 	}
-	return rounds, nil
+	return results, nil
+}
+
+// runPointTrials runs trials engine trials of every point on RunCells and
+// returns their stabilization rounds indexed [point][trial]; points[p]
+// builds point p's trial-th trial, in the worker that runs it. Engines run
+// sequentially (parallelism lives at the (point, trial) level), and the
+// batch's first trial (point 0, trial 0) carries cfg.Sink and cfg.Profiler.
+// An engine or check error names its point and trial.
+func runPointTrials(cfg Config, trials int, points []func(trial int) trialRun) ([][]int, error) {
+	return RunCells(cfg, len(points), trials, func(p, t int) (int, error) {
+		tr := points[p](t)
+		tr.cfg.Workers = 1
+		if p == 0 && t == 0 {
+			tr.cfg.Sink, tr.cfg.Profiler = cfg.Sink, cfg.Profiler
+		}
+		if tr.stop == nil {
+			tr.stop = sim.AllLeadersEqual
+		}
+		var res sim.Result
+		eng, err := sim.New(tr.sched, tr.protocols, tr.cfg)
+		if err == nil {
+			res, err = eng.Run(tr.stop)
+		}
+		if err == nil && tr.check != nil {
+			err = tr.check()
+		}
+		if err != nil {
+			return 0, fmt.Errorf("point %d trial %d: %w", p, t, err)
+		}
+		return res.StabilizedRound, nil
+	})
+}
+
+// cells allocates a per-(point, trial) grid for what a batch's hooks store.
+func cells[T any](points, trials int) [][]T {
+	g := make([][]T, points)
+	for p := range g {
+		g[p] = make([]T, trials)
+	}
+	return g
 }
 
 // atHorizon is the stop condition of a fixed-horizon trial: it fires at the
-// end of round h, so the trial runs exactly h rounds and its Check measures
+// end of round h, so the trial runs exactly h rounds and its check measures
 // the state there.
 func atHorizon(h int) sim.StopCondition {
 	return func(round int, _ []sim.Protocol) bool { return round >= h }
 }
 
 // withoutCheckpoint returns cfg with no checkpoint, for batches whose table
-// needs a measurement that Check stores: a replayed cell skips Build and
-// Check and holds only the stabilization round, so such a batch re-runs in
-// full on resume instead.
+// needs a measurement that a build hook or check stores: a replayed cell
+// skips both and holds only the stabilization round, so such a batch
+// re-runs in full on resume instead.
 func withoutCheckpoint(cfg Config) Config {
 	cfg.Checkpoint = nil
 	return cfg
@@ -309,17 +292,17 @@ func withoutCheckpoint(cfg Config) Config {
 // The zero-value-like nil-writer form is a no-op, so call sites need no
 // branching.
 type progressReporter struct {
-	w     io.Writer
-	now   func() time.Time // injected clock; nil = counts-only lines
-	prof  *obs.Profiler    // optional; adds hottest-phase timing to lines
-	total int
+	w      io.Writer
+	now    func() time.Time // injected clock; nil = counts-only lines
+	prof   *obs.Profiler    // optional; adds hottest-phase timing to lines
+	total  int
+	trials int // trials per point
 
 	mu         sync.Mutex
 	start      time.Time
 	lastReport time.Time
 	completed  int
 	perPoint   []int // trials finished per point
-	trialsPer  []int // trials expected per point
 	pointsDone int
 }
 
@@ -327,18 +310,15 @@ type progressReporter struct {
 // line (batch complete) is always written.
 const progressInterval = 500 * time.Millisecond
 
-// newProgress builds a reporter for the batch; w == nil disables it.
-func newProgress(w io.Writer, now func() time.Time, prof *obs.Profiler, total int, points []pointSpec) *progressReporter {
-	p := &progressReporter{w: w, now: now, prof: prof, total: total}
-	if w != nil {
-		if now != nil {
-			p.start = now()
+// newProgress builds a reporter for a batch from cfg's Progress, Now and
+// Profiler; a nil Progress disables it.
+func newProgress(cfg Config, points, trials int) *progressReporter {
+	p := &progressReporter{w: cfg.Progress, now: cfg.Now, prof: cfg.Profiler, total: points * trials, trials: trials}
+	if p.w != nil {
+		if p.now != nil {
+			p.start = p.now()
 		}
-		p.perPoint = make([]int, len(points))
-		p.trialsPer = make([]int, len(points))
-		for i := range points {
-			p.trialsPer[i] = points[i].Trials
-		}
+		p.perPoint = make([]int, points)
 	}
 	return p
 }
@@ -353,7 +333,7 @@ func (p *progressReporter) done(point int) {
 	defer p.mu.Unlock()
 	p.completed++
 	p.perPoint[point]++
-	if p.perPoint[point] == p.trialsPer[point] {
+	if p.perPoint[point] == p.trials {
 		p.pointsDone++
 	}
 	if p.now == nil {
@@ -394,18 +374,6 @@ func (p *progressReporter) phaseSuffix() string {
 // trialSeed derives a per-(experiment, point, trial) seed.
 func trialSeed(base uint64, point, trial int) uint64 {
 	return xrand.Mix3(base, uint64(point), uint64(trial))
-}
-
-// log2 returns ⌈log₂ x⌉ as float64 for bound formulas (x >= 2).
-func log2f(x int) float64 {
-	l := 0
-	for v := x - 1; v > 0; v >>= 1 {
-		l++
-	}
-	if l == 0 {
-		l = 1
-	}
-	return float64(l)
 }
 
 // pick returns a if quick, else b.

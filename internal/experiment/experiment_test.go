@@ -124,9 +124,6 @@ func TestQuickRuns(t *testing.T) {
 }
 
 func TestHelperFunctions(t *testing.T) {
-	if log2f(2) != 1 || log2f(3) != 2 || log2f(1024) != 10 {
-		t.Fatal("log2f wrong")
-	}
 	if pick(true, 1, 2) != 1 || pick(false, 1, 2) != 2 {
 		t.Fatal("pick wrong")
 	}

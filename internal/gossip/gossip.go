@@ -123,11 +123,12 @@ func (g *Node) EndRound(*sim.Context) {}
 // generic leader comparison in diagnostics.
 func (g *Node) Leader() uint64 { return uint64(g.count) }
 
-// AllComplete is the stop condition: every node knows all n rumors.
+// AllComplete is the stop condition: every node knows all n rumors. It
+// reads n from each node, so it also holds over a subset of the network
+// (sim.UpOnly's up devices).
 func AllComplete(_ int, protocols []sim.Protocol) bool {
-	n := len(protocols)
 	for _, p := range protocols {
-		if p.(*Node).Count() != n {
+		if g := p.(*Node); g.count != g.n {
 			return false
 		}
 	}

@@ -1,6 +1,6 @@
 package obs
 
-import "math"
+import "mobiletel/internal/trace"
 
 // MetricsSchema identifies the run-summary JSON layout.
 const MetricsSchema = "mtmtrace-metrics/v1"
@@ -243,9 +243,9 @@ func (m *Metrics) Summary() Summary {
 		Connections:      m.connections,
 		ConvergenceRound: m.convergenceRound,
 		Transitions:      make(map[string]int64),
-		ConnectionsCurve: downsampleInts(m.connCurve.snapshot(), CurvePoints),
-		AcceptanceCurve:  downsampleFloats(m.acceptCurve.snapshot(), CurvePoints),
-		ImbalanceCurve:   downsampleFloats(m.imbalanceCurve.snapshot(), CurvePoints),
+		ConnectionsCurve: trace.Downsample(m.connCurve.vals, CurvePoints),
+		AcceptanceCurve:  trace.Downsample(m.acceptCurve.vals, CurvePoints),
+		ImbalanceCurve:   trace.Downsample(m.imbalanceCurve.vals, CurvePoints),
 	}
 	if m.proposals > 0 {
 		s.AcceptanceRate = float64(m.accepts) / float64(m.proposals)
@@ -304,55 +304,6 @@ func (m *Metrics) loadSummary() LoadSummary {
 	return LoadSummary{Min: minLoad, Max: m.maxLoad, Mean: mean, Imbalance: imb}
 }
 
-// downsampleInts max-pools a series to at most width points (peaks are what
-// matter for matching-size curves).
-func downsampleInts(values []int, width int) []int {
-	if len(values) <= width {
-		return append([]int(nil), values...)
-	}
-	out := make([]int, width)
-	for i := 0; i < width; i++ {
-		lo, hi := bucket(i, width, len(values))
-		m := values[lo]
-		for _, v := range values[lo:hi] {
-			if v > m {
-				m = v
-			}
-		}
-		out[i] = m
-	}
-	return out
-}
-
-// downsampleFloats max-pools a float series to at most width points.
-func downsampleFloats(values []float64, width int) []float64 {
-	if len(values) <= width {
-		return append([]float64(nil), values...)
-	}
-	out := make([]float64, width)
-	for i := 0; i < width; i++ {
-		lo, hi := bucket(i, width, len(values))
-		m := math.Inf(-1)
-		for _, v := range values[lo:hi] {
-			if v > m {
-				m = v
-			}
-		}
-		out[i] = m
-	}
-	return out
-}
-
-// bucket returns the [lo, hi) source range of downsample bucket i.
-func bucket(i, width, n int) (lo, hi int) {
-	lo = i * n / width
-	hi = (i + 1) * n / width
-	if hi == lo {
-		hi = lo + 1
-	}
-	return lo, hi
-}
-
 // curveBuf bounds the in-memory resolution of a streaming curve. It is twice
 // CurvePoints so the final downsample to CurvePoints always has at least two
 // source values per output bucket once pooling has started.
@@ -402,10 +353,4 @@ func (c *curve[T]) add(v T) {
 	if c.stride > 1 {
 		c.fill = 1
 	}
-}
-
-// snapshot returns the pooled buckets in order (a copy; the trailing bucket
-// may cover fewer than stride rounds).
-func (c *curve[T]) snapshot() []T {
-	return append([]T(nil), c.vals...)
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"mobiletel/internal/trace"
 )
 
 func TestTypeKindWireNames(t *testing.T) {
@@ -295,12 +297,12 @@ func TestDownsample(t *testing.T) {
 	for i := range vals {
 		vals[i] = i
 	}
-	got := downsampleInts(vals, 10)
+	got := trace.Downsample(vals, 10)
 	if len(got) != 10 || got[9] != 999 {
-		t.Errorf("downsampleInts tail = %v", got)
+		t.Errorf("Downsample tail = %v", got)
 	}
 	fs := []float64{1, 5, 2}
-	if got := downsampleFloats(fs, 8); len(got) != 3 || got[1] != 5 {
-		t.Errorf("downsampleFloats short series = %v", got)
+	if got := trace.Downsample(fs, 8); len(got) != 3 || got[1] != 5 {
+		t.Errorf("Downsample short float series = %v", got)
 	}
 }

@@ -387,29 +387,28 @@ func AllLeadersEqual(round int, protocols []Protocol) bool {
 	return true
 }
 
-// UpLeadersEqual is the election stop condition for runs whose fault plan
-// may crash devices: a crashed device keeps whatever leader it last held, so
-// demanding network-wide agreement would never fire. It holds when every up
-// device holds the same leader and at least one device is up. With faults
-// nil it is AllLeadersEqual.
-func UpLeadersEqual(faults *fault.Injector) StopCondition {
+// UpOnly evaluates stop over the up devices only, for runs whose fault plan
+// may crash devices: a crashed device keeps whatever state it last held, so
+// a condition over every device could wait on it forever. The condition
+// never holds while every device is down. With faults nil it returns stop
+// unchanged. The returned condition reuses one buffer across rounds, so it
+// serves one engine.
+func UpOnly(faults *fault.Injector, stop StopCondition) StopCondition {
 	if faults == nil {
-		return AllLeadersEqual
+		return stop
 	}
-	return func(_ int, protocols []Protocol) bool {
-		var want uint64
-		first := true
+	var up []Protocol
+	return func(round int, protocols []Protocol) bool {
+		if faults.DownCount() == 0 {
+			return stop(round, protocols)
+		}
+		up = up[:0]
 		for u, p := range protocols {
-			if faults.Down(u) {
-				continue
-			}
-			if first {
-				want, first = p.Leader(), false
-			} else if p.Leader() != want {
-				return false
+			if !faults.Down(u) {
+				up = append(up, p)
 			}
 		}
-		return !first
+		return len(up) > 0 && stop(round, up)
 	}
 }
 

@@ -3,9 +3,11 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -140,28 +142,20 @@ func Sparkline(values []int) string {
 }
 
 // Downsample reduces a series to at most width points by max-pooling
-// consecutive buckets, preserving peaks for sparkline display.
-func Downsample(values []int, width int) []int {
+// consecutive buckets, preserving peaks (for sparklines and the metrics
+// summary's curves). A series of at most width points is copied as is.
+func Downsample[T cmp.Ordered](values []T, width int) []T {
 	if width <= 0 {
 		panic("trace: Downsample width must be positive")
 	}
 	if len(values) <= width {
-		return append([]int(nil), values...)
+		return append([]T(nil), values...)
 	}
-	out := make([]int, width)
-	for i := 0; i < width; i++ {
+	out := make([]T, width)
+	for i := range out {
 		lo := i * len(values) / width
-		hi := (i + 1) * len(values) / width
-		if hi == lo {
-			hi = lo + 1
-		}
-		m := values[lo]
-		for _, v := range values[lo:hi] {
-			if v > m {
-				m = v
-			}
-		}
-		out[i] = m
+		hi := max((i+1)*len(values)/width, lo+1)
+		out[i] = slices.Max(values[lo:hi])
 	}
 	return out
 }

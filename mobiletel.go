@@ -39,10 +39,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"mobiletel/internal/aggregate"
@@ -292,11 +290,12 @@ type Options struct {
 	// churn, message loss, advertisement corruption, adversarial state
 	// resets) into the execution. Faulted runs remain a pure function of
 	// (Seed, schedule, algorithm, Options, Faults) at any worker count.
-	// A crashed device keeps stale state. Under crash faults only
-	// ElectLeader's stop condition (and its reported Leader) ignores down
-	// devices; the other entry points' stop conditions count them too, so a
-	// device that crashes before it has converged holds the run until it
-	// recovers and catches up, or to MaxRounds.
+	// A crashed device keeps stale state, so every entry point evaluates
+	// its stop condition over the up devices only, and ElectLeader and
+	// Decide report the first up device's state. GossipAll and Aggregate's
+	// Mean, Count and Sum still measure against the whole network (all n
+	// rumors, the true aggregate), so a device that crashes holding a share
+	// no up device has holds the run until it recovers, or to MaxRounds.
 	Faults *FaultPlan
 	// Check audits every round against the engine's safety invariants
 	// (proposal conservation, matching symmetry, down-device silence,
@@ -416,19 +415,18 @@ func (p *FaultPlan) compile(n int) (*fault.Injector, error) {
 }
 
 // run is the one execution path behind every entry point. It compiles
-// o.Faults, attaches the observers o names, runs protocols over s until the
-// stop condition that stop builds from the compiled injector (nil without a
-// fault plan) fires, and writes the metrics and phase profile. It returns
-// the injector so an election can report an up device's leader.
-func (o Options) run(s Schedule, protocols []sim.Protocol, tagBits int, stop func(*fault.Injector) sim.StopCondition) (sim.Result, *fault.Injector, error) {
+// o.Faults, attaches the observers o names, runs protocols over s until stop
+// holds over the up devices, and writes the metrics and phase profile. It
+// returns the first up device, whose state the entry point reports.
+func (o Options) run(s Schedule, protocols []sim.Protocol, tagBits int, stop sim.StopCondition) (sim.Result, int, error) {
 	n := s.sched.N()
 	injector, err := o.Faults.compile(n)
 	if err != nil {
-		return sim.Result{}, nil, err
+		return sim.Result{}, 0, err
 	}
 	out, err := o.outputs()
 	if err != nil {
-		return sim.Result{}, nil, err
+		return sim.Result{}, 0, err
 	}
 	var observer func(sim.RoundStats)
 	if o.OnRound != nil {
@@ -448,25 +446,23 @@ func (o Options) run(s Schedule, protocols []sim.Protocol, tagBits int, stop fun
 		Check:       o.Check,
 	})
 	if err != nil {
-		return sim.Result{}, nil, err
+		return sim.Result{}, 0, err
 	}
 	defer eng.Close()
-	res, err := eng.Run(stop(injector))
+	res, err := eng.Run(sim.UpOnly(injector, stop))
 	if err != nil {
-		return sim.Result{}, nil, err
+		return sim.Result{}, 0, err
 	}
 	// The exact cut-matching number γ is computable for a static schedule
 	// small enough for matching.GammaExact's exhaustive cut enumeration.
 	if out.metrics != nil && s.sched.Tau() == math.MaxInt && n >= 2 && n <= 16 {
 		out.metrics.SetGammaBound(matching.GammaExact(s.sched.GraphAt(1)))
 	}
-	return res, injector, out.write(o)
-}
-
-// always adapts a stop condition that no fault plan changes to run's stop
-// parameter.
-func always(stop sim.StopCondition) func(*fault.Injector) sim.StopCondition {
-	return func(*fault.Injector) sim.StopCondition { return stop }
+	up := 0
+	for injector != nil && injector.Down(up) {
+		up++ // the stop condition held, so some device is up
+	}
+	return res, up, out.write(o)
 }
 
 // outputs are a run's observers: the event sink behind TraceTo and
@@ -599,16 +595,12 @@ func ElectLeader(s Schedule, algo Algorithm, opts Options) (ElectionResult, erro
 		return ElectionResult{}, fmt.Errorf("mobiletel: unknown algorithm %v", algo)
 	}
 
-	res, injector, err := opts.run(s, protocols, tagBits, sim.UpLeadersEqual)
+	res, up, err := opts.run(s, protocols, tagBits, sim.AllLeadersEqual)
 	if err != nil {
 		return ElectionResult{}, err
 	}
-	leaderOf := 0
-	for injector != nil && injector.Down(leaderOf) {
-		leaderOf++ // the stop condition fired, so some device is up
-	}
 	return ElectionResult{
-		Leader:      protocols[leaderOf].Leader(),
+		Leader:      protocols[up].Leader(),
 		Rounds:      res.StabilizedRound,
 		Connections: res.Connections,
 		UIDs:        uids,
@@ -666,7 +658,7 @@ func SpreadRumor(s Schedule, strategy RumorStrategy, sources []int, opts Options
 	default:
 		return RumorResult{}, fmt.Errorf("mobiletel: unknown strategy %v", strategy)
 	}
-	res, _, err := opts.run(s, protocols, tagBits, always(rumor.AllInformed))
+	res, _, err := opts.run(s, protocols, tagBits, rumor.AllInformed)
 	if err != nil {
 		return RumorResult{}, err
 	}
@@ -701,8 +693,7 @@ type ExperimentOptions struct {
 	Progress io.Writer
 	// TraceTo, when non-nil, receives a JSONL event trace (schema
 	// mtmtrace/v1) of the experiment's first trial. E4, which runs no
-	// engine, and A2, which runs its trials outside the trial batches,
-	// leave it empty.
+	// engine, leaves it empty.
 	TraceTo io.Writer
 	// MetricsTo, when non-nil, receives a JSON metrics summary (schema
 	// mtmtrace-metrics/v1) of the experiment's first trial.
@@ -715,10 +706,9 @@ type ExperimentOptions struct {
 	// checkpointing: completed trial results are appended to
 	// <CheckpointDir>/<id>.ckpt.jsonl and replayed on the next run with the
 	// same (id, seed, trials, quick) key, producing a bit-identical table.
-	// Stale checkpoints (different key) are rejected with an error. E4, E5,
-	// E11 and A2 record no cells and re-run in full: E4 and A2 run outside
-	// the trial batches, and E5 and E11 need per-trial measurements that a
-	// cell cannot hold.
+	// Stale checkpoints (different key) are rejected with an error. E4, A2,
+	// E5 and E11 record no cells and re-run in full: E4 runs no trials, and
+	// A2, E5 and E11 need per-trial measurements that a cell cannot hold.
 	CheckpointDir string
 	// DieAfter, when > 0, kills the process (exit 3) after that many newly
 	// recorded checkpoint cells. Test hook for the resume path; requires
@@ -726,8 +716,8 @@ type ExperimentOptions struct {
 	DieAfter int
 	// Interrupt, when non-nil, aborts the sweep gracefully once the channel
 	// is closed: in-flight trials drain (and checkpoint), no new trials
-	// start, and RunExperiment returns ErrInterrupted. E4 and A2, which run
-	// outside the trial batches, ignore it.
+	// start, and RunExperiment returns ErrInterrupted. E4, which runs no
+	// trials, ignores it.
 	Interrupt <-chan struct{}
 }
 
@@ -806,11 +796,11 @@ func Decide(s Schedule, proposals []uint64, opts Options) (DecisionResult, error
 	}
 	params := core.DefaultBitConvParams(n, s.sched.MaxDegree())
 	protocols, _ := consensus.NewNetwork(proposals, params, opts.Seed^0xdec1de)
-	res, _, err := opts.run(s, protocols, consensus.TagBits(params), always(consensus.AllAgree))
+	res, up, err := opts.run(s, protocols, consensus.TagBits(params), consensus.AllAgree)
 	if err != nil {
 		return DecisionResult{}, err
 	}
-	winner := protocols[0].(*consensus.Proposer)
+	winner := protocols[up].(*consensus.Proposer)
 	return DecisionResult{Value: winner.Value(), Leader: winner.Leader(), Rounds: res.StabilizedRound}, nil
 }
 
@@ -911,7 +901,7 @@ func Aggregate(s Schedule, kind AggregateKind, inputs []float64, rel float64, op
 		return AggregateResult{}, fmt.Errorf("mobiletel: unknown aggregate %v", kind)
 	}
 
-	res, _, err := opts.run(s, protocols, 0, always(stop))
+	res, _, err := opts.run(s, protocols, 0, stop)
 	if err != nil {
 		return AggregateResult{}, err
 	}
@@ -940,7 +930,7 @@ type GossipResult struct {
 // the follow-on problems from the paper's conclusion). Each connection
 // carries one rumor in each direction, respecting the O(1)-UID budget.
 func GossipAll(s Schedule, opts Options) (GossipResult, error) {
-	res, _, err := opts.run(s, gossip.NewNetwork(s.sched.N()), 0, always(gossip.AllComplete))
+	res, _, err := opts.run(s, gossip.NewNetwork(s.sched.N()), 0, gossip.AllComplete)
 	if err != nil {
 		return GossipResult{}, err
 	}
@@ -959,9 +949,11 @@ type SweepRow struct {
 }
 
 // RunSweep is the building block for custom parameter studies: for every
-// label it runs `trials` independent trials of fn (in parallel, each with a
-// distinct derived seed) and aggregates the returned round counts. fn must
-// be safe for concurrent calls; errors abort the sweep.
+// label it runs `trials` independent trials of fn and aggregates the
+// returned round counts. Every (label, trial) runs on the experiment
+// harness's trial pool, GOMAXPROCS at a time, with the derived seed
+// xrand.Mix3(seed, label index, trial). fn must be safe for concurrent
+// calls; the first error in (label, trial) order aborts the sweep.
 //
 //	rows, _ := mobiletel.RunSweep([]string{"tau=1", "tau=8"}, 20, 1,
 //	    func(label string, seed uint64) (int, error) {
@@ -976,33 +968,23 @@ func RunSweep(labels []string, trials int, seed uint64, fn func(label string, tr
 	if trials < 1 {
 		return nil, errors.New("mobiletel: RunSweep needs trials >= 1")
 	}
-	rows := make([]SweepRow, 0, len(labels))
+	rounds, err := experiment.RunCells(experiment.Config{}, len(labels), trials, func(li, trial int) (int, error) {
+		r, err := fn(labels[li], xrand.Mix3(seed, uint64(li), uint64(trial)))
+		if err != nil {
+			return 0, fmt.Errorf("mobiletel: sweep %q trial %d: %w", labels[li], trial, err)
+		}
+		return r, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]SweepRow, len(labels))
 	for li, label := range labels {
-		rounds := make([]int, trials)
-		errs := make([]error, trials)
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for trial := 0; trial < trials; trial++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(trial int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				trialSeed := xrand.Mix3(seed, uint64(li), uint64(trial))
-				rounds[trial], errs[trial] = fn(label, trialSeed)
-			}(trial)
-		}
-		wg.Wait()
-		for trial, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("mobiletel: sweep %q trial %d: %w", label, trial, err)
-			}
-		}
-		s := stats.IntSummary(rounds)
-		rows = append(rows, SweepRow{
+		s := stats.IntSummary(rounds[li])
+		rows[li] = SweepRow{
 			Label: label, Trials: trials,
 			Median: s.Median, P90: s.P90, Mean: s.Mean, Min: s.Min, Max: s.Max,
-		})
+		}
 	}
 	return rows, nil
 }

@@ -1,6 +1,7 @@
 package mobiletel_test
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -204,6 +205,36 @@ func TestRunExperimentTextAndCSV(t *testing.T) {
 func TestRunExperimentUnknown(t *testing.T) {
 	if _, err := mobiletel.RunExperiment("bogus", mobiletel.ExperimentOptions{}); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// byteCounter is an io.Writer that counts what it is given and keeps the
+// first line.
+type byteCounter struct {
+	n     int
+	first []byte
+}
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	if i := bytes.IndexByte(c.first, '\n'); i < 0 {
+		c.first = append(c.first, p...)
+	}
+	c.n += len(p)
+	return len(p), nil
+}
+
+// TestRunExperimentTracesA2 requires A2, whose trials end at a round cap,
+// to trace its first trial like every other trial batch. That trial
+// collides on its minimum tag and runs to the 100 000-round quick cap, so
+// the trace is only counted.
+func TestRunExperimentTracesA2(t *testing.T) {
+	var trace byteCounter
+	if _, err := mobiletel.RunExperiment("A2-ablation-tagbits",
+		mobiletel.ExperimentOptions{Seed: 1, Trials: 1, Quick: true, TraceTo: &trace}); err != nil {
+		t.Fatal(err)
+	}
+	if trace.n == 0 || !bytes.Contains(trace.first, []byte(`"schema":"mtmtrace/v1"`)) {
+		t.Fatalf("A2 wrote %d trace bytes, first line %.120q", trace.n, trace.first)
 	}
 }
 

@@ -107,6 +107,33 @@ func TestEveryEntryPointAppliesOptions(t *testing.T) {
 	}
 }
 
+// TestEntryPointsStopOverUpDevices crashes one device at round 2 for good.
+// Every entry point evaluates its stop condition over the up devices, so an
+// election, a consensus and a rumor from another device finish among the
+// survivors instead of waiting for the crashed device until MaxRounds.
+func TestEntryPointsStopOverUpDevices(t *testing.T) {
+	const n = 32
+	sched := mobiletel.Static(mobiletel.RandomRegular(n, 6, 3))
+	opts := mobiletel.Options{Seed: 9, MaxRounds: 50_000, Faults: &mobiletel.FaultPlan{
+		Crashes: []mobiletel.FaultEvent{{Round: 2, Device: 5}},
+	}}
+	if _, err := mobiletel.ElectLeader(sched, mobiletel.AsyncBitConv, opts); err != nil {
+		t.Errorf("ElectLeader: %v", err)
+	}
+	proposals := make([]uint64, n)
+	for i := range proposals {
+		proposals[i] = uint64(100 + i)
+	}
+	if res, err := mobiletel.Decide(sched, proposals, opts); err != nil {
+		t.Errorf("Decide: %v", err)
+	} else if !slices.Contains(proposals, res.Value) {
+		t.Errorf("Decide agreed on %d, which nobody proposed", res.Value)
+	}
+	if _, err := mobiletel.SpreadRumor(sched, mobiletel.PushPull, []int{0}, opts); err != nil {
+		t.Errorf("SpreadRumor: %v", err)
+	}
+}
+
 func TestParsePartitions(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
