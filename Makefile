@@ -55,10 +55,14 @@ race-smoke:
 # Then 15 seconds that decode small CSR arrays and require graph.FromCSR
 # never to panic and to reach the test-only reference validator's verdict,
 # naming a truly missing reverse entry when it rejects an asymmetric input.
+# Then 15 seconds that decode graphs of at most 12 nodes with a cut and
+# require matching.CutMatcher's ν(B(S)) to equal the test-only brute-force
+# matcher's and its pairing to pass the test-only validator.
 # A failing input is saved under the package's testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesOracle$$' -fuzztime 30s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzFromCSR$$' -fuzztime 15s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzCutMatcher$$' -fuzztime 15s ./internal/matching
 
 lint:
 	$(GO) run ./cmd/mtmlint ./...

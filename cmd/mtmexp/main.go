@@ -106,8 +106,11 @@ func run() error {
 	}
 
 	opts := mobiletel.ExperimentOptions{
-		Seed: *seed, Trials: *trials, Quick: *quick, CSV: *csv,
+		Seed: *seed, Trials: *trials, Quick: *quick,
 		CheckpointDir: *checkpoint, DieAfter: *dieAfter,
+	}
+	if *csv {
+		opts.CSVTo = os.Stdout
 	}
 	if *progress {
 		opts.Progress = os.Stderr
@@ -154,6 +157,7 @@ func run() error {
 			suffix string
 			dst    *io.Writer
 		}{
+			{*outDir, ".csv", &runOpts.CSVTo},
 			{*traceDir, ".trace.jsonl", &runOpts.TraceTo},
 			{*metricsDir, ".metrics.json", &runOpts.MetricsTo},
 			{*profDir, ".prof.json", &runOpts.PhaseProfTo},
@@ -166,13 +170,17 @@ func run() error {
 				return err
 			}
 			sinkFiles = append(sinkFiles, f)
-			*sink.dst = f
+			if *sink.dst != nil {
+				*sink.dst = io.MultiWriter(*sink.dst, f) // -csv with -out
+			} else {
+				*sink.dst = f
+			}
 		}
 		start := time.Now()
 		out, err := mobiletel.RunExperiment(id, runOpts)
 		elapsed := time.Since(start).Seconds()
 		// Sink files publish atomically on success; a failed experiment
-		// aborts them so no torn trace/metrics file is left behind.
+		// aborts them so no torn CSV, trace or metrics file is left behind.
 		for _, f := range sinkFiles {
 			op, ferr := "committing", error(nil)
 			if err != nil {
@@ -199,21 +207,9 @@ func run() error {
 			failed++
 			continue
 		}
-		fmt.Print(out)
 		if !*csv {
+			fmt.Print(out)
 			fmt.Printf("(%s in %.1fs)\n\n", id, elapsed)
-		}
-		if *outDir != "" {
-			csvOpts := opts
-			csvOpts.CSV = true
-			csvOut, err := mobiletel.RunExperiment(id, csvOpts)
-			if err == nil {
-				path := filepath.Join(*outDir, id+".csv")
-				if werr := atomicwrite.WriteFile(path, []byte(csvOut), 0o644); werr != nil {
-					fmt.Fprintf(os.Stderr, "mtmexp: writing %s: %v\n", path, werr)
-					failed++
-				}
-			}
 		}
 	}
 

@@ -68,11 +68,6 @@ func encodeTag(position int, bit uint64) uint64 {
 	return uint64(position-1)*2 + bit
 }
 
-// decodeTag unpacks an advertised tag value.
-func decodeTag(tag uint64) (position int, bit uint64) {
-	return int(tag/2) + 1, tag & 1
-}
-
 // Advertise starts a new local group when due (picking a fresh random
 // position) and returns the encoded (position, bit) advertisement.
 func (p *AsyncBitConv) Advertise(ctx *sim.Context) uint64 {

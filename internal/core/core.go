@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"mobiletel/internal/sim"
 	"mobiletel/internal/xrand"
 )
 
@@ -147,16 +146,4 @@ func AssignTags(n, k int, seed uint64) []uint64 {
 		tags[i] = 1 + rng.Uint64n(span)
 	}
 	return tags
-}
-
-// leadersAllEqual is shared test plumbing: checks every protocol in the
-// slice reports the same leader.
-func leadersAllEqual(protocols []sim.Protocol) bool {
-	first := protocols[0].Leader()
-	for _, p := range protocols[1:] {
-		if p.Leader() != first {
-			return false
-		}
-	}
-	return true
 }

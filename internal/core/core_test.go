@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mobiletel/internal/sim"
 	"mobiletel/internal/xrand"
 )
 
@@ -190,6 +191,11 @@ func TestBitConvParamsValidate(t *testing.T) {
 	}
 }
 
+// decodeTag unpacks an advertised tag value: encodeTag's inverse.
+func decodeTag(tag uint64) (position int, bit uint64) {
+	return int(tag/2) + 1, tag & 1
+}
+
 func TestEncodeDecodeTag(t *testing.T) {
 	for pos := 1; pos <= 20; pos++ {
 		for bit := uint64(0); bit <= 1; bit++ {
@@ -292,10 +298,10 @@ func TestNetworkFactories(t *testing.T) {
 
 func TestLeadersAllEqualHelper(t *testing.T) {
 	uids := []uint64{3, 3, 3}
-	if !leadersAllEqual(NewBlindGossipNetwork(uids)) {
+	if !sim.AllLeadersEqual(0, NewBlindGossipNetwork(uids)) {
 		t.Fatal("equal leaders not detected")
 	}
-	if leadersAllEqual(NewBlindGossipNetwork([]uint64{3, 4, 3})) {
+	if sim.AllLeadersEqual(0, NewBlindGossipNetwork([]uint64{3, 4, 3})) {
 		t.Fatal("unequal leaders not detected")
 	}
 }

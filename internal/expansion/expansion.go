@@ -3,16 +3,19 @@
 //
 //	α = min over non-empty S ⊂ V, |S| ≤ n/2 of α(S) = |∂S| / |S|.
 //
-// Computing α exactly is NP-hard in general, so the package offers three
-// honest tiers:
+// Computing α exactly is NP-hard in general, so the package offers two
+// honest tiers, next to graph.AlphaOf for one explicit cut:
 //
-//   - Exact: exhaustive subset enumeration with bitset boundaries, feasible
-//     to n ≤ MaxExactN. Used in tests to validate the analytic α formulas
-//     attached to generated families.
+//   - Exact: the one exhaustive subset enumeration, in Gray-code order with
+//     an incrementally maintained boundary, feasible to n ≤ MaxExactN.
+//     internal/graph/gen takes the α of its small families without a
+//     closed form (Petersen, small wheels, circulants and expanders) from
+//     it, and tests check the analytic α formulas of the others against
+//     it. The package tests hold it to a naive enumeration that recomputes
+//     every subset's boundary from scratch.
 //   - SweepUpperBound: the minimum α(S) over BFS-prefix and degree-order
 //     sweep cuts from several sources. Always an upper bound on α (it
 //     inspects a subfamily of cuts), cheap enough for any n.
-//   - AlphaOf: α(S) for one explicit cut (re-exported from internal/graph).
 //
 // Experiments use graph families whose α is known analytically; this package
 // exists to certify those formulas and to sanity-check arbitrary inputs.

@@ -1,9 +1,11 @@
-package expansion
+package expansion_test
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
+	"mobiletel/internal/expansion"
 	"mobiletel/internal/graph"
 	"mobiletel/internal/graph/gen"
 	"mobiletel/internal/xrand"
@@ -12,11 +14,11 @@ import (
 func TestExactClique(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 8, 9} {
 		f := gen.Clique(n)
-		alpha, set := Exact(f.Graph)
+		alpha, set := expansion.Exact(f.Graph)
 		if alpha != f.Alpha {
 			t.Errorf("K_%d: exact α=%v, analytic %v", n, alpha, f.Alpha)
 		}
-		if !Verify(f.Graph, set, alpha) {
+		if !expansion.Verify(f.Graph, set, alpha) {
 			t.Errorf("K_%d: minimizing set %v does not attain %v", n, set, alpha)
 		}
 	}
@@ -25,7 +27,7 @@ func TestExactClique(t *testing.T) {
 func TestExactPath(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 10, 11} {
 		f := gen.Path(n)
-		alpha, _ := Exact(f.Graph)
+		alpha, _ := expansion.Exact(f.Graph)
 		if alpha != f.Alpha {
 			t.Errorf("path(%d): exact α=%v, analytic %v", n, alpha, f.Alpha)
 		}
@@ -35,7 +37,7 @@ func TestExactPath(t *testing.T) {
 func TestExactCycle(t *testing.T) {
 	for _, n := range []int{3, 4, 5, 8, 12} {
 		f := gen.Cycle(n)
-		alpha, _ := Exact(f.Graph)
+		alpha, _ := expansion.Exact(f.Graph)
 		if alpha != f.Alpha {
 			t.Errorf("cycle(%d): exact α=%v, analytic %v", n, alpha, f.Alpha)
 		}
@@ -45,7 +47,7 @@ func TestExactCycle(t *testing.T) {
 func TestExactStar(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 9, 12} {
 		f := gen.Star(n)
-		alpha, _ := Exact(f.Graph)
+		alpha, _ := expansion.Exact(f.Graph)
 		if alpha != f.Alpha {
 			t.Errorf("star(%d): exact α=%v, analytic %v", n, alpha, f.Alpha)
 		}
@@ -56,10 +58,10 @@ func TestExactLineOfStars(t *testing.T) {
 	cases := []struct{ stars, points int }{{2, 2}, {3, 2}, {4, 3}, {3, 4}}
 	for _, c := range cases {
 		f := gen.LineOfStars(c.stars, c.points)
-		if f.N() > MaxExactN {
+		if f.N() > expansion.MaxExactN {
 			continue
 		}
-		alpha, set := Exact(f.Graph)
+		alpha, set := expansion.Exact(f.Graph)
 		if alpha != f.Alpha {
 			t.Errorf("line-of-stars(%d,%d): exact α=%v, analytic %v (set %v)",
 				c.stars, c.points, alpha, f.Alpha, set)
@@ -70,10 +72,10 @@ func TestExactLineOfStars(t *testing.T) {
 func TestExactBarbell(t *testing.T) {
 	for _, s := range []int{2, 3, 5, 8} {
 		f := gen.Barbell(s)
-		if f.N() > MaxExactN {
+		if f.N() > expansion.MaxExactN {
 			continue
 		}
-		alpha, _ := Exact(f.Graph)
+		alpha, _ := expansion.Exact(f.Graph)
 		if alpha != f.Alpha {
 			t.Errorf("barbell(%d): exact α=%v, analytic %v", s, alpha, f.Alpha)
 		}
@@ -83,7 +85,7 @@ func TestExactBarbell(t *testing.T) {
 func TestExactBinaryTree(t *testing.T) {
 	for _, levels := range []int{2, 3, 4} {
 		f := gen.CompleteBinaryTree(levels)
-		alpha, _ := Exact(f.Graph)
+		alpha, _ := expansion.Exact(f.Graph)
 		if alpha != f.Alpha {
 			t.Errorf("binary-tree(%d levels): exact α=%v, analytic %v", levels, alpha, f.Alpha)
 		}
@@ -94,10 +96,10 @@ func TestExactRingOfCliques(t *testing.T) {
 	cases := []struct{ k, s int }{{3, 3}, {4, 3}, {4, 4}, {5, 4}, {6, 3}}
 	for _, c := range cases {
 		f := gen.RingOfCliques(c.k, c.s)
-		if f.N() > MaxExactN {
+		if f.N() > expansion.MaxExactN {
 			continue
 		}
-		alpha, set := Exact(f.Graph)
+		alpha, set := expansion.Exact(f.Graph)
 		if alpha != f.Alpha {
 			t.Errorf("ring-of-cliques(%d,%d): exact α=%v, analytic %v (set %v)",
 				c.k, c.s, alpha, f.Alpha, set)
@@ -111,7 +113,7 @@ func TestExactRejectsLargeGraph(t *testing.T) {
 			t.Fatal("Exact on oversized graph did not panic")
 		}
 	}()
-	Exact(gen.Cycle(MaxExactN + 1).Graph)
+	expansion.Exact(gen.Cycle(expansion.MaxExactN + 1).Graph)
 }
 
 func TestExactRejectsTinyGraph(t *testing.T) {
@@ -120,7 +122,7 @@ func TestExactRejectsTinyGraph(t *testing.T) {
 			t.Fatal("Exact on 1-node graph did not panic")
 		}
 	}()
-	Exact(graph.NewBuilder(1).MustBuild())
+	expansion.Exact(graph.NewBuilder(1).MustBuild())
 }
 
 func TestSweepIsUpperBound(t *testing.T) {
@@ -129,12 +131,12 @@ func TestSweepIsUpperBound(t *testing.T) {
 	rng := xrand.New(42)
 	for trial := 0; trial < 40; trial++ {
 		g := randomConnected(rng, 6+trial%8, 0.35)
-		exact, _ := Exact(g)
-		sweep, set := SweepUpperBound(g)
+		exact, _ := expansion.Exact(g)
+		sweep, set := expansion.SweepUpperBound(g)
 		if sweep < exact-1e-12 {
 			t.Fatalf("sweep %v below exact %v on %v", sweep, exact, g)
 		}
-		if !Verify(g, set, sweep) {
+		if !expansion.Verify(g, set, sweep) {
 			t.Fatalf("sweep set %v does not attain %v on %v", set, sweep, g)
 		}
 	}
@@ -145,14 +147,14 @@ func TestSweepExactOnLineFamilies(t *testing.T) {
 	// minimum cut, so the bound should be tight.
 	for _, n := range []int{8, 13, 20, 51} {
 		f := gen.Path(n)
-		sweep, _ := SweepUpperBound(f.Graph)
+		sweep, _ := expansion.SweepUpperBound(f.Graph)
 		if sweep != f.Alpha {
 			t.Errorf("path(%d): sweep α=%v, want exact %v", n, sweep, f.Alpha)
 		}
 	}
 	for _, side := range []int{3, 5, 8} {
 		f := gen.SqrtLineOfStars(side)
-		sweep, _ := SweepUpperBound(f.Graph)
+		sweep, _ := expansion.SweepUpperBound(f.Graph)
 		if sweep > f.Alpha*1.0000001 {
 			t.Errorf("sqrt-line-of-stars(%d): sweep α=%v, want <= analytic %v", side, sweep, f.Alpha)
 		}
@@ -163,7 +165,7 @@ func TestSweepOnRandomRegularIsConstantish(t *testing.T) {
 	// Random regular graphs are expanders w.h.p.; the sweep upper bound
 	// should not collapse to o(1) values.
 	f := gen.RandomRegular(200, 6, 7)
-	sweep, _ := SweepUpperBound(f.Graph)
+	sweep, _ := expansion.SweepUpperBound(f.Graph)
 	if sweep < 0.05 {
 		t.Fatalf("random-regular sweep α=%v suspiciously small for an expander", sweep)
 	}
@@ -171,19 +173,19 @@ func TestSweepOnRandomRegularIsConstantish(t *testing.T) {
 
 func TestVerifyRejectsBadSets(t *testing.T) {
 	g := gen.Cycle(8).Graph
-	if Verify(g, nil, 0.5) {
+	if expansion.Verify(g, nil, 0.5) {
 		t.Fatal("Verify accepted empty set")
 	}
-	if Verify(g, []int{0, 1, 2, 3, 4}, 0.5) {
+	if expansion.Verify(g, []int{0, 1, 2, 3, 4}, 0.5) {
 		t.Fatal("Verify accepted oversized set")
 	}
-	if Verify(g, []int{0, 0}, 0.5) {
+	if expansion.Verify(g, []int{0, 0}, 0.5) {
 		t.Fatal("Verify accepted duplicate nodes")
 	}
-	if Verify(g, []int{99}, 0.5) {
+	if expansion.Verify(g, []int{99}, 0.5) {
 		t.Fatal("Verify accepted out-of-range node")
 	}
-	if Verify(g, []int{0, 1}, 0.123) {
+	if expansion.Verify(g, []int{0, 1}, 0.123) {
 		t.Fatal("Verify accepted wrong claimed value")
 	}
 }
@@ -193,7 +195,7 @@ func TestAlphaAlwaysAtMostOne(t *testing.T) {
 	rng := xrand.New(99)
 	for trial := 0; trial < 30; trial++ {
 		g := randomConnected(rng, 8+trial%6, 0.4)
-		alpha, _ := Exact(g)
+		alpha, _ := expansion.Exact(g)
 		if alpha > 1 {
 			t.Fatalf("exact α=%v > 1 on %v", alpha, g)
 		}
@@ -225,7 +227,7 @@ func BenchmarkExact16(b *testing.B) {
 	g := gen.RingOfCliques(4, 4).Graph
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Exact(g)
+		expansion.Exact(g)
 	}
 }
 
@@ -233,7 +235,7 @@ func BenchmarkSweep10000(b *testing.B) {
 	g := gen.RingOfCliques(100, 100).Graph
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SweepUpperBound(g)
+		expansion.SweepUpperBound(g)
 	}
 }
 
@@ -241,16 +243,76 @@ func TestExactCompleteBipartite(t *testing.T) {
 	cases := [][2]int{{2, 3}, {3, 3}, {3, 5}, {4, 6}, {2, 8}}
 	for _, c := range cases {
 		f := gen.CompleteBipartite(c[0], c[1])
-		alpha, _ := Exact(f.Graph)
+		alpha, _ := expansion.Exact(f.Graph)
 		if alpha != f.Alpha {
 			t.Errorf("K_{%d,%d}: exact α=%v, analytic %v", c[0], c[1], alpha, f.Alpha)
 		}
 	}
 }
 
+// naiveAlpha is the reference α: it visits every subset S in numeric order
+// and recomputes |∂S| from S's neighbor masks, with none of Exact's
+// Gray-code bookkeeping.
+func naiveAlpha(g *graph.Graph) float64 {
+	n := g.N()
+	nbr := make([]uint32, n)
+	for u := range nbr {
+		for _, v := range g.Neighbors(u) {
+			nbr[u] |= 1 << uint(v)
+		}
+	}
+	best := math.Inf(1)
+	for s := uint32(1); s < 1<<uint(n); s++ {
+		size := bits.OnesCount32(s)
+		if size > n/2 {
+			continue
+		}
+		var boundary uint32
+		for rest := s; rest != 0; rest &= rest - 1 {
+			boundary |= nbr[bits.TrailingZeros32(rest)]
+		}
+		if a := float64(bits.OnesCount32(boundary&^s)) / float64(size); a < best {
+			best = a
+		}
+	}
+	return best
+}
+
+// checkNaive requires Exact to return naiveAlpha's value and a set that
+// attains it.
+func checkNaive(t *testing.T, name string, g *graph.Graph) {
+	t.Helper()
+	alpha, set := expansion.Exact(g)
+	if want := naiveAlpha(g); alpha != want {
+		t.Errorf("%s: exact α=%v, naive enumeration %v", name, alpha, want)
+	}
+	if !expansion.Verify(g, set, alpha) {
+		t.Errorf("%s: minimizing set %v does not attain %v", name, set, alpha)
+	}
+}
+
+func TestExactMatchesNaiveOnRandomGraphs(t *testing.T) {
+	// G(n, p) samples, connected or not, at densities from sparse to dense.
+	rng := xrand.New(31)
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(13)
+		p := 0.1 + 0.8*rng.Float64()
+		b := graph.NewBuilder(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < p {
+					b.AddEdge(u, v)
+				}
+			}
+		}
+		checkNaive(t, "random", b.MustBuild())
+	}
+}
+
 func TestExactPetersen(t *testing.T) {
 	f := gen.Petersen()
-	alpha, _ := Exact(f.Graph)
+	checkNaive(t, f.Name, f.Graph)
+	alpha, _ := expansion.Exact(f.Graph)
 	if alpha != f.Alpha {
 		t.Errorf("petersen: exact α=%v, family %v", alpha, f.Alpha)
 	}
@@ -259,7 +321,8 @@ func TestExactPetersen(t *testing.T) {
 func TestExactWheel(t *testing.T) {
 	for _, n := range []int{4, 5, 6, 9, 12} {
 		f := gen.Wheel(n)
-		alpha, _ := Exact(f.Graph)
+		checkNaive(t, f.Name, f.Graph)
+		alpha, _ := expansion.Exact(f.Graph)
 		if alpha != f.Alpha {
 			t.Errorf("wheel(%d): exact α=%v, analytic %v", n, alpha, f.Alpha)
 		}
@@ -268,8 +331,22 @@ func TestExactWheel(t *testing.T) {
 
 func TestExactCirculant(t *testing.T) {
 	f := gen.Circulant(12, []int{1, 3})
-	alpha, _ := Exact(f.Graph)
+	checkNaive(t, f.Name, f.Graph)
+	alpha, _ := expansion.Exact(f.Graph)
 	if alpha != f.Alpha {
 		t.Errorf("circulant: exact α=%v, family %v", alpha, f.Alpha)
+	}
+}
+
+func TestExactExpanderFamilyAlpha(t *testing.T) {
+	// gen.Expander takes its α from Exact up to 20 nodes.
+	for _, c := range []struct{ n, d int }{{8, 4}, {12, 4}, {16, 6}, {20, 4}} {
+		f := gen.Expander(c.n, c.d, 3)
+		if !f.AlphaExact {
+			t.Fatalf("expander(%d, %d) reports no exact α", c.n, c.d)
+		}
+		if want := naiveAlpha(f.Graph); f.Alpha != want {
+			t.Errorf("expander(%d, %d): family α=%v, naive enumeration %v", c.n, c.d, f.Alpha, want)
+		}
 	}
 }

@@ -1,9 +1,10 @@
-package expansion
+package expansion_test
 
 import (
 	"math"
 	"testing"
 
+	"mobiletel/internal/expansion"
 	"mobiletel/internal/graph/gen"
 )
 
@@ -13,7 +14,7 @@ func TestSpectralGapCycleMatchesClosedForm(t *testing.T) {
 	for _, n := range []int{8, 16, 40} {
 		f := gen.Cycle(n)
 		want := 1 - math.Cos(2*math.Pi/float64(n))
-		got := SpectralGap(f.Graph, 3000)
+		got := expansion.SpectralGap(f.Graph, 3000)
 		if math.Abs(got-want) > 1e-4 {
 			t.Errorf("cycle(%d): λ₂ = %v, want %v", n, got, want)
 		}
@@ -24,7 +25,7 @@ func TestSpectralGapCompleteGraph(t *testing.T) {
 	// K_n has normalized Laplacian eigenvalues 0 and n/(n−1).
 	f := gen.Clique(10)
 	want := 10.0 / 9.0
-	got := SpectralGap(f.Graph, 2000)
+	got := expansion.SpectralGap(f.Graph, 2000)
 	if math.Abs(got-want) > 1e-6 {
 		t.Fatalf("K10: λ₂ = %v, want %v", got, want)
 	}
@@ -41,8 +42,8 @@ func TestSpectralAlphaEstimateBelowExact(t *testing.T) {
 		gen.RingOfCliques(3, 4),
 	}
 	for _, f := range families {
-		exact, _ := Exact(f.Graph)
-		est := SpectralAlphaEstimate(f.Graph, 3000)
+		exact, _ := expansion.Exact(f.Graph)
+		est := expansion.SpectralAlphaEstimate(f.Graph, 3000)
 		if est > exact*1.01+1e-9 {
 			t.Errorf("%s: spectral estimate %v exceeds exact α %v", f.Name, est, exact)
 		}
@@ -56,8 +57,8 @@ func TestSpectralSandwichOnExpanders(t *testing.T) {
 	// On a random regular expander, the spectral lower estimate and the
 	// sweep upper bound must bracket a healthy constant range.
 	f := gen.RandomRegular(256, 8, 5)
-	lower := SpectralAlphaEstimate(f.Graph, 2000)
-	upper, _ := SweepUpperBound(f.Graph)
+	lower := expansion.SpectralAlphaEstimate(f.Graph, 2000)
+	upper, _ := expansion.SweepUpperBound(f.Graph)
 	if lower <= 0.01 {
 		t.Fatalf("expander spectral bound %v collapsed", lower)
 	}
@@ -69,8 +70,8 @@ func TestSpectralSandwichOnExpanders(t *testing.T) {
 func TestSpectralGapSmallOnBottleneck(t *testing.T) {
 	// Barbell: two cliques joined by one edge — tiny spectral gap,
 	// much smaller than the clique's.
-	barbell := SpectralGap(gen.Barbell(8).Graph, 3000)
-	clique := SpectralGap(gen.Clique(16).Graph, 3000)
+	barbell := expansion.SpectralGap(gen.Barbell(8).Graph, 3000)
+	clique := expansion.SpectralGap(gen.Clique(16).Graph, 3000)
 	if barbell*10 > clique {
 		t.Fatalf("barbell gap %v not much smaller than clique gap %v", barbell, clique)
 	}
@@ -78,8 +79,8 @@ func TestSpectralGapSmallOnBottleneck(t *testing.T) {
 
 func TestSpectralGapPanics(t *testing.T) {
 	cases := []func(){
-		func() { SpectralGap(gen.Clique(1).Graph, 10) },
-		func() { SpectralGap(gen.Clique(4).Graph, 0) },
+		func() { expansion.SpectralGap(gen.Clique(1).Graph, 10) },
+		func() { expansion.SpectralGap(gen.Clique(4).Graph, 0) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -97,6 +98,6 @@ func BenchmarkSpectralGap(b *testing.B) {
 	f := gen.RandomRegular(1000, 8, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SpectralGap(f.Graph, 200)
+		expansion.SpectralGap(f.Graph, 200)
 	}
 }

@@ -139,14 +139,6 @@ type Plan struct {
 	Partitions []Partition
 }
 
-// Enabled reports whether the plan can inject any fault at all.
-func (p *Plan) Enabled() bool {
-	return p.CrashRate > 0 || p.RecoverRate > 0 ||
-		p.ProposalLoss > 0 || p.ConnLoss > 0 || p.TagFlipRate > 0 ||
-		len(p.Crashes) > 0 || len(p.Recoveries) > 0 || len(p.Corruptions) > 0 ||
-		len(p.Partitions) > 0
-}
-
 // Validate checks the plan against a network of n nodes.
 func (p *Plan) Validate(n int) error {
 	for _, r := range []struct {
@@ -457,11 +449,8 @@ func (in *Injector) DropProposal(u int32, r int) bool {
 //
 //mtmlint:hotpath
 func (in *Injector) DropConnection(v, c int32, r int) bool {
-	for i := range in.partComp {
-		p := &in.plan.Partitions[i]
-		if r >= p.Start && (p.Heal == 0 || r < p.Heal) && in.partComp[i][v] != in.partComp[i][c] {
-			return true
-		}
+	if in.CutEdge(v, c, r) {
+		return true
 	}
 	if in.plan.ConnLoss == 0 {
 		return false
@@ -471,8 +460,8 @@ func (in *Injector) DropConnection(v, c int32, r int) bool {
 	return rng.Float64() < in.plan.ConnLoss
 }
 
-// CutEdge reports whether a live partition separates u and v at round r
-// (for observers and experiments; DropConnection already folds this in).
+// CutEdge reports whether a live partition separates u and v at round r.
+// DropConnection asks it first; observers and experiments may ask it too.
 func (in *Injector) CutEdge(u, v int32, r int) bool {
 	for i := range in.partComp {
 		p := &in.plan.Partitions[i]

@@ -56,27 +56,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestEnabled(t *testing.T) {
-	if (&Plan{}).Enabled() {
-		t.Error("zero plan reports enabled")
-	}
-	for _, p := range []Plan{
-		{CrashRate: 0.1},
-		{RecoverRate: 0.1},
-		{ProposalLoss: 0.1},
-		{ConnLoss: 0.1},
-		{TagFlipRate: 0.1},
-		{Crashes: []NodeRound{{Round: 1, Node: 0}}},
-		{Recoveries: []NodeRound{{Round: 1, Node: 0}}},
-		{Corruptions: []Burst{{Round: 1, Nodes: []int{0}}}},
-		{Partitions: []Partition{{Start: 1, Parts: 2}}},
-	} {
-		if !p.Enabled() {
-			t.Errorf("plan %+v reports disabled", p)
-		}
-	}
-}
-
 func TestScriptedChurn(t *testing.T) {
 	plan := Plan{
 		Crashes:    []NodeRound{{Round: 2, Node: 3}, {Round: 2, Node: 1}, {Round: 5, Node: 1}},

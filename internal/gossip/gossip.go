@@ -135,18 +135,6 @@ func AllComplete(_ int, protocols []sim.Protocol) bool {
 	return true
 }
 
-// MinKnown returns the smallest known-rumor count over the network — the
-// completion frontier.
-func MinKnown(protocols []sim.Protocol) int {
-	minCount := len(protocols)
-	for _, p := range protocols {
-		if c := p.(*Node).Count(); c < minCount {
-			minCount = c
-		}
-	}
-	return minCount
-}
-
 // NewNetwork builds an n-node gossip network.
 func NewNetwork(n int) []sim.Protocol {
 	protocols := make([]sim.Protocol, n)

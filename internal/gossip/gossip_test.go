@@ -84,13 +84,6 @@ func TestGossipMonotoneAndConservative(t *testing.T) {
 	}
 }
 
-func TestMinKnownFrontier(t *testing.T) {
-	protocols := gossip.NewNetwork(10)
-	if gossip.MinKnown(protocols) != 1 {
-		t.Fatal("initial frontier should be 1")
-	}
-}
-
 func TestGossipNodeValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

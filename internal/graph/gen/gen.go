@@ -6,15 +6,16 @@
 // expansion α (Section II of the paper). Experiments use families with known
 // α so that complexity bounds of the form O((1/α)Δ²log²n) can be evaluated
 // without solving the NP-hard expansion problem; internal/expansion's exact
-// brute force validates these formulas on small instances.
+// enumeration validates these formulas on small instances and supplies α for
+// the small families that have no closed form.
 package gen
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
+	"mobiletel/internal/expansion"
 	"mobiletel/internal/graph"
 	"mobiletel/internal/xrand"
 )
@@ -365,7 +366,8 @@ func Torus(rows, cols int) Family {
 // construction is O(nd) with no edge-swap mixing chain, so a 1M-node
 // instance materializes in milliseconds. d must be even and >= 4, with
 // n >= d + 2 so enough distinct offsets exist; every offset o satisfies
-// 2o < n, so each contributes exactly two distinct neighbors per node.
+// 2o < n, so each contributes exactly two distinct neighbors per node. α is
+// expansion.Exact's value for n ≤ 20 and NaN above.
 func Expander(n, d int, seed uint64) Family {
 	hi := (n - 1) / 2
 	if d < 4 || d%2 != 0 || n < d+2 || hi-1 < d/2-1 {
@@ -405,7 +407,7 @@ func Expander(n, d int, seed uint64) Family {
 	alpha := math.NaN()
 	exact := false
 	if n <= 20 {
-		alpha = bruteAlpha(g)
+		alpha, _ = expansion.Exact(g)
 		exact = true
 	}
 	return Family{Name: "expander", Graph: g, Alpha: alpha, AlphaExact: exact}
@@ -582,7 +584,7 @@ func CompleteBipartite(a, b int) Family {
 
 // Petersen returns the Petersen graph (10 nodes, 3-regular): outer cycle
 // 0..4, inner pentagram 5..9. Its α is computed exactly at construction
-// time by brute force (the graph is tiny and fixed).
+// time by expansion.Exact (the graph is tiny and fixed).
 func Petersen() Family {
 	b := graph.NewBuilder(10)
 	for i := 0; i < 5; i++ {
@@ -591,12 +593,14 @@ func Petersen() Family {
 		b.AddEdge(i, 5+i)         // spokes
 	}
 	g := b.MustBuild()
-	return Family{Name: "petersen", Graph: g, Alpha: bruteAlpha(g), AlphaExact: true}
+	alpha, _ := expansion.Exact(g)
+	return Family{Name: "petersen", Graph: g, Alpha: alpha, AlphaExact: true}
 }
 
 // Wheel returns the wheel graph: node 0 is the hub, nodes 1..n-1 form a
 // cycle, all connected to the hub. For n >= 6 the minimum cut is a rim arc
-// of ⌊n/2⌋ nodes with boundary {two rim ends, hub}: α = 3/⌊n/2⌋.
+// of ⌊n/2⌋ nodes with boundary {two rim ends, hub}: α = 3/⌊n/2⌋. Smaller
+// wheels take α from expansion.Exact.
 func Wheel(n int) Family {
 	if n < 4 {
 		panic("gen: Wheel needs n >= 4")
@@ -614,17 +618,16 @@ func Wheel(n int) Family {
 	}
 	g := b.MustBuild()
 	alpha := 3 / float64(n/2)
-	exact := n >= 6
-	if !exact && n <= 22 {
-		alpha = bruteAlpha(g)
-		exact = true
+	if n < 6 {
+		alpha, _ = expansion.Exact(g)
 	}
-	return Family{Name: "wheel", Graph: g, Alpha: alpha, AlphaExact: exact}
+	return Family{Name: "wheel", Graph: g, Alpha: alpha, AlphaExact: true}
 }
 
 // Circulant returns the circulant graph C_n(offsets): node i is adjacent to
 // i±off (mod n) for each offset. Offsets must be in [1, n/2]. No closed
-// form for α is attempted (NaN) except via brute force for tiny n.
+// form for α is attempted: it is expansion.Exact's value for n ≤ 20 and NaN
+// above.
 func Circulant(n int, offsets []int) Family {
 	if n < 3 || len(offsets) == 0 {
 		panic("gen: Circulant needs n >= 3 and offsets")
@@ -648,81 +651,10 @@ func Circulant(n int, offsets []int) Family {
 	alpha := math.NaN()
 	exact := false
 	if n <= 20 {
-		alpha = bruteAlpha(g)
+		alpha, _ = expansion.Exact(g)
 		exact = true
 	}
 	return Family{Name: "circulant", Graph: g, Alpha: alpha, AlphaExact: exact}
-}
-
-// bruteAlpha computes exact vertex expansion by subset enumeration; only
-// used at construction time for tiny fixed graphs (n <= 22). Kept local to
-// avoid an import cycle with internal/expansion.
-func bruteAlpha(g *graph.Graph) float64 {
-	n := g.N()
-	if n < 2 || n > 22 {
-		panic("gen: bruteAlpha out of range")
-	}
-	nbr := make([]uint32, n)
-	for u := 0; u < n; u++ {
-		var m uint32
-		for _, v := range g.Neighbors(u) {
-			m |= 1 << uint(v)
-		}
-		nbr[u] = m
-	}
-	half := n / 2
-	best := math.Inf(1)
-	full := uint32(1)<<uint(n) - 1
-	for s := uint32(1); s <= full; s++ {
-		size := bits.OnesCount32(s)
-		if size > half {
-			continue
-		}
-		var boundary uint32
-		rest := s
-		for rest != 0 {
-			boundary |= nbr[bits.TrailingZeros32(rest)]
-			rest &= rest - 1
-		}
-		boundary &^= s
-		if a := float64(bits.OnesCount32(boundary)) / float64(size); a < best {
-			best = a
-		}
-	}
-	return best
-}
-
-// Lollipop joins a clique of size s to a path of length tail hanging off one
-// clique node. The worst cut is the clique (boundary = first path node) when
-// s >= tail, giving α = 1/s... but the half containing the path can be
-// smaller; we report the clique-side cut which is exact for s >= tail.
-func Lollipop(s, tail int) Family {
-	if s < 2 || tail < 1 {
-		panic("gen: Lollipop needs s >= 2, tail >= 1")
-	}
-	n := s + tail
-	b := graph.NewBuilder(n)
-	for u := 0; u < s; u++ {
-		for v := u + 1; v < s; v++ {
-			b.AddEdge(u, v)
-		}
-	}
-	b.AddEdge(0, s)
-	for i := s; i+1 < n; i++ {
-		b.AddEdge(i, i+1)
-	}
-	half := n / 2
-	var alpha float64
-	exact := false
-	if tail >= half {
-		// A path suffix of ⌊n/2⌋ nodes has boundary 1.
-		alpha = 1 / float64(half)
-		exact = true
-	} else {
-		// Cut at the clique-path joint: |S| = tail, boundary 1.
-		alpha = 1 / float64(tail)
-	}
-	return Family{Name: "lollipop", Graph: b.MustBuild(), Alpha: alpha, AlphaExact: exact}
 }
 
 // BarabasiAlbert grows a scale-free graph by preferential attachment: it

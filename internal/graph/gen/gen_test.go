@@ -206,19 +206,6 @@ func TestErdosRenyi(t *testing.T) {
 	}
 }
 
-func TestLollipop(t *testing.T) {
-	f := Lollipop(5, 5)
-	if f.N() != 10 || !f.Graph.Connected() {
-		t.Fatalf("lollipop(5,5): %v", f)
-	}
-	if f.Graph.Degree(9) != 1 {
-		t.Fatalf("tail end degree %d", f.Graph.Degree(9))
-	}
-	if !f.AlphaExact {
-		t.Fatal("tail >= n/2 case should be exact")
-	}
-}
-
 func TestPanicsOnBadParameters(t *testing.T) {
 	cases := []func(){
 		func() { Clique(0) },
@@ -232,7 +219,6 @@ func TestPanicsOnBadParameters(t *testing.T) {
 		func() { Torus(2, 3) },
 		func() { Hypercube(0) },
 		func() { CompleteBinaryTree(0) },
-		func() { Lollipop(1, 1) },
 		func() { ErdosRenyi(3, 1.5, 1) },
 	}
 	for i, fn := range cases {

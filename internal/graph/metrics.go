@@ -76,16 +76,6 @@ func (g *Graph) eccentricity(src int, dist []int32) (ecc, reached int) {
 	return ecc, reached
 }
 
-// DegreeHistogram returns counts[d] = number of nodes with degree d,
-// indexed 0..MaxDegree.
-func (g *Graph) DegreeHistogram() []int {
-	counts := make([]int, g.maxDeg+1)
-	for u := 0; u < g.n; u++ {
-		counts[g.Degree(u)]++
-	}
-	return counts
-}
-
 // AverageDegree returns 2m/n (0 for the empty graph).
 func (g *Graph) AverageDegree() float64 {
 	if g.n == 0 {

@@ -58,14 +58,6 @@ func TestAveragePathLengthDisconnected(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := mustPath(t, 5) // degrees: 1,2,2,2,1
-	h := g.DegreeHistogram()
-	if len(h) != 3 || h[0] != 0 || h[1] != 2 || h[2] != 3 {
-		t.Fatalf("histogram %v", h)
-	}
-}
-
 func TestAverageDegree(t *testing.T) {
 	g := mustPath(t, 5)
 	if got := g.AverageDegree(); got != 8.0/5 {

@@ -10,176 +10,17 @@
 //
 //	γ = min over S, |S| ≤ n/2 of ν(B(S))/|S|  satisfies  γ ≥ α/4.
 //
-// The package provides Hopcroft–Karp maximum matching, cut-matching helpers,
-// and a brute-force matcher used to cross-validate on small graphs.
+// The package provides one Hopcroft–Karp implementation, CutMatcher, which
+// evaluates ν(B(S)) for many cuts of one graph, and the exhaustive γ
+// enumeration GammaExact built on it. The package tests hold CutMatcher to a
+// brute-force matcher and a pairing validator on small graphs.
 package matching
 
 import (
-	"fmt"
 	"math/bits"
 
 	"mobiletel/internal/graph"
 )
-
-// Bipartite is an explicit bipartite graph with left nodes 0..L-1 and right
-// nodes 0..R-1 and adjacency from left to right.
-type Bipartite struct {
-	L, R int
-	Adj  [][]int32 // Adj[l] lists right-side neighbors of left node l
-}
-
-// NewBipartite returns an empty bipartite graph with the given sides.
-func NewBipartite(l, r int) *Bipartite {
-	if l < 0 || r < 0 {
-		panic("matching: negative bipartition size")
-	}
-	return &Bipartite{L: l, R: r, Adj: make([][]int32, l)}
-}
-
-// AddEdge records edge (l, r) between left node l and right node r.
-// Duplicate edges are tolerated (they cannot change the matching size).
-func (b *Bipartite) AddEdge(l, r int) {
-	if l < 0 || l >= b.L || r < 0 || r >= b.R {
-		panic(fmt.Sprintf("matching: edge (%d,%d) out of range (%d,%d)", l, r, b.L, b.R))
-	}
-	b.Adj[l] = append(b.Adj[l], int32(r))
-}
-
-// Edges returns the total number of stored edges.
-func (b *Bipartite) Edges() int {
-	total := 0
-	for _, a := range b.Adj {
-		total += len(a)
-	}
-	return total
-}
-
-const unmatched = int32(-1)
-
-// MaxMatching computes a maximum matching with the Hopcroft–Karp algorithm
-// in O(E·√V). It returns the matching size and the pairing arrays:
-// matchL[l] = right partner of l or -1, matchR[r] = left partner of r or -1.
-func (b *Bipartite) MaxMatching() (size int, matchL, matchR []int32) {
-	matchL = make([]int32, b.L)
-	matchR = make([]int32, b.R)
-	for i := range matchL {
-		matchL[i] = unmatched
-	}
-	for i := range matchR {
-		matchR[i] = unmatched
-	}
-
-	const inf = int32(1<<31 - 1)
-	dist := make([]int32, b.L)
-	queue := make([]int32, 0, b.L)
-
-	bfs := func() bool {
-		queue = queue[:0]
-		for l := 0; l < b.L; l++ {
-			if matchL[l] == unmatched {
-				dist[l] = 0
-				queue = append(queue, int32(l))
-			} else {
-				dist[l] = inf
-			}
-		}
-		found := false
-		for head := 0; head < len(queue); head++ {
-			l := queue[head]
-			for _, r := range b.Adj[l] {
-				next := matchR[r]
-				if next == unmatched {
-					found = true
-				} else if dist[next] == inf {
-					dist[next] = dist[l] + 1
-					queue = append(queue, next)
-				}
-			}
-		}
-		return found
-	}
-
-	var dfs func(l int32) bool
-	dfs = func(l int32) bool {
-		for _, r := range b.Adj[l] {
-			next := matchR[r]
-			if next == unmatched || (dist[next] == dist[l]+1 && dfs(next)) {
-				matchL[l] = r
-				matchR[r] = l
-				return true
-			}
-		}
-		dist[l] = inf
-		return false
-	}
-
-	for bfs() {
-		for l := int32(0); l < int32(b.L); l++ {
-			if matchL[l] == unmatched && dfs(l) {
-				size++
-			}
-		}
-	}
-	return size, matchL, matchR
-}
-
-// MaxMatchingBrute computes the maximum matching size by exhaustive search
-// over left-node assignments. Exponential; used only to cross-validate
-// Hopcroft–Karp on small instances (L ≤ ~12).
-func (b *Bipartite) MaxMatchingBrute() int {
-	usedR := make([]bool, b.R)
-	var rec func(l int) int
-	rec = func(l int) int {
-		if l == b.L {
-			return 0
-		}
-		// Option 1: leave l unmatched.
-		best := rec(l + 1)
-		// Option 2: match l to each free neighbor.
-		for _, r := range b.Adj[l] {
-			if !usedR[r] {
-				usedR[r] = true
-				if v := 1 + rec(l+1); v > best {
-					best = v
-				}
-				usedR[r] = false
-			}
-		}
-		return best
-	}
-	return rec(0)
-}
-
-// CutGraph builds B(S) for graph g and the cut S given as a membership
-// slice: left nodes are the members of S (in ascending node order), right
-// nodes the non-members. It returns the bipartite graph and the node-index
-// translation tables leftNodes and rightNodes.
-func CutGraph(g *graph.Graph, inSet []bool) (b *Bipartite, leftNodes, rightNodes []int) {
-	n := g.N()
-	if len(inSet) != n {
-		panic("matching: CutGraph set length mismatch")
-	}
-	leftIdx := make([]int32, n)
-	rightIdx := make([]int32, n)
-	for u := 0; u < n; u++ {
-		if inSet[u] {
-			leftIdx[u] = int32(len(leftNodes))
-			leftNodes = append(leftNodes, u)
-		} else {
-			rightIdx[u] = int32(len(rightNodes))
-			rightNodes = append(rightNodes, u)
-		}
-	}
-	b = NewBipartite(len(leftNodes), len(rightNodes))
-	for _, u := range leftNodes {
-		for _, v := range g.Neighbors(u) {
-			if !inSet[v] {
-				b.AddEdge(int(leftIdx[u]), int(rightIdx[v]))
-			}
-		}
-	}
-	return b, leftNodes, rightNodes
-}
 
 // Nu returns ν(B(S)), the maximum number of concurrent cut connections the
 // mobile telephone model supports across the cut S. For a single cut; to
@@ -191,16 +32,15 @@ func Nu(g *graph.Graph, inSet []bool) int {
 // CutMatcher computes ν(B(S)) for many cuts S of one fixed graph, reusing
 // every working array — the side-index translation tables, the flat CSR cut
 // adjacency, and the Hopcroft–Karp matching/distance/queue scratch — across
-// calls. GammaExact enumerates 2^n cuts per graph, so the per-cut Bipartite
-// and pairing-array allocations dominated its profile before this existed.
+// calls, so GammaExact's 2^n cuts per graph allocate nothing per cut.
 type CutMatcher struct {
 	g *graph.Graph
 	n int
 
-	leftOf, rightOf []int32 // node -> index within its side (valid per side)
-	lefts           []int32 // members of S in ascending node order
-	adjOff          []int32 // CSR offsets into adjDat, len L+1
-	adjDat          []int32 // right-side neighbor indices across the cut
+	rightOf []int32 // node -> index within the right side (valid for V∖S)
+	lefts   []int32 // members of S in ascending node order
+	adjOff  []int32 // CSR offsets into adjDat, len L+1
+	adjDat  []int32 // right-side neighbor indices across the cut
 
 	// Hopcroft–Karp state, sliced to (L, R) per call.
 	curL, curR     int
@@ -215,7 +55,6 @@ func NewCutMatcher(g *graph.Graph) *CutMatcher {
 	return &CutMatcher{
 		g:       g,
 		n:       n,
-		leftOf:  make([]int32, n),
 		rightOf: make([]int32, n),
 		lefts:   make([]int32, 0, n),
 		adjOff:  make([]int32, n+1),
@@ -227,10 +66,14 @@ func NewCutMatcher(g *graph.Graph) *CutMatcher {
 	}
 }
 
-const hkInf = int32(1<<31 - 1)
+const (
+	unmatched = int32(-1)
+	hkInf     = int32(1<<31 - 1)
+)
 
-// Nu returns ν(B(S)) for the cut S given as a membership slice of length n.
-// The algorithm is Hopcroft–Karp, identical to Bipartite.MaxMatching.
+// Nu returns ν(B(S)) for the cut S given as a membership slice of length n,
+// by Hopcroft–Karp in O(E·√V). B(S) has the members of S, in ascending node
+// order, as its left side and the non-members as its right side.
 func (c *CutMatcher) Nu(inSet []bool) int {
 	if len(inSet) != c.n {
 		panic("matching: CutMatcher set length mismatch")
@@ -239,7 +82,6 @@ func (c *CutMatcher) Nu(inSet []bool) int {
 	rights := 0
 	for u := 0; u < c.n; u++ {
 		if inSet[u] {
-			c.leftOf[u] = int32(len(c.lefts))
 			c.lefts = append(c.lefts, int32(u))
 		} else {
 			c.rightOf[u] = int32(rights)
@@ -348,40 +190,4 @@ func GammaExact(g *graph.Graph) float64 {
 		}
 	}
 	return best
-}
-
-// ValidateMatching checks that (matchL, matchR) is a consistent matching on
-// b: partners agree, every matched pair is an edge, and no node is reused.
-func ValidateMatching(b *Bipartite, matchL, matchR []int32) error {
-	if len(matchL) != b.L || len(matchR) != b.R {
-		return fmt.Errorf("matching: pairing array lengths (%d,%d) != (%d,%d)",
-			len(matchL), len(matchR), b.L, b.R)
-	}
-	for l, r := range matchL {
-		if r == unmatched {
-			continue
-		}
-		if r < 0 || int(r) >= b.R {
-			return fmt.Errorf("matching: matchL[%d]=%d out of range", l, r)
-		}
-		if matchR[r] != int32(l) {
-			return fmt.Errorf("matching: matchL[%d]=%d but matchR[%d]=%d", l, r, r, matchR[r])
-		}
-		found := false
-		for _, cand := range b.Adj[l] {
-			if cand == r {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("matching: pair (%d,%d) is not an edge", l, r)
-		}
-	}
-	for r, l := range matchR {
-		if l != unmatched && matchL[l] != int32(r) {
-			return fmt.Errorf("matching: matchR[%d]=%d but matchL[%d]=%d", r, l, l, matchL[l])
-		}
-	}
-	return nil
 }

@@ -39,10 +39,11 @@ type Metrics struct {
 	faultLost      int64 // proposals killed by proploss/connloss faults
 	lastFaultRound int   // last round any fault fired (0 = none)
 
-	// Lifetime per-node connection counts, maintained incrementally from
-	// connect events so the imbalance curve costs O(1) per connection.
-	connCount []int64
-	maxLoad   int64
+	// Lifetime per-node connection counts, the simulator's one load
+	// ledger, maintained incrementally from connect events so the
+	// imbalance curve costs O(1) per connection.
+	load    []int64
+	maxLoad int64
 
 	// Scratch for the current round (reset at round_start).
 	roundProposals int64
@@ -65,7 +66,7 @@ func (m *Metrics) SetGammaBound(gamma float64) { m.gammaBound = gamma }
 func (m *Metrics) Begin(h Header) {
 	m.header = h
 	if h.N > 0 {
-		m.connCount = make([]int64, h.N)
+		m.load = make([]int64, h.N)
 	}
 }
 
@@ -133,26 +134,28 @@ func (m *Metrics) Event(e Event) {
 func (m *Metrics) End() {}
 
 func (m *Metrics) bumpLoad(node int32) {
-	if node < 0 || int(node) >= len(m.connCount) {
+	if node < 0 || int(node) >= len(m.load) {
 		return
 	}
-	m.connCount[node]++
-	if m.connCount[node] > m.maxLoad {
-		m.maxLoad = m.connCount[node]
+	m.load[node]++
+	if m.load[node] > m.maxLoad {
+		m.maxLoad = m.load[node]
 	}
 }
 
 // imbalance returns max/mean of the lifetime per-node connection counts so
 // far (0 before any connection).
 func (m *Metrics) imbalance() float64 {
-	if len(m.connCount) == 0 || m.connections == 0 {
+	if len(m.load) == 0 || m.connections == 0 {
 		return 0
 	}
-	mean := 2 * float64(m.connections) / float64(len(m.connCount))
+	mean := 2 * float64(m.connections) / float64(len(m.load))
 	return float64(m.maxLoad) / mean
 }
 
-// LoadSummary summarizes lifetime per-node connection load.
+// LoadSummary summarizes lifetime per-node connection load, the simulator's
+// proxy for the radio and battery cost the paper's smartphone setting asks
+// to conserve.
 type LoadSummary struct {
 	Min       int64   `json:"min"`
 	Max       int64   `json:"max"`
@@ -285,18 +288,18 @@ func (m *Metrics) Summary() Summary {
 }
 
 func (m *Metrics) loadSummary() LoadSummary {
-	if len(m.connCount) == 0 {
+	if len(m.load) == 0 {
 		return LoadSummary{}
 	}
-	minLoad := m.connCount[0]
+	minLoad := m.load[0]
 	var total int64
-	for _, c := range m.connCount {
+	for _, c := range m.load {
 		total += c
 		if c < minLoad {
 			minLoad = c
 		}
 	}
-	mean := float64(total) / float64(len(m.connCount))
+	mean := float64(total) / float64(len(m.load))
 	imb := 0.0
 	if mean > 0 {
 		imb = float64(m.maxLoad) / mean

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"mobiletel/internal/dyngraph"
@@ -29,12 +30,46 @@ func chunkProbeNetwork(n int) []Protocol {
 	return ps
 }
 
+// refreshAllocs returns how many allocations the heap profile attributes to
+// a call stack through Engine.refreshChunks. The two collections publish
+// every allocation made before the call (the profile lags the allocations
+// by up to two cycles).
+func refreshAllocs() int64 {
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, ok := runtime.MemProfile(recs, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var total int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			if strings.HasSuffix(f.Function, ".(*Engine).refreshChunks") {
+				total += r.AllocObjects
+				break
+			}
+		}
+	}
+	return total
+}
+
 // TestChunkScratchBoundedAcrossTrials pins the chunk-boundary cache at O(1)
 // scratch: one workers+1 slice, reused for every graph an engine ever
 // sees. A 1000-trial churn-style sweep — every refresh presenting a graph
 // the cache has not just seen — must allocate nothing and must not grow
 // the boundary slice, so many-trial experiments cannot accumulate cached
 // boundaries.
+//
+// The count samples every allocation (MemProfileRate 1) and keeps those
+// whose stack runs through refreshChunks, so the runtime's own allocations
+// in the window, such as the sudog ReadMemStats takes while it waits to
+// stop the world, cannot reach it.
 func TestChunkScratchBoundedAcrossTrials(t *testing.T) {
 	const (
 		n       = 512
@@ -59,15 +94,15 @@ func TestChunkScratchBoundedAcrossTrials(t *testing.T) {
 		graphs[i] = gen.RandomRegular(n, 6, uint64(100+i)).Graph
 	}
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	rate := runtime.MemProfileRate
+	before := refreshAllocs()
+	runtime.MemProfileRate = 1
 	for trial := 0; trial < trials; trial++ {
 		eng.refreshChunks(graphs[trial%len(graphs)])
 	}
-	runtime.ReadMemStats(&after)
-	if mallocs := after.Mallocs - before.Mallocs; mallocs != 0 {
-		t.Errorf("%d chunk refreshes allocated %d objects, want 0 (unbounded chunk cache?)", trials, mallocs)
+	runtime.MemProfileRate = rate
+	if allocs := refreshAllocs() - before; allocs != 0 {
+		t.Errorf("%d chunk refreshes allocated %d objects, want 0 (unbounded chunk cache?)", trials, allocs)
 	}
 	if got := cap(eng.chunks); got != workers+1 {
 		t.Errorf("chunk scratch grew to cap %d, want the fixed workers+1 = %d", got, workers+1)

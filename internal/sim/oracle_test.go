@@ -21,9 +21,8 @@ import (
 //
 // It honors Seed, TagBits, Activations, Accept, Classical, Faults and Sink,
 // and enforces the MaxUIDs budget; Workers, Observer, Check and Profiler do
-// not change a model execution. It returns every round's statistics and
-// each node's lifetime connection count.
-func RunOracle(sched dyngraph.Schedule, protocols []Protocol, cfg Config, rounds int) ([]RoundStats, []int64) {
+// not change a model execution. It returns every round's statistics.
+func RunOracle(sched dyngraph.Schedule, protocols []Protocol, cfg Config, rounds int) []RoundStats {
 	n := sched.N()
 	o := &oracle{
 		cfg:       cfg,
@@ -34,7 +33,6 @@ func RunOracle(sched dyngraph.Schedule, protocols []Protocol, cfg Config, rounds
 		action:    make([]int32, n),
 		inbox:     make([][]int32, n),
 		partner:   make([]int32, n),
-		load:      make([]int64, n),
 	}
 	if cfg.Sink != nil {
 		cfg.Sink.Begin(obs.Header{Seed: cfg.Seed, Schedule: sched.Name(), N: n,
@@ -47,7 +45,7 @@ func RunOracle(sched dyngraph.Schedule, protocols []Protocol, cfg Config, rounds
 	if cfg.Sink != nil {
 		cfg.Sink.End()
 	}
-	return stats, o.load
+	return stats
 }
 
 type oracle struct {
@@ -63,8 +61,6 @@ type oracle struct {
 	action  []int32 // proposal target, actionReceive or actionInactive
 	inbox   [][]int32
 	partner []int32
-
-	load []int64 // lifetime connections per node
 }
 
 func (o *oracle) emit(ev obs.Event) {
@@ -297,11 +293,8 @@ func (o *oracle) classical(s *RoundStats) {
 	s.Accepts = s.Connections
 }
 
-// exchange trades one bounded message each way over the connection (u, v)
-// and counts it in both nodes' load.
+// exchange trades one bounded message each way over the connection (u, v).
 func (o *oracle) exchange(u, v int32) {
-	o.load[u]++
-	o.load[v]++
 	cu, cv := o.ctx(u), o.ctx(v)
 	mu := o.protocols[u].Outgoing(cu, v)
 	mv := o.protocols[v].Outgoing(cv, u)

@@ -506,8 +506,6 @@ type Engine struct {
 	// last activation round, so partial networks cannot "stabilize" early.
 	stopGate int
 
-	connCount []int64 // lifetime connections per node (battery accounting)
-
 	// sinkBegan/sinkEnded track the Begin/End lifecycle of Config.Sink so
 	// the header is written exactly once even across RunRounds calls.
 	sinkBegan bool
@@ -619,7 +617,6 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 		workers:   workers,
 		parExec:   parExec,
 		stopGate:  stopGate,
-		connCount: make([]int64, n),
 		chunks:    make([]int, workers+1),
 		counters:  make([]workerCounters, span),
 		hist:      make([]int32, span*n),
@@ -1382,14 +1379,13 @@ func (e *Engine) phaseScanAdvertise(w, lo, hi int) {
 }
 
 // phasePartnerExchange is the step-5 sweep over nodes [lo, hi): it derives
-// each node's partner and lifetime connection count from the accept results
-// and exchanges over every pair whose smaller endpoint is the node. A
-// receiver pairs with its chosen sender, and a sender pairs with its target
-// iff that target chose it, so each node writes only its own partner and
-// connCount entries. The exchange reads no partner entry: it runs on the
-// pair just derived, and the peer state it touches (protocols, rngs) is
-// disjoint from the partner/connCount cells the peer's worker may still be
-// writing; chosen and actions were frozen at the accept and decide
+// each node's partner from the accept results and exchanges over every pair
+// whose smaller endpoint is the node. A receiver pairs with its chosen
+// sender, and a sender pairs with its target iff that target chose it, so
+// each node writes only its own partner entry. The exchange reads no partner
+// entry: it runs on the pair just derived, and the peer state it touches
+// (protocols, rngs) is disjoint from the partner cells the peer's worker may
+// still be writing; chosen and actions were frozen at the accept and decide
 // barriers. Pairs are handled in ascending order of their smaller endpoint,
 // which is the trace order. The dispatch charges its wall time to
 // obs.PhasePartnerExchange and the sweep self-times its busy time under
@@ -1401,7 +1397,7 @@ func (e *Engine) phasePartnerExchange(w, lo, hi int) {
 	ctxU, ctxV := &e.ctxA[w], &e.ctxB[w]
 	e.bindCtx(ctxU, w)
 	e.bindCtx(ctxV, w)
-	actions, chosen, partner, connCount := e.actions, e.chosen, e.partner, e.connCount
+	actions, chosen, partner := e.actions, e.chosen, e.partner
 	protocols := e.protocols
 	for u := lo; u < hi; u++ {
 		// chosen[x] == u only if u proposed to x, so for a receiver or an
@@ -1413,12 +1409,8 @@ func (e *Engine) phasePartnerExchange(w, lo, hi int) {
 			v = t
 		}
 		partner[u] = v
-		if v == noPartner {
-			continue
-		}
-		connCount[u]++
-		if int(v) < u {
-			continue // each pair handled once, by its smaller endpoint
+		if v == noPartner || int(v) < u {
+			continue // unpaired, or the pair is handled by its smaller endpoint
 		}
 		ctxU.Node = int32(u)
 		ctxV.Node = v
@@ -1471,8 +1463,6 @@ func (e *Engine) classicalFinish(r, activeCount int) RoundStats {
 			continue
 		}
 		connections++
-		e.connCount[u]++
-		e.connCount[v]++
 		if sink != nil {
 			sink.Event(obs.Event{Type: obs.TypeAccept, Round: r, Node: v, Peer: int32(u)})
 			lo, hi := int32(u), v
@@ -1569,13 +1559,4 @@ func (e *Engine) dispatch(ph obs.Phase, fn func(w, lo, hi int), selfTimed bool) 
 		fn(0, 0, e.n)
 		e.prof.AddSeq(ph, e.prof.Clock()-t0)
 	}
-}
-
-// NodeLoad reports per-node lifetime connection counts — the simulator's
-// proxy for radio/battery cost, the practical resource the paper's
-// introduction motivates conserving. The returned slice is a copy.
-func (e *Engine) NodeLoad() []int64 {
-	out := make([]int64, len(e.connCount))
-	copy(out, e.connCount)
-	return out
 }

@@ -4,13 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
 	"mobiletel/internal/core"
 	"mobiletel/internal/dyngraph"
 	"mobiletel/internal/graph/gen"
+	"mobiletel/internal/obs"
 	"mobiletel/internal/sim"
 	"mobiletel/internal/xrand"
 )
@@ -560,62 +560,45 @@ func BenchmarkEngineRoundParallelism(b *testing.B) {
 	}
 }
 
-func TestNodeLoadAccounting(t *testing.T) {
-	// Total per-node load must equal twice the connection count, and on a
-	// star the hub must carry far more load than any leaf.
-	n := 32
-	uids := core.UniqueUIDs(n, 2)
-	protocols := core.NewBlindGossipNetwork(uids)
-	var total int
-	eng, err := sim.New(dyngraph.NewStatic(gen.Star(n)), protocols, sim.Config{
-		Seed: 4, MaxRounds: 2000, Workers: 1,
-		Observer: func(s sim.RoundStats) { total += s.Connections },
+// runLoad runs blind gossip on f for up to maxRounds rounds with an
+// obs.Metrics sink attached and returns the run's load summary and the
+// connections the round statistics counted.
+func runLoad(t *testing.T, f gen.Family, uidSeed, seed uint64, maxRounds int) (obs.LoadSummary, int) {
+	t.Helper()
+	metrics := obs.NewMetrics()
+	var conns int
+	eng, err := sim.New(dyngraph.NewStatic(f), core.NewBlindGossipNetwork(core.UniqueUIDs(f.N(), uidSeed)), sim.Config{
+		Seed: seed, MaxRounds: maxRounds, Workers: 1, Sink: metrics,
+		Observer: func(s sim.RoundStats) { conns += s.Connections },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, _ = eng.Run(nil)
-
-	load := eng.NodeLoad()
-	var sum int64
-	for _, c := range load {
-		sum += c
-	}
-	if sum != int64(2*total) {
-		t.Fatalf("load sum %d != 2×connections %d", sum, 2*total)
-	}
-	maxLoad := slices.Max(load)
-	if load[0] != maxLoad {
-		t.Fatalf("star hub load %d is not the maximum %d", load[0], maxLoad)
-	}
-	if imb := loadImbalance(load); imb < 5 {
-		t.Fatalf("star imbalance %.2f suspiciously even", imb)
-	}
+	return metrics.Summary().Load, conns
 }
 
-// loadImbalance is the maximum per-node load over the mean (1 = perfectly
-// even; large = hot spots).
-func loadImbalance(load []int64) float64 {
-	var total int64
-	for _, c := range load {
-		total += c
+func TestNodeLoadAccounting(t *testing.T) {
+	// Total per-node load must equal twice the connection count, and on a
+	// star, where every connection has the hub as one end, the hub carries
+	// the maximum load, one per connection.
+	n := 32
+	load, total := runLoad(t, gen.Star(n), 2, 4, 2000)
+	if sum := load.Mean * float64(n); sum != float64(2*total) {
+		t.Fatalf("load sum %v != 2×connections %d", sum, 2*total)
 	}
-	return float64(slices.Max(load)) * float64(len(load)) / float64(total)
+	if load.Max != int64(total) {
+		t.Fatalf("maximum load %d is not the star hub's %d connections", load.Max, total)
+	}
+	if load.Imbalance < 5 {
+		t.Fatalf("star imbalance %.2f suspiciously even", load.Imbalance)
+	}
 }
 
 func TestNodeLoadEvenOnClique(t *testing.T) {
-	n := 32
-	uids := core.UniqueUIDs(n, 3)
-	protocols := core.NewBlindGossipNetwork(uids)
-	eng, err := sim.New(dyngraph.NewStatic(gen.Clique(n)), protocols, sim.Config{
-		Seed: 5, MaxRounds: 4000, Workers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _ = eng.Run(nil)
-	if imb := loadImbalance(eng.NodeLoad()); imb > 1.5 {
-		t.Fatalf("clique imbalance %.2f; load should be near-even", imb)
+	load, _ := runLoad(t, gen.Clique(32), 3, 5, 4000)
+	if load.Imbalance > 1.5 {
+		t.Fatalf("clique imbalance %.2f; load should be near-even", load.Imbalance)
 	}
 }
 

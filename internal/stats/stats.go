@@ -149,81 +149,3 @@ func LogLogFit(x, y []float64) Fit {
 	}
 	return LinearFit(lx, ly)
 }
-
-// Ratio computes elementwise y[i]/x[i] summaries, used to test whether a
-// measured quantity tracks a predicted bound up to a constant.
-func Ratio(y, x []float64) Summary {
-	if len(x) != len(y) {
-		panic("stats: Ratio length mismatch")
-	}
-	rs := make([]float64, len(x))
-	for i := range x {
-		if x[i] == 0 {
-			panic("stats: Ratio division by zero")
-		}
-		rs[i] = y[i] / x[i]
-	}
-	return Summarize(rs)
-}
-
-// GeometricMean returns the geometric mean of strictly positive values.
-func GeometricMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: GeometricMean on empty sample")
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeometricMean needs positive values")
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
-// Histogram bins values into k equal-width buckets over [min, max] and
-// returns the counts. Values outside the range clamp to the end buckets.
-func Histogram(xs []float64, k int, min, max float64) []int {
-	if k < 1 {
-		panic("stats: Histogram needs k >= 1")
-	}
-	if !(max > min) {
-		panic("stats: Histogram needs max > min")
-	}
-	counts := make([]int, k)
-	width := (max - min) / float64(k)
-	for _, x := range xs {
-		idx := int((x - min) / width)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= k {
-			idx = k - 1
-		}
-		counts[idx]++
-	}
-	return counts
-}
-
-// ChiSquareUniform computes the chi-squared statistic of counts against the
-// uniform expectation. Degrees of freedom are len(counts)-1; the caller
-// compares against a critical value for the significance level they want.
-func ChiSquareUniform(counts []int) float64 {
-	if len(counts) < 2 {
-		panic("stats: ChiSquareUniform needs >= 2 buckets")
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		panic("stats: ChiSquareUniform on empty counts")
-	}
-	expected := float64(total) / float64(len(counts))
-	chi2 := 0.0
-	for _, c := range counts {
-		d := float64(c) - expected
-		chi2 += d * d / expected
-	}
-	return chi2
-}

@@ -154,88 +154,3 @@ func TestLogLogFitRejectsNonPositive(t *testing.T) {
 	}()
 	LogLogFit([]float64{1, 0}, []float64{1, 1})
 }
-
-func TestRatio(t *testing.T) {
-	s := Ratio([]float64{10, 20}, []float64{2, 4})
-	if s.Mean != 5 {
-		t.Fatalf("ratio mean %v", s.Mean)
-	}
-}
-
-func TestRatioZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero denominator did not panic")
-		}
-	}()
-	Ratio([]float64{1}, []float64{0})
-}
-
-func TestGeometricMean(t *testing.T) {
-	if g := GeometricMean([]float64{1, 4}); !almostEqual(g, 2, 1e-12) {
-		t.Fatalf("geomean %v", g)
-	}
-	if g := GeometricMean([]float64{8}); !almostEqual(g, 8, 1e-12) {
-		t.Fatalf("geomean singleton %v", g)
-	}
-}
-
-func TestGeometricMeanNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative value did not panic")
-		}
-	}()
-	GeometricMean([]float64{-1})
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0.1, 0.2, 0.6, 0.9, -5, 42}, 2, 0, 1)
-	// -5 clamps to bucket 0; 42 clamps to bucket 1.
-	if h[0] != 3 || h[1] != 3 {
-		t.Fatalf("histogram %v", h)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for i, fn := range []func(){
-		func() { Histogram(nil, 0, 0, 1) },
-		func() { Histogram(nil, 2, 1, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestChiSquareUniform(t *testing.T) {
-	// Perfectly uniform counts -> statistic 0.
-	if chi := ChiSquareUniform([]int{10, 10, 10}); chi != 0 {
-		t.Fatalf("uniform chi2 = %v", chi)
-	}
-	// Skewed counts -> large statistic.
-	if chi := ChiSquareUniform([]int{30, 0, 0}); chi <= 10 {
-		t.Fatalf("skewed chi2 = %v too small", chi)
-	}
-}
-
-func TestChiSquarePanics(t *testing.T) {
-	for i, fn := range []func(){
-		func() { ChiSquareUniform([]int{5}) },
-		func() { ChiSquareUniform([]int{0, 0}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
-				}
-			}()
-			fn()
-		}()
-	}
-}

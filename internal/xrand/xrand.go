@@ -110,25 +110,6 @@ func (r *RNG) FillUint64s(dst []uint64) {
 	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 }
 
-// FillCoins fills dst with fair coin flips, one per element. Each coin
-// consumes one full Uint64 draw and keeps Bool's low-bit convention, so a
-// batch is bit-identical to len(dst) successive Bool calls on the same
-// stream. Never allocates.
-func (r *RNG) FillCoins(dst []bool) {
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for i := range dst {
-		dst[i] = (bits.RotateLeft64(s1*5, 7)*9)&1 == 1
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = bits.RotateLeft64(s3, 45)
-	}
-	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 // It uses Lemire's nearly-divisionless bounded sampling.
 func (r *RNG) Intn(n int) int {
@@ -184,32 +165,4 @@ func (r *RNG) PermInto(p []int) {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-}
-
-// Shuffle performs a Fisher-Yates shuffle over n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Geometric returns a sample from the geometric distribution with success
-// probability p, i.e. the number of failures before the first success.
-// It panics if p <= 0 or p > 1.
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("xrand: Geometric with p outside (0, 1]")
-	}
-	if p == 1 {
-		return 0
-	}
-	count := 0
-	for r.Float64() >= p {
-		count++
-		if count > 1<<30 {
-			panic("xrand: Geometric did not terminate")
-		}
-	}
-	return count
 }

@@ -189,52 +189,6 @@ func TestPermUniformFirstElement(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(55)
-	const p, samples = 0.25, 50000
-	sum := 0
-	for i := 0; i < samples; i++ {
-		sum += r.Geometric(p)
-	}
-	mean := float64(sum) / samples
-	want := (1 - p) / p // mean of failures-before-success geometric
-	if math.Abs(mean-want) > 0.1 {
-		t.Fatalf("Geometric(%.2f) mean %.3f, want ~%.3f", p, mean, want)
-	}
-}
-
-func TestGeometricOne(t *testing.T) {
-	if got := New(1).Geometric(1); got != 0 {
-		t.Fatalf("Geometric(1) = %d, want 0", got)
-	}
-}
-
-func TestGeometricPanics(t *testing.T) {
-	for _, p := range []float64{0, -0.5, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Geometric(%v) did not panic", p)
-				}
-			}()
-			New(1).Geometric(p)
-		}()
-	}
-}
-
-func TestShuffleAllElementsRetained(t *testing.T) {
-	r := New(8)
-	xs := []int{1, 2, 3, 4, 5, 6, 7}
-	sum := 0
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 28 {
-		t.Fatalf("shuffle lost elements: %v", xs)
-	}
-}
-
 func TestMix3Distinct(t *testing.T) {
 	if Mix3(1, 2, 3) == Mix3(1, 3, 2) {
 		t.Fatal("Mix3 is symmetric in its arguments; streams would collide")
@@ -295,33 +249,15 @@ func TestFillUint64sMatchesPerCallDraws(t *testing.T) {
 	}
 }
 
-// TestFillCoinsMatchesPerCallDraws pins the coin batch to Bool: one full
-// draw per coin, low-bit convention, identical continuation state.
-func TestFillCoinsMatchesPerCallDraws(t *testing.T) {
-	batch, scalar := New(1234), New(1234)
-	dst := make([]bool, 513)
-	batch.FillCoins(dst)
-	for i, got := range dst {
-		if want := scalar.Bool(); got != want {
-			t.Fatalf("coin %d = %v, want per-call %v", i, got, want)
-		}
-	}
-	if got, want := batch.Uint64(), scalar.Uint64(); got != want {
-		t.Fatalf("stream diverged after the coin batch: %#x vs %#x", got, want)
-	}
-}
-
-// TestFillZeroAlloc pins both batch fills allocation-free: they exist for
+// TestFillZeroAlloc pins the batch fill allocation-free: it exists for
 // tight loops that must not touch the heap.
 func TestFillZeroAlloc(t *testing.T) {
 	r := New(5)
 	words := make([]uint64, 256)
-	coins := make([]bool, 256)
 	if n := testing.AllocsPerRun(100, func() {
 		r.FillUint64s(words)
-		r.FillCoins(coins)
 	}); n != 0 {
-		t.Fatalf("batch fills allocated %v times per run", n)
+		t.Fatalf("batch fill allocated %v times per run", n)
 	}
 }
 

@@ -686,7 +686,9 @@ type ExperimentOptions struct {
 	Seed   uint64
 	Trials int  // 0 = experiment default
 	Quick  bool // reduced scales
-	CSV    bool // render CSV instead of an aligned text table
+	// CSVTo, when non-nil, also receives the run's table as CSV; the
+	// returned string is the same table as aligned text.
+	CSVTo io.Writer
 	// Progress, when non-nil, receives throttled live progress lines
 	// (trials/points completed, elapsed time, ETA) while trial batches run —
 	// point it at os.Stderr for long experiments.
@@ -726,7 +728,8 @@ type ExperimentOptions struct {
 // CheckpointDir was set) and a rerun with the same options resumes from them.
 var ErrInterrupted = experiment.ErrInterrupted
 
-// RunExperiment regenerates one experiment's table and returns it rendered.
+// RunExperiment regenerates one experiment's table and returns it as aligned
+// text.
 func RunExperiment(id string, opts ExperimentOptions) (string, error) {
 	e, ok := experiment.ByID(id)
 	if !ok {
@@ -774,12 +777,10 @@ func RunExperiment(id string, opts ExperimentOptions) (string, error) {
 	if err := out.write(o); err != nil {
 		return "", err
 	}
-	if opts.CSV {
-		var sb strings.Builder
-		if err := table.WriteCSV(&sb); err != nil {
-			return "", err
+	if opts.CSVTo != nil {
+		if err := table.WriteCSV(opts.CSVTo); err != nil {
+			return "", fmt.Errorf("mobiletel: writing %s as CSV: %w", id, err)
 		}
-		return sb.String(), nil
 	}
 	return table.Text(), nil
 }
