@@ -58,11 +58,15 @@ race-smoke:
 # Then 15 seconds that decode graphs of at most 12 nodes with a cut and
 # require matching.CutMatcher's ν(B(S)) to equal the test-only brute-force
 # matcher's and its pairing to pass the test-only validator.
+# Then 15 seconds that write arbitrary bytes as a checkpoint file and require
+# OpenCheckpoint and every cell lookup never to panic, and every rejection to
+# name the file and the line.
 # A failing input is saved under the package's testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesOracle$$' -fuzztime 30s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzFromCSR$$' -fuzztime 15s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzCutMatcher$$' -fuzztime 15s ./internal/matching
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenCheckpoint$$' -fuzztime 15s ./internal/experiment
 
 lint:
 	$(GO) run ./cmd/mtmlint ./...
@@ -94,17 +98,21 @@ bench-smoke:
 
 # fault-smoke mirrors the CI fault-smoke job, the crash-safe harness
 # contract end to end: (1) a checkpointed sweep killed mid-run (-die-after)
-# and resumed must render the byte-identical CSV of an uninterrupted run;
-# (2) two recordings under the same fault plan must be byte-identical —
-# fault injection is as deterministic as the fault-free engine.
+# and resumed must render the byte-identical CSV of an uninterrupted run,
+# both for R2, whose cells hold a round, and for E5, whose cells hold the
+# informed count its table reads; (2) two recordings under the same fault
+# plan must be byte-identical — fault injection is as deterministic as the
+# fault-free engine.
 fault-smoke:
 	rm -rf /tmp/mtm-fault-smoke && mkdir -p /tmp/mtm-fault-smoke
 	$(GO) build -o /tmp/mtm-fault-smoke/mtmexp ./cmd/mtmexp
-	/tmp/mtm-fault-smoke/mtmexp -run R2-corruption-recovery -quick -trials 2 -csv > /tmp/mtm-fault-smoke/baseline.csv
-	/tmp/mtm-fault-smoke/mtmexp -run R2-corruption-recovery -quick -trials 2 -csv -checkpoint /tmp/mtm-fault-smoke/ck -die-after 2 > /dev/null 2>&1; \
-	  test $$? -eq 3 || { echo "fault-smoke: -die-after run did not exit 3" >&2; exit 1; }
-	/tmp/mtm-fault-smoke/mtmexp -run R2-corruption-recovery -quick -trials 2 -csv -checkpoint /tmp/mtm-fault-smoke/ck > /tmp/mtm-fault-smoke/resumed.csv
-	cmp /tmp/mtm-fault-smoke/baseline.csv /tmp/mtm-fault-smoke/resumed.csv
+	for id in R2-corruption-recovery E5-ppush-approx; do \
+	  /tmp/mtm-fault-smoke/mtmexp -run $$id -quick -trials 2 -csv > /tmp/mtm-fault-smoke/$$id.baseline.csv || exit 1; \
+	  /tmp/mtm-fault-smoke/mtmexp -run $$id -quick -trials 2 -csv -checkpoint /tmp/mtm-fault-smoke/ck -die-after 2 > /dev/null 2>&1; \
+	  test $$? -eq 3 || { echo "fault-smoke: $$id -die-after run did not exit 3" >&2; exit 1; }; \
+	  /tmp/mtm-fault-smoke/mtmexp -run $$id -quick -trials 2 -csv -checkpoint /tmp/mtm-fault-smoke/ck > /tmp/mtm-fault-smoke/$$id.resumed.csv || exit 1; \
+	  cmp /tmp/mtm-fault-smoke/$$id.baseline.csv /tmp/mtm-fault-smoke/$$id.resumed.csv || exit 1; \
+	done
 	$(GO) run ./cmd/mtmtrace record -topo regular -n 64 -deg 8 -algo blindgossip -proposal-loss 0.3 -conn-loss 0.2 -tagflip-rate 0.05 -seed 11 -o /tmp/mtm-fault-smoke/a.jsonl
 	$(GO) run ./cmd/mtmtrace record -topo regular -n 64 -deg 8 -algo blindgossip -proposal-loss 0.3 -conn-loss 0.2 -tagflip-rate 0.05 -seed 11 -o /tmp/mtm-fault-smoke/b.jsonl
 	$(GO) run ./cmd/mtmtrace diff /tmp/mtm-fault-smoke/a.jsonl /tmp/mtm-fault-smoke/b.jsonl

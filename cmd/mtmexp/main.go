@@ -195,11 +195,7 @@ func run() error {
 		}
 		bench.Experiments = append(bench.Experiments, benchEntry{ID: id, Seconds: elapsed, OK: err == nil})
 		if errors.Is(err, mobiletel.ErrInterrupted) {
-			if *checkpoint != "" {
-				fmt.Fprintf(os.Stderr, "mtmexp: %s interrupted; completed trials are checkpointed — rerun with -resume to continue\n", id)
-			} else {
-				fmt.Fprintf(os.Stderr, "mtmexp: %s interrupted; rerun with -checkpoint DIR (or -resume) to make sweeps resumable\n", id)
-			}
+			fmt.Fprintf(os.Stderr, "mtmexp: %s interrupted; %s\n", id, resumeHint(*checkpoint))
 			return err
 		}
 		if err != nil {
@@ -231,4 +227,14 @@ func run() error {
 		return fmt.Errorf("%d experiment(s) failed", failed)
 	}
 	return nil
+}
+
+// resumeHint tells the user of an interrupted run how to go on: rerun with
+// the checkpoint directory the run used (-resume would read the default
+// one, whatever -checkpoint said), or make the next run resumable.
+func resumeHint(checkpoint string) string {
+	if checkpoint == "" {
+		return "rerun with -checkpoint DIR (or -resume) to make sweeps resumable"
+	}
+	return "completed trials are checkpointed — rerun with -checkpoint " + checkpoint + " to continue"
 }

@@ -135,6 +135,10 @@ func sortedTransitions(m map[string]int64) []kindCount {
 	return out
 }
 
+// maxTail bounds events -tail: the ring that holds the last N matches is
+// allocated up front, 40 bytes an event.
+const maxTail = 1 << 24
+
 func cmdEvents(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mtmtrace events", flag.ContinueOnError)
 	typeName := fs.String("type", "", "only events of this type (round_start|round_end|propose|reject|accept|connect|deliver|transition)")
@@ -142,9 +146,12 @@ func cmdEvents(args []string, stdout io.Writer) error {
 	node := fs.Int("node", -1, "only events whose node or peer is this device (-1 = any)")
 	from := fs.Int("from", 0, "only rounds >= this")
 	to := fs.Int("to", 0, "only rounds <= this (0 = unbounded)")
-	tail := fs.Int("tail", 0, "print only the last N matching events")
+	tail := fs.Int("tail", 0, fmt.Sprintf("print only the last N matching events (N <= %d)", maxTail))
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *tail > maxTail {
+		return fmt.Errorf("-tail %d exceeds %d events", *tail, maxTail)
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("events needs exactly one trace file ('-' = stdin)")
@@ -197,8 +204,10 @@ func cmdEvents(args []string, stdout io.Writer) error {
 	}
 
 	// With -tail, buffer the last N matches in a ring; otherwise stream.
-	var ring []obs.Event
-	next := 0
+	var ring *obs.Ring
+	if *tail > 0 {
+		ring = obs.NewRing(*tail)
+	}
 	for {
 		e, err := r.Next()
 		if err == io.EOF {
@@ -210,29 +219,16 @@ func cmdEvents(args []string, stdout io.Writer) error {
 		if !match(e) {
 			continue
 		}
-		if *tail <= 0 {
-			if _, err := fmt.Fprintln(stdout, e); err != nil {
-				return err
-			}
+		if ring != nil {
+			ring.Event(e)
 			continue
 		}
-		if len(ring) < *tail {
-			ring = append(ring, e)
-		} else {
-			ring[next] = e
+		if _, err := fmt.Fprintln(stdout, e); err != nil {
+			return err
 		}
-		next = (next + 1) % *tail
 	}
-	if *tail > 0 {
-		if len(ring) == *tail {
-			for _, e := range ring[next:] {
-				if _, err := fmt.Fprintln(stdout, e); err != nil {
-					return err
-				}
-			}
-			ring = ring[:next]
-		}
-		for _, e := range ring {
+	if ring != nil {
+		for _, e := range ring.Events() {
 			if _, err := fmt.Fprintln(stdout, e); err != nil {
 				return err
 			}

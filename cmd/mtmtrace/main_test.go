@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -200,17 +202,22 @@ func TestEventsFilter(t *testing.T) {
 		}
 	}
 
-	var tail bytes.Buffer
-	code, err = run([]string{"events", "-type", "transition", "-kind", "leader", "-tail", "2", goldenPath}, &tail)
-	if err != nil || code != 0 {
-		t.Fatalf("events -tail: code %d, err %v", code, err)
+	// -tail keeps the last N matches: fewer than there are (the ring wraps,
+	// once or more, leaving its cursor mid-buffer or at the start), exactly
+	// as many, and more than there are.
+	for _, n := range []int{2, 3, len(lines) - 1, len(lines), len(lines) + 5} {
+		var tail bytes.Buffer
+		code, err = run([]string{"events", "-type", "transition", "-kind", "leader", "-tail", strconv.Itoa(n), goldenPath}, &tail)
+		if err != nil || code != 0 {
+			t.Fatalf("events -tail %d: code %d, err %v", n, code, err)
+		}
+		want := strings.Join(lines[max(len(lines)-n, 0):], "\n")
+		if got := strings.TrimSpace(tail.String()); got != want {
+			t.Errorf("events -tail %d returned:\n%s\nwant the last %d of the full listing:\n%s", n, got, n, want)
+		}
 	}
-	tailLines := strings.Split(strings.TrimSpace(tail.String()), "\n")
-	if len(tailLines) != 2 {
-		t.Fatalf("tail returned %d lines, want 2", len(tailLines))
-	}
-	if tailLines[0] != lines[len(lines)-2] || tailLines[1] != lines[len(lines)-1] {
-		t.Errorf("tail returned wrong events:\n%v\nvs full tail:\n%v", tailLines, lines[len(lines)-2:])
+	if _, err := run([]string{"events", "-tail", strconv.Itoa(maxTail + 1), goldenPath}, io.Discard); err == nil {
+		t.Errorf("events -tail %d accepted", maxTail+1)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 var ErrInterrupted = errors.New("experiment: interrupted")
 
 // checkpointSchema identifies the checkpoint JSONL layout.
-const checkpointSchema = "mtmexp-ckpt/v1"
+const checkpointSchema = "mtmexp-ckpt/v2"
 
 // CheckpointKey pins the parameters a checkpoint file is valid for. Resuming
 // with any different value would silently mix results from two different
@@ -31,25 +31,30 @@ type CheckpointKey struct {
 	Quick  bool   `json:"quick"`
 }
 
-// checkpointCell is one completed trial: batch is the ordinal of the
-// RunCells call within the experiment (experiments run their batches
-// in a deterministic order, so the counter realigns on resume).
+// checkpointCell is one completed (point, trial) cell: the JSON encoding
+// of what the experiment's cell returned.
 type checkpointCell struct {
-	Batch  int `json:"batch"`
-	Point  int `json:"point"`
-	Trial  int `json:"trial"`
-	Rounds int `json:"rounds"`
+	Point  int             `json:"point"`
+	Trial  int             `json:"trial"`
+	Result json.RawMessage `json:"result"`
 }
 
 // cellKey indexes completed cells.
-type cellKey struct{ batch, point, trial int }
+type cellKey struct{ point, trial int }
 
-// Checkpoint makes a trial sweep crash-safe: every completed (batch, point,
-// trial) cell is appended to a JSONL file as it finishes, and a later run
-// with the same key replays recorded cells instead of re-simulating them.
-// Because each cell's seed is a pure function of (seed, point, trial) and
-// its result is the recorded rounds value, a resumed sweep produces a table
-// bit-identical to an uninterrupted one.
+// storedCell is a recorded result and the file line that holds it, which
+// a result that does not decode is reported against.
+type storedCell struct {
+	line   int
+	result json.RawMessage
+}
+
+// Checkpoint makes a trial sweep crash-safe: every completed (point, trial)
+// cell of an experiment's one RunCells batch is appended to a JSONL file as
+// it finishes, and a later run with the same key replays recorded cells
+// instead of re-simulating them. Because each cell is a pure function of
+// (seed, point, trial) and its result is recorded whole, a resumed sweep
+// produces a table bit-identical to an uninterrupted one.
 //
 // The file is append-only while running; a process killed mid-append leaves
 // at worst one torn trailing line, which Open drops (and heals by atomically
@@ -59,10 +64,11 @@ type Checkpoint struct {
 	mu       sync.Mutex
 	f        *os.File
 	path     string
-	cells    map[cellKey]int
-	batches  int // batches handed out this process
-	recorded int // cells newly recorded this process
-	replayed int // cells served from the file this process
+	cells    map[cellKey]storedCell
+	lines    int  // lines in the file: the header and every cell
+	started  bool // a RunCells batch has claimed this checkpoint
+	recorded int  // cells newly recorded this process
+	replayed int  // cells served from the file this process
 
 	// dieAfter, when > 0, calls die after that many newly recorded cells —
 	// the crash-injection hook behind mtmexp -die-after and the fault-smoke
@@ -73,67 +79,69 @@ type Checkpoint struct {
 
 // OpenCheckpoint opens (or creates) the checkpoint file at path for the
 // given key. An existing file must carry the same key; its valid cells are
-// loaded and a torn or corrupt tail is dropped and healed in place.
+// loaded, and the file is rewritten atomically as the header and those
+// cells, one per line, which drops a torn or corrupt tail.
 func OpenCheckpoint(path string, key CheckpointKey) (*Checkpoint, error) {
 	key.Schema = checkpointSchema
-	cells, order, healed, err := readCheckpoint(path, key)
+	order, err := readCheckpoint(path, key)
 	if err != nil {
 		return nil, err
 	}
-	if healed {
-		// Rewrite the valid prefix atomically so the torn tail cannot be
-		// misparsed by a later reader (or grow mid-file once we append).
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		if err := enc.Encode(key); err != nil {
+	// Rewriting the valid prefix means a torn tail cannot be misparsed by
+	// a later reader (or grow mid-file once we append), and cell i sits on
+	// line i+2.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	if err := enc.Encode(key); err != nil {
+		return nil, err
+	}
+	cells := make(map[cellKey]storedCell, len(order))
+	for i, c := range order {
+		if err := enc.Encode(c); err != nil {
 			return nil, err
 		}
-		for _, c := range order {
-			if err := enc.Encode(c); err != nil {
-				return nil, err
-			}
-		}
-		if err := atomicwrite.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			return nil, err
-		}
+		cells[cellKey{c.Point, c.Trial}] = storedCell{line: i + 2, result: c.Result}
+	}
+	if err := atomicwrite.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &Checkpoint{f: f, path: path, cells: cells, die: func() { os.Exit(3) }}, nil
+	return &Checkpoint{f: f, path: path, cells: cells, lines: 1 + len(order), die: func() { os.Exit(3) }}, nil
 }
 
-// readCheckpoint loads path, returning the recorded cells (map and original
-// order), whether the file needs healing (torn tail, or it did not exist and
-// must be created with a header), and whether the key matches.
-func readCheckpoint(path string, key CheckpointKey) (map[cellKey]int, []checkpointCell, bool, error) {
-	cells := make(map[cellKey]int)
+// readCheckpoint loads the cells recorded in path, in file order, after
+// checking the header against key. A missing or empty file has none.
+func readCheckpoint(path string, key CheckpointKey) ([]checkpointCell, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return cells, nil, true, nil
+		return nil, nil
 	}
 	if err != nil {
-		return nil, nil, false, err
+		return nil, err
 	}
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	line := 1
 	if !sc.Scan() || len(bytes.TrimSpace(sc.Bytes())) == 0 {
+		if err := sc.Err(); err != nil {
+			return nil, fmt.Errorf("checkpoint %s: line %d: %w", path, line, err)
+		}
 		// Created but killed before the header landed: treat as fresh.
-		return cells, nil, true, nil
+		return nil, nil
 	}
 	var got CheckpointKey
 	if err := json.Unmarshal(sc.Bytes(), &got); err != nil {
-		return nil, nil, false, fmt.Errorf("checkpoint %s: corrupt header: %w", path, err)
+		return nil, fmt.Errorf("checkpoint %s: line %d: corrupt header: %w", path, line, err)
 	}
 	if got != key {
-		return nil, nil, false, fmt.Errorf(
-			"checkpoint %s was recorded for %+v; this run is %+v (use a fresh checkpoint or matching flags)",
-			path, got, key)
+		return nil, fmt.Errorf(
+			"checkpoint %s: line %d: recorded for %+v; this run is %+v (use a fresh checkpoint or matching flags)",
+			path, line, got, key)
 	}
 	var order []checkpointCell
-	healed := false
-	line := 1
 	for sc.Scan() {
 		line++
 		raw := bytes.TrimSpace(sc.Bytes())
@@ -141,65 +149,71 @@ func readCheckpoint(path string, key CheckpointKey) (map[cellKey]int, []checkpoi
 			continue
 		}
 		var c checkpointCell
-		if err := json.Unmarshal(raw, &c); err != nil {
+		if err := json.Unmarshal(raw, &c); err != nil || c.Result == nil {
 			// Torn tail from a mid-append kill: drop this line and anything
 			// after it. Anything beyond one torn line means the file was
 			// edited, but replaying the valid prefix is still safe — dropped
 			// cells are simply re-run.
-			healed = true
-			break
+			return order, nil
 		}
-		k := cellKey{c.Batch, c.Point, c.Trial}
-		if _, dup := cells[k]; !dup {
-			order = append(order, c)
-		}
-		cells[k] = c.Rounds
+		order = append(order, c)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, false, fmt.Errorf("checkpoint %s: line %d: %w", path, line, err)
+		return nil, fmt.Errorf("checkpoint %s: line %d: %w", path, line+1, err)
 	}
-	return cells, order, healed, nil
+	return order, nil
 }
 
-// NextBatch hands out the next batch ordinal. RunCells calls it once
-// per batch, so within one experiment run the Nth batch always gets ordinal
-// N — the property that lets cells recorded by a killed process line up with
-// the re-run that resumes them.
-func (c *Checkpoint) NextBatch() int {
+// startBatch claims the checkpoint for a RunCells batch. Cells are keyed
+// by (point, trial) alone, so a checkpoint serves exactly one batch, and a
+// second batch is an error rather than a silent mix-up of two grids.
+func (c *Checkpoint) startBatch() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b := c.batches
-	c.batches++
-	return b
-}
-
-// Lookup returns the recorded rounds for a cell, if present.
-func (c *Checkpoint) Lookup(batch, point, trial int) (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.cells[cellKey{batch, point, trial}]
-	if ok {
-		c.replayed++
+	if c.started {
+		return fmt.Errorf("checkpoint %s: a second cell batch on one checkpoint", c.path)
 	}
-	return r, ok
+	c.started = true
+	return nil
 }
 
-// Record appends a completed cell. The line is written (not fsynced) before
-// Record returns; a crash immediately after loses at most the cells still in
-// the kernel page cache, and a crash mid-write leaves a torn tail that the
-// next Open drops.
-func (c *Checkpoint) Record(batch, point, trial, rounds int) error {
+// Lookup decodes the recorded result of a cell into v and reports whether
+// the cell was recorded. A recorded result that does not decode into v is
+// an error naming the file and the line.
+func (c *Checkpoint) Lookup(point, trial int, v any) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cell := checkpointCell{Batch: batch, Point: point, Trial: trial, Rounds: rounds}
-	data, err := json.Marshal(cell)
+	s, ok := c.cells[cellKey{point, trial}]
+	if !ok {
+		return false, nil
+	}
+	if err := json.Unmarshal(s.result, v); err != nil {
+		return false, fmt.Errorf("checkpoint %s: line %d: cell (%d, %d): %w", c.path, s.line, point, trial, err)
+	}
+	c.replayed++
+	return true, nil
+}
+
+// Record appends a completed cell with its result v, which must encode as
+// JSON. The line is written (not fsynced) before Record returns; a crash
+// immediately after loses at most the cells still in the kernel page cache,
+// and a crash mid-write leaves a torn tail that the next Open drops.
+func (c *Checkpoint) Record(point, trial int, v any) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	result, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("checkpoint %s: cell (%d, %d): %w", c.path, point, trial, err)
+	}
+	data, err := json.Marshal(checkpointCell{Point: point, Trial: trial, Result: result})
 	if err != nil {
 		return err
 	}
 	if _, err := c.f.Write(append(data, '\n')); err != nil {
 		return fmt.Errorf("checkpoint %s: %w", c.path, err)
 	}
-	c.cells[cellKey{batch, point, trial}] = rounds
+	c.lines++
+	c.cells[cellKey{point, trial}] = storedCell{line: c.lines, result: result}
 	c.recorded++
 	if c.dieAfter > 0 && c.recorded >= c.dieAfter {
 		// Crash injection: flush what the OS has and die without cleanup,

@@ -53,19 +53,16 @@ func runA1(cfg Config) (*trace.Table, error) {
 	k := core.DefaultBitConvParams(n, d).K
 	mults := []int{1, 2, 4}
 	paramsFor := make([]core.BitConvParams, len(mults))
-	builds := make([]func(int) trialRun, len(mults))
 	for mi, mult := range mults {
-		params := core.BitConvParams{K: k, GroupLen: mult * logDelta}
-		paramsFor[mi] = params
-		builds[mi] = func(trial int) trialRun {
-			seed := trialSeed(cfg.Seed, 1100+mult, trial)
-			uids := core.UniqueUIDs(n, seed)
-			protocols, _ := core.NewBitConvNetwork(uids, params, seed+1)
-			return trialRun{sched: dyngraph.NewPermuted(base, tau, seed+2), protocols: protocols,
-				cfg: sim.Config{Seed: seed + 3, TagBits: 1, MaxRounds: 50_000_000}}
-		}
+		paramsFor[mi] = core.BitConvParams{K: k, GroupLen: mult * logDelta}
 	}
-	allRounds, err := runPointTrials(cfg, trials, builds)
+	allRounds, err := RunCells(cfg, len(mults), trials, func(mi, trial int) (int, error) {
+		seed := trialSeed(cfg.Seed, 1100+mults[mi], trial)
+		uids := core.UniqueUIDs(n, seed)
+		protocols, _ := core.NewBitConvNetwork(uids, paramsFor[mi], seed+1)
+		return runTrial(cfg, mi, trial, trialRun{sched: dyngraph.NewPermuted(base, tau, seed+2), protocols: protocols,
+			cfg: sim.Config{Seed: seed + 3, TagBits: 1, MaxRounds: 50_000_000}})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -96,61 +93,56 @@ func runA2(cfg Config) (*trace.Table, error) {
 		return round >= limit || sim.AllLeadersEqual(round, protocols)
 	}
 
-	// Each build hook and check fills its (point, trial) cell of these; the
-	// rows read them after the pool drains, so no checkpoint cell can hold
-	// them and the batch runs without one.
 	betas := []float64{0.5, 1, 2, 3}
 	ks := make([]int, len(betas))
-	collisions := cells[int](len(betas), trials)
-	minCollided := cells[bool](len(betas), trials)
-	stabilized := cells[bool](len(betas), trials)
-	builds := make([]func(int) trialRun, len(betas))
 	for bi, beta := range betas {
 		ks[bi] = max(int(beta*float64(logN)), 1)
-		params := core.BitConvParams{K: ks[bi], GroupLen: 2 * core.Log2Ceil(d+1)}
-		builds[bi] = func(trial int) trialRun {
-			seed := trialSeed(cfg.Seed, 1200+int(beta*10), trial)
-			uids := core.UniqueUIDs(n, seed)
-			protocols, tags := core.NewBitConvNetwork(uids, params, seed+1)
-			sorted := slices.Clone(tags)
-			slices.Sort(sorted)
-			for i := 1; i < n; i++ {
-				if sorted[i] == sorted[i-1] {
-					collisions[bi][trial]++
-				}
-			}
-			minShared := sorted[0] == sorted[1]
-			minCollided[bi][trial] = minShared
-			return trialRun{sched: dyngraph.NewStatic(base), protocols: protocols,
-				cfg:  sim.Config{Seed: seed + 2, TagBits: 1, MaxRounds: limit},
-				stop: agreeOrCap,
-				check: func() error {
-					if sim.AllLeadersEqual(0, protocols) {
-						stabilized[bi][trial] = true
-						return leaderIsMin(uids, tags, protocols)()
-					}
-					if !minShared {
-						// A real failure, not the expected collision deadlock.
-						return fmt.Errorf("beta=%v: unique min tag yet no stabilization within %d rounds", beta, limit)
-					}
-					return nil
-				}}
-		}
 	}
-	rounds, err := runPointTrials(withoutCheckpoint(cfg), trials, builds)
+	results, err := RunCells(cfg, len(betas), trials, func(bi, trial int) (a2Cell, error) {
+		beta := betas[bi]
+		params := core.BitConvParams{K: ks[bi], GroupLen: 2 * core.Log2Ceil(d+1)}
+		seed := trialSeed(cfg.Seed, 1200+int(beta*10), trial)
+		uids := core.UniqueUIDs(n, seed)
+		protocols, tags := core.NewBitConvNetwork(uids, params, seed+1)
+		var c a2Cell
+		sorted := slices.Clone(tags)
+		slices.Sort(sorted)
+		for i := 1; i < n; i++ {
+			if sorted[i] == sorted[i-1] {
+				c.Collisions++
+			}
+		}
+		c.MinCollided = sorted[0] == sorted[1]
+		var err error
+		c.Rounds, err = runTrial(cfg, bi, trial, trialRun{sched: dyngraph.NewStatic(base), protocols: protocols,
+			cfg:  sim.Config{Seed: seed + 2, TagBits: 1, MaxRounds: limit},
+			stop: agreeOrCap,
+			check: func() error {
+				if sim.AllLeadersEqual(0, protocols) {
+					c.Stabilized = true
+					return leaderIsMin(uids, tags, protocols)()
+				}
+				if !c.MinCollided {
+					// A real failure, not the expected collision deadlock.
+					return fmt.Errorf("beta=%v: unique min tag yet no stabilization within %d rounds", beta, limit)
+				}
+				return nil
+			}})
+		return c, err
+	})
 	if err != nil {
 		return nil, err
 	}
 	for bi, beta := range betas {
 		sumCollisions, collided := 0, 0
 		var okRounds []int
-		for trial := range trials {
-			sumCollisions += collisions[bi][trial]
-			if minCollided[bi][trial] {
+		for _, c := range results[bi] {
+			sumCollisions += c.Collisions
+			if c.MinCollided {
 				collided++
 			}
-			if stabilized[bi][trial] {
-				okRounds = append(okRounds, rounds[bi][trial])
+			if c.Stabilized {
+				okRounds = append(okRounds, c.Rounds)
 			}
 		}
 		med := "—"
@@ -162,6 +154,16 @@ func runA2(cfg Config) (*trace.Table, error) {
 			fmt.Sprintf("%d/%d", len(okRounds), trials), med)
 	}
 	return table, nil
+}
+
+// a2Cell is what one A2 trial contributes to its row: the run's rounds, the
+// tag collisions its draw made, whether the minimum tag was among them, and
+// whether the run stabilized before the cap.
+type a2Cell struct {
+	Rounds      int  `json:"rounds"`
+	Collisions  int  `json:"collisions"`
+	MinCollided bool `json:"min_collided"`
+	Stabilized  bool `json:"stabilized"`
 }
 
 func runA3(cfg Config) (*trace.Table, error) {
@@ -181,18 +183,14 @@ func runA3(cfg Config) (*trace.Table, error) {
 		{"lowest-id", sim.AcceptLowestID},
 		{"highest-id", sim.AcceptHighestID},
 	}
-	builds := make([]func(int) trialRun, len(policies))
-	for pi, pol := range policies {
-		builds[pi] = func(trial int) trialRun {
-			seed := trialSeed(cfg.Seed, 1300+pi, trial)
-			uids := core.UniqueUIDs(f.N(), seed)
-			protocols := core.NewBlindGossipNetwork(uids)
-			return trialRun{sched: dyngraph.NewStatic(f), protocols: protocols,
-				cfg:   sim.Config{Seed: seed + 1, TagBits: 0, MaxRounds: 100_000_000, Accept: pol.policy},
-				check: leaderIsMin(uids, nil, protocols)}
-		}
-	}
-	allRounds, err := runPointTrials(cfg, trials, builds)
+	allRounds, err := RunCells(cfg, len(policies), trials, func(pi, trial int) (int, error) {
+		seed := trialSeed(cfg.Seed, 1300+pi, trial)
+		uids := core.UniqueUIDs(f.N(), seed)
+		protocols := core.NewBlindGossipNetwork(uids)
+		return runTrial(cfg, pi, trial, trialRun{sched: dyngraph.NewStatic(f), protocols: protocols,
+			cfg:   sim.Config{Seed: seed + 1, TagBits: 0, MaxRounds: 100_000_000, Accept: policies[pi].policy},
+			check: leaderIsMin(uids, nil, protocols)})
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -49,34 +49,31 @@ func runE8(cfg Config) (*trace.Table, error) {
 	// variants at increasing activation spreads. All share one pipelined
 	// pool.
 	spreads := []int{0, 200, 2000}
-	builds := make([]func(int) trialRun, 0, 1+len(spreads))
-	builds = append(builds, func(trial int) trialRun {
-		seed := trialSeed(cfg.Seed, 800, trial)
-		uids := core.UniqueUIDs(n, seed)
-		protocols, _ := core.NewBitConvNetwork(uids, params, seed+1)
-		return trialRun{sched: dyngraph.NewStatic(base), protocols: protocols,
-			cfg: sim.Config{Seed: seed + 2, TagBits: 1, MaxRounds: 50_000_000}}
-	})
-	for _, spread := range spreads {
-		builds = append(builds, func(trial int) trialRun {
-			seed := trialSeed(cfg.Seed, 810+spread, trial)
+	allRounds, err := RunCells(cfg, 1+len(spreads), trials, func(p, trial int) (int, error) {
+		if p == 0 {
+			seed := trialSeed(cfg.Seed, 800, trial)
 			uids := core.UniqueUIDs(n, seed)
-			protocols, _ := core.NewAsyncBitConvNetwork(uids, params, seed+1)
-			cfgSim := sim.Config{
-				Seed: seed + 2, TagBits: core.TagBitsNeeded(params), MaxRounds: 50_000_000,
+			protocols, _ := core.NewBitConvNetwork(uids, params, seed+1)
+			return runTrial(cfg, p, trial, trialRun{sched: dyngraph.NewStatic(base), protocols: protocols,
+				cfg: sim.Config{Seed: seed + 2, TagBits: 1, MaxRounds: 50_000_000}})
+		}
+		spread := spreads[p-1]
+		seed := trialSeed(cfg.Seed, 810+spread, trial)
+		uids := core.UniqueUIDs(n, seed)
+		protocols, _ := core.NewAsyncBitConvNetwork(uids, params, seed+1)
+		cfgSim := sim.Config{
+			Seed: seed + 2, TagBits: core.TagBitsNeeded(params), MaxRounds: 50_000_000,
+		}
+		if spread > 0 {
+			rng := xrand.New(seed + 3)
+			acts := make([]int, n)
+			for i := range acts {
+				acts[i] = 1 + rng.Intn(spread)
 			}
-			if spread > 0 {
-				rng := xrand.New(seed + 3)
-				acts := make([]int, n)
-				for i := range acts {
-					acts[i] = 1 + rng.Intn(spread)
-				}
-				cfgSim.Activations = acts
-			}
-			return trialRun{sched: dyngraph.NewStatic(base), protocols: protocols, cfg: cfgSim}
-		})
-	}
-	allRounds, err := runPointTrials(cfg, trials, builds)
+			cfgSim.Activations = acts
+		}
+		return runTrial(cfg, p, trial, trialRun{sched: dyngraph.NewStatic(base), protocols: protocols, cfg: cfgSim})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -124,22 +121,19 @@ func runE9(cfg Config) (*trace.Table, error) {
 		"pre-merge rounds", "median post-merge rounds", "p90", "correct leader")
 
 	preMerges := []int{1, 500, 5000}
-	builds := make([]func(int) trialRun, len(preMerges))
-	for pi, preMerge := range preMerges {
-		builds[pi] = func(trial int) trialRun {
-			seed := trialSeed(cfg.Seed, 900+preMerge, trial)
-			pre := twoComponents(n, d, seed+10)
-			post := gen.RandomRegular(n, d, seed+11)
-			sched := dyngraph.NewSwitch(dyngraph.NewStatic(pre), dyngraph.NewStatic(post), preMerge+1)
+	allRounds, err := RunCells(cfg, len(preMerges), trials, func(pi, trial int) (int, error) {
+		preMerge := preMerges[pi]
+		seed := trialSeed(cfg.Seed, 900+preMerge, trial)
+		pre := twoComponents(n, d, seed+10)
+		post := gen.RandomRegular(n, d, seed+11)
+		sched := dyngraph.NewSwitch(dyngraph.NewStatic(pre), dyngraph.NewStatic(post), preMerge+1)
 
-			uids := core.UniqueUIDs(n, seed)
-			protocols, tags := core.NewAsyncBitConvNetwork(uids, params, seed+1)
-			return trialRun{sched: sched, protocols: protocols,
-				cfg:   sim.Config{Seed: seed + 2, TagBits: core.TagBitsNeeded(params), MaxRounds: 50_000_000},
-				check: leaderIsMin(uids, tags, protocols)}
-		}
-	}
-	allRounds, err := runPointTrials(cfg, trials, builds)
+		uids := core.UniqueUIDs(n, seed)
+		protocols, tags := core.NewAsyncBitConvNetwork(uids, params, seed+1)
+		return runTrial(cfg, pi, trial, trialRun{sched: sched, protocols: protocols,
+			cfg:   sim.Config{Seed: seed + 2, TagBits: core.TagBitsNeeded(params), MaxRounds: 50_000_000},
+			check: leaderIsMin(uids, tags, protocols)})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -197,20 +191,15 @@ func runE10(cfg Config) (*trace.Table, error) {
 		"schedule", "algorithm", "median rounds", "p90", "all correct")
 
 	// Point si*len(algos)+ai is schedule si under algorithm ai.
-	builds := make([]func(int) trialRun, 0, len(schedules)*len(algos))
-	for si, sp := range schedules {
-		for ai, ap := range algos {
-			builds = append(builds, func(trial int) trialRun {
-				seed := trialSeed(cfg.Seed, 1000+si*10+ai, trial)
-				uids := core.UniqueUIDs(n, seed)
-				protocols, tags := ap.build(uids, seed+1)
-				return trialRun{sched: sp.mk(seed + 2), protocols: protocols,
-					cfg:   sim.Config{Seed: seed + 3, TagBits: ap.tagBits, MaxRounds: 50_000_000},
-					check: leaderIsMin(uids, tags, protocols)}
-			})
-		}
-	}
-	allRounds, err := runPointTrials(cfg, trials, builds)
+	allRounds, err := RunCells(cfg, len(schedules)*len(algos), trials, func(p, trial int) (int, error) {
+		si, ai := p/len(algos), p%len(algos)
+		seed := trialSeed(cfg.Seed, 1000+si*10+ai, trial)
+		uids := core.UniqueUIDs(n, seed)
+		protocols, tags := algos[ai].build(uids, seed+1)
+		return runTrial(cfg, p, trial, trialRun{sched: schedules[si].mk(seed + 2), protocols: protocols,
+			cfg:   sim.Config{Seed: seed + 3, TagBits: algos[ai].tagBits, MaxRounds: 50_000_000},
+			check: leaderIsMin(uids, tags, protocols)})
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -76,32 +76,27 @@ func runE6(cfg Config) (*trace.Table, error) {
 	// Point 2·pi is τ = taus[pi] against the adaptive adversary and point
 	// 2·pi+1 the oblivious schedule; they draw trialSeed points 2·pi+11 and
 	// 2·pi+10.
-	var builds []func(int) trialRun
-	for pi, tau := range taus {
-		for _, adaptive := range []bool{true, false} {
-			point := pi*2 + 10
-			if adaptive {
-				point++
-			}
-			builds = append(builds, func(trial int) trialRun {
-				seed := trialSeed(cfg.Seed, point, trial)
-				uids := core.UniqueUIDs(n, seed)
-				protocols, tags := core.NewBitConvNetwork(uids, params, seed+1)
-				var sched dyngraph.Schedule
-				if adaptive {
-					adv := newAdaptiveStars(n, points, tau)
-					adv.SetSource(protocols)
-					sched = adv
-				} else {
-					sched = dyngraph.NewPermuted(oblivious, tau, seed+2)
-				}
-				return trialRun{sched: sched, protocols: protocols,
-					cfg:   sim.Config{Seed: seed + 3, TagBits: 1, MaxRounds: 50_000_000},
-					check: leaderIsMin(uids, tags, protocols)}
-			})
+	allRounds, err := RunCells(cfg, 2*len(taus), trials, func(p, trial int) (int, error) {
+		tau, adaptive := taus[p/2], p%2 == 0
+		seedPoint := p/2*2 + 10
+		if adaptive {
+			seedPoint++
 		}
-	}
-	allRounds, err := runPointTrials(cfg, trials, builds)
+		seed := trialSeed(cfg.Seed, seedPoint, trial)
+		uids := core.UniqueUIDs(n, seed)
+		protocols, tags := core.NewBitConvNetwork(uids, params, seed+1)
+		var sched dyngraph.Schedule
+		if adaptive {
+			adv := newAdaptiveStars(n, points, tau)
+			adv.SetSource(protocols)
+			sched = adv
+		} else {
+			sched = dyngraph.NewPermuted(oblivious, tau, seed+2)
+		}
+		return runTrial(cfg, p, trial, trialRun{sched: sched, protocols: protocols,
+			cfg:   sim.Config{Seed: seed + 3, TagBits: 1, MaxRounds: 50_000_000},
+			check: leaderIsMin(uids, tags, protocols)})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -148,41 +143,36 @@ func runE7(cfg Config) (*trace.Table, error) {
 
 	// Both election algorithms on every point feed one shared pool: points
 	// 2·pi and 2·pi+1 are point pi's blind-gossip and bit-convergence runs.
-	builds := make([]func(int) trialRun, 0, 2*len(points))
-	for pi, pt := range points {
-		for _, bitconv := range []bool{false, true} {
-			builds = append(builds, func(trial int) trialRun {
-				seed := trialSeed(cfg.Seed, pi+20, trial)
-				n, delta := pt.advN, advPoints+2
-				if !pt.adaptive {
-					n, delta = pt.family.N(), pt.family.MaxDegree()
-				}
-				uids := core.UniqueUIDs(n, seed)
-				var protocols []sim.Protocol
-				tagBits := 0
-				if bitconv {
-					protocols, _ = core.NewBitConvNetwork(uids, core.DefaultBitConvParams(n, delta), seed+1)
-					tagBits = 1
-				} else {
-					protocols = core.NewBlindGossipNetwork(uids)
-				}
-				var sched dyngraph.Schedule
-				switch {
-				case pt.adaptive:
-					adv := newAdaptiveStars(n, advPoints, pt.tau)
-					adv.SetSource(protocols)
-					sched = adv
-				case pt.tau > 0:
-					sched = dyngraph.NewPermuted(pt.family, pt.tau, seed+1)
-				default:
-					sched = dyngraph.NewStatic(pt.family)
-				}
-				return trialRun{sched: sched, protocols: protocols,
-					cfg: sim.Config{Seed: seed + 2, TagBits: tagBits, MaxRounds: 100_000_000}}
-			})
+	allRounds, err := RunCells(cfg, 2*len(points), trials, func(p, trial int) (int, error) {
+		pt, bitconv := points[p/2], p%2 == 1
+		seed := trialSeed(cfg.Seed, p/2+20, trial)
+		n, delta := pt.advN, advPoints+2
+		if !pt.adaptive {
+			n, delta = pt.family.N(), pt.family.MaxDegree()
 		}
-	}
-	allRounds, err := runPointTrials(cfg, trials, builds)
+		uids := core.UniqueUIDs(n, seed)
+		var protocols []sim.Protocol
+		tagBits := 0
+		if bitconv {
+			protocols, _ = core.NewBitConvNetwork(uids, core.DefaultBitConvParams(n, delta), seed+1)
+			tagBits = 1
+		} else {
+			protocols = core.NewBlindGossipNetwork(uids)
+		}
+		var sched dyngraph.Schedule
+		switch {
+		case pt.adaptive:
+			adv := newAdaptiveStars(n, advPoints, pt.tau)
+			adv.SetSource(protocols)
+			sched = adv
+		case pt.tau > 0:
+			sched = dyngraph.NewPermuted(pt.family, pt.tau, seed+1)
+		default:
+			sched = dyngraph.NewStatic(pt.family)
+		}
+		return runTrial(cfg, p, trial, trialRun{sched: sched, protocols: protocols,
+			cfg: sim.Config{Seed: seed + 2, TagBits: tagBits, MaxRounds: 100_000_000}})
+	})
 	if err != nil {
 		return nil, err
 	}

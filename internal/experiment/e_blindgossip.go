@@ -80,18 +80,15 @@ func runE1(cfg Config) (*trace.Table, error) {
 		"family", "n", "Δ", "α", "τ", "median", "p90", "bound", "median/bound")
 
 	points := e1Families(cfg.Quick, cfg.Seed+1000)
-	builds := make([]func(int) trialRun, len(points))
-	for pi, pt := range points {
-		builds[pi] = func(trial int) trialRun {
-			seed := trialSeed(cfg.Seed, pi, trial)
-			uids := core.UniqueUIDs(pt.family.N(), seed)
-			protocols := core.NewBlindGossipNetwork(uids)
-			return trialRun{sched: pt.schedule(seed + 1), protocols: protocols,
-				cfg:   sim.Config{Seed: seed + 2, TagBits: 0, MaxRounds: 50_000_000},
-				check: leaderIsMin(uids, nil, protocols)}
-		}
-	}
-	allRounds, err := runPointTrials(cfg, trials, builds)
+	allRounds, err := RunCells(cfg, len(points), trials, func(pi, trial int) (int, error) {
+		pt := points[pi]
+		seed := trialSeed(cfg.Seed, pi, trial)
+		uids := core.UniqueUIDs(pt.family.N(), seed)
+		protocols := core.NewBlindGossipNetwork(uids)
+		return runTrial(cfg, pi, trial, trialRun{sched: pt.schedule(seed + 1), protocols: protocols,
+			cfg:   sim.Config{Seed: seed + 2, TagBits: 0, MaxRounds: 50_000_000},
+			check: leaderIsMin(uids, nil, protocols)})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -120,27 +117,25 @@ func runE2(cfg Config) (*trace.Table, error) {
 		"side", "n", "Δ", "median", "p90", "Δ²·side", "median/(Δ²·side)")
 
 	families := make([]gen.Family, len(sides))
-	builds := make([]func(int) trialRun, len(sides))
 	for pi, side := range sides {
-		f := gen.SqrtLineOfStars(side)
-		families[pi] = f
-		builds[pi] = func(trial int) trialRun {
-			seed := trialSeed(cfg.Seed, pi, trial)
-			uids := core.UniqueUIDs(f.N(), seed)
-			// Plant the minimum UID at the head-of-line star center
-			// (node 0), the paper's worst-case initialization.
-			minIdx := 0
-			for i, u := range uids {
-				if u < uids[minIdx] {
-					minIdx = i
-				}
-			}
-			uids[0], uids[minIdx] = uids[minIdx], uids[0]
-			return trialRun{sched: dyngraph.NewStatic(f), protocols: core.NewBlindGossipNetwork(uids),
-				cfg: sim.Config{Seed: seed + 2, TagBits: 0, MaxRounds: 100_000_000}}
-		}
+		families[pi] = gen.SqrtLineOfStars(side)
 	}
-	allRounds, err := runPointTrials(cfg, trials, builds)
+	allRounds, err := RunCells(cfg, len(sides), trials, func(pi, trial int) (int, error) {
+		f := families[pi]
+		seed := trialSeed(cfg.Seed, pi, trial)
+		uids := core.UniqueUIDs(f.N(), seed)
+		// Plant the minimum UID at the head-of-line star center
+		// (node 0), the paper's worst-case initialization.
+		minIdx := 0
+		for i, u := range uids {
+			if u < uids[minIdx] {
+				minIdx = i
+			}
+		}
+		uids[0], uids[minIdx] = uids[minIdx], uids[0]
+		return runTrial(cfg, pi, trial, trialRun{sched: dyngraph.NewStatic(f), protocols: core.NewBlindGossipNetwork(uids),
+			cfg: sim.Config{Seed: seed + 2, TagBits: 0, MaxRounds: 100_000_000}})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -166,19 +161,16 @@ func runE3(cfg Config) (*trace.Table, error) {
 
 	// Reuse the E1 grid; the corollary claims the same bound shape.
 	points := e1Families(cfg.Quick, cfg.Seed+2000)
-	builds := make([]func(int) trialRun, len(points))
-	for pi, pt := range points {
-		builds[pi] = func(trial int) trialRun {
-			seed := trialSeed(cfg.Seed, pi+100, trial)
-			// Source is a pseudo-random node.
-			src := int(xrand.Mix3(seed, 0x5c, 0) % uint64(pt.family.N()))
-			return trialRun{sched: pt.schedule(seed + 1),
-				protocols: rumor.NewPushPullNetwork(pt.family.N(), map[int]bool{src: true}),
-				cfg:       sim.Config{Seed: seed + 2, TagBits: 0, MaxRounds: 50_000_000},
-				stop:      rumor.AllInformed}
-		}
-	}
-	allRounds, err := runPointTrials(cfg, trials, builds)
+	allRounds, err := RunCells(cfg, len(points), trials, func(pi, trial int) (int, error) {
+		pt := points[pi]
+		seed := trialSeed(cfg.Seed, pi+100, trial)
+		// Source is a pseudo-random node.
+		src := int(xrand.Mix3(seed, 0x5c, 0) % uint64(pt.family.N()))
+		return runTrial(cfg, pi, trial, trialRun{sched: pt.schedule(seed + 1),
+			protocols: rumor.NewPushPullNetwork(pt.family.N(), map[int]bool{src: true}),
+			cfg:       sim.Config{Seed: seed + 2, TagBits: 0, MaxRounds: 50_000_000},
+			stop:      rumor.AllInformed})
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -46,20 +46,15 @@ func runE12(cfg Config) (*trace.Table, error) {
 
 	// Points 2·pi and 2·pi+1 are point pi's classical and mobile runs;
 	// both model variants of every topology share one pipelined pool.
-	builds := make([]func(int) trialRun, 0, 2*len(points))
-	for pi, pt := range points {
-		for _, classical := range []bool{true, false} {
-			builds = append(builds, func(trial int) trialRun {
-				seed := trialSeed(cfg.Seed, 1400+pi, trial)
-				src := pt.src(pt.family.N(), seed)
-				return trialRun{sched: dyngraph.NewStatic(pt.family),
-					protocols: rumor.NewPushPullNetwork(pt.family.N(), map[int]bool{src: true}),
-					cfg:       sim.Config{Seed: seed + 1, TagBits: 0, MaxRounds: 50_000_000, Classical: classical},
-					stop:      rumor.AllInformed}
-			})
-		}
-	}
-	allRounds, err := runPointTrials(cfg, trials, builds)
+	allRounds, err := RunCells(cfg, 2*len(points), trials, func(p, trial int) (int, error) {
+		pt := points[p/2]
+		seed := trialSeed(cfg.Seed, 1400+p/2, trial)
+		src := pt.src(pt.family.N(), seed)
+		return runTrial(cfg, p, trial, trialRun{sched: dyngraph.NewStatic(pt.family),
+			protocols: rumor.NewPushPullNetwork(pt.family.N(), map[int]bool{src: true}),
+			cfg:       sim.Config{Seed: seed + 1, TagBits: 0, MaxRounds: 50_000_000, Classical: p%2 == 0},
+			stop:      rumor.AllInformed})
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -105,49 +105,46 @@ func runR1(cfg Config) (*trace.Table, error) {
 		"crash round", "median re-election rounds", "p90", "new leader correct")
 
 	crashRounds := []int{1, pick(cfg.Quick, 100, 400), pick(cfg.Quick, 400, 2000)}
-	builds := make([]func(int) trialRun, len(crashRounds))
-	for pi, rc := range crashRounds {
-		builds[pi] = func(trial int) trialRun {
-			seed := trialSeed(cfg.Seed, 1100+pi, trial)
-			uids := core.UniqueUIDs(n, seed)
-			protocols, tags := asyncNetworkDistinctTags(uids, params, seed+1)
-			// Crash the min-pair owner and reset everyone else.
-			pairs := idPairs(uids, tags)
-			crashed := slices.Index(pairs, core.MinPair(pairs))
-			survivors := make([]int, 0, n-1)
-			for u := range n {
-				if u != crashed {
-					survivors = append(survivors, u)
-				}
+	allRounds, err := RunCells(cfg, len(crashRounds), trials, func(pi, trial int) (int, error) {
+		rc := crashRounds[pi]
+		seed := trialSeed(cfg.Seed, 1100+pi, trial)
+		uids := core.UniqueUIDs(n, seed)
+		protocols, tags := asyncNetworkDistinctTags(uids, params, seed+1)
+		// Crash the min-pair owner and reset everyone else.
+		pairs := idPairs(uids, tags)
+		crashed := slices.Index(pairs, core.MinPair(pairs))
+		survivors := make([]int, 0, n-1)
+		for u := range n {
+			if u != crashed {
+				survivors = append(survivors, u)
 			}
-			want := core.MinPair(slices.Delete(pairs, crashed, crashed+1)).UID
-			in := mustInjector(fault.Plan{
-				Seed:        seed + 2,
-				Crashes:     []fault.NodeRound{{Round: rc, Node: crashed}},
-				Corruptions: []fault.Burst{{Round: rc, Nodes: survivors}},
-			}, n)
-			// The crashed leader keeps its stale state forever, so the stop
-			// condition and the check quantify over *up* nodes only.
-			upAgree := sim.UpOnly(in, sim.AllLeadersEqual)
-			return trialRun{sched: dyngraph.NewStatic(base), protocols: protocols,
-				cfg: sim.Config{
-					Seed: seed + 3, TagBits: core.TagBitsNeeded(params),
-					MaxRounds: 50_000_000, Faults: in,
-				},
-				stop: func(round int, protocols []sim.Protocol) bool {
-					return round > rc && upAgree(round, protocols)
-				},
-				check: func() error {
-					for _, u := range survivors {
-						if got := protocols[u].Leader(); got != want {
-							return fmt.Errorf("node %d elected %d, want surviving min %d", u, got, want)
-						}
-					}
-					return nil
-				}}
 		}
-	}
-	allRounds, err := runPointTrials(cfg, trials, builds)
+		want := core.MinPair(slices.Delete(pairs, crashed, crashed+1)).UID
+		in := mustInjector(fault.Plan{
+			Seed:        seed + 2,
+			Crashes:     []fault.NodeRound{{Round: rc, Node: crashed}},
+			Corruptions: []fault.Burst{{Round: rc, Nodes: survivors}},
+		}, n)
+		// The crashed leader keeps its stale state forever, so the stop
+		// condition and the check quantify over *up* nodes only.
+		upAgree := sim.UpOnly(in, sim.AllLeadersEqual)
+		return runTrial(cfg, pi, trial, trialRun{sched: dyngraph.NewStatic(base), protocols: protocols,
+			cfg: sim.Config{
+				Seed: seed + 3, TagBits: core.TagBitsNeeded(params),
+				MaxRounds: 50_000_000, Faults: in,
+			},
+			stop: func(round int, protocols []sim.Protocol) bool {
+				return round > rc && upAgree(round, protocols)
+			},
+			check: func() error {
+				for _, u := range survivors {
+					if got := protocols[u].Leader(); got != want {
+						return fmt.Errorf("node %d elected %d, want surviving min %d", u, got, want)
+					}
+				}
+				return nil
+			}})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -181,32 +178,28 @@ func runR2(cfg Config) (*trace.Table, error) {
 		return round > rc && sim.AllLeadersEqual(round, protocols)
 	}
 	ks := []int{1, n / 4, n / 2, n}
-	builds := make([]func(int) trialRun, len(ks))
-	for pi, k := range ks {
-		builds[pi] = func(trial int) trialRun {
-			seed := trialSeed(cfg.Seed, 1200+pi, trial)
-			uids := core.UniqueUIDs(n, seed)
-			protocols, tags := asyncNetworkDistinctTags(uids, params, seed+1)
-			// The UIDs are random, so corrupting the first k indices is
-			// already a uniformly random victim set.
-			victims := make([]int, k)
-			for i := range victims {
-				victims[i] = i
-			}
-			in := mustInjector(fault.Plan{
-				Seed:        seed + 2,
-				Corruptions: []fault.Burst{{Round: rc, Nodes: victims}},
-			}, n)
-			return trialRun{sched: dyngraph.NewStatic(base), protocols: protocols,
-				cfg: sim.Config{
-					Seed: seed + 3, TagBits: core.TagBitsNeeded(params),
-					MaxRounds: 50_000_000, Faults: in,
-				},
-				stop:  afterBurst,
-				check: leaderIsMin(uids, tags, protocols)}
+	allRounds, err := RunCells(cfg, len(ks), trials, func(pi, trial int) (int, error) {
+		seed := trialSeed(cfg.Seed, 1200+pi, trial)
+		uids := core.UniqueUIDs(n, seed)
+		protocols, tags := asyncNetworkDistinctTags(uids, params, seed+1)
+		// The UIDs are random, so corrupting the first k indices is
+		// already a uniformly random victim set.
+		victims := make([]int, ks[pi])
+		for i := range victims {
+			victims[i] = i
 		}
-	}
-	allRounds, err := runPointTrials(cfg, trials, builds)
+		in := mustInjector(fault.Plan{
+			Seed:        seed + 2,
+			Corruptions: []fault.Burst{{Round: rc, Nodes: victims}},
+		}, n)
+		return runTrial(cfg, pi, trial, trialRun{sched: dyngraph.NewStatic(base), protocols: protocols,
+			cfg: sim.Config{
+				Seed: seed + 3, TagBits: core.TagBitsNeeded(params),
+				MaxRounds: 50_000_000, Faults: in,
+			},
+			stop:  afterBurst,
+			check: leaderIsMin(uids, tags, protocols)})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -242,29 +235,26 @@ func runR4(cfg Config) (*trace.Table, error) {
 		{4, start + pick(cfg.Quick, 40, 100)},
 		{4, start + pick(cfg.Quick, 150, 400)},
 	}
-	builds := make([]func(int) trialRun, len(points))
-	for pi, pt := range points {
-		builds[pi] = func(trial int) trialRun {
-			seed := trialSeed(cfg.Seed, 1400+pi, trial)
-			uids := core.UniqueUIDs(n, seed)
-			protocols := core.NewBlindGossipNetwork(uids)
-			in := mustInjector(fault.Plan{
-				Seed:       seed + 2,
-				Partitions: []fault.Partition{{Start: start, Heal: pt.heal, Parts: pt.parts}},
-			}, n)
-			// Config.Check audits the partition's deterministic connection
-			// cuts against the conservation invariant on every round.
-			return trialRun{sched: dyngraph.NewStatic(base), protocols: protocols,
-				cfg: sim.Config{Seed: seed + 3, MaxRounds: 50_000_000, Faults: in, Check: true},
-				// Gate past the heal: agreement inside one component (or a
-				// lucky pre-partition stabilization) does not count.
-				stop: func(round int, protocols []sim.Protocol) bool {
-					return round >= pt.heal && sim.AllLeadersEqual(round, protocols)
-				},
-				check: leaderIsMin(uids, nil, protocols)}
-		}
-	}
-	allRounds, err := runPointTrials(cfg, trials, builds)
+	allRounds, err := RunCells(cfg, len(points), trials, func(pi, trial int) (int, error) {
+		pt := points[pi]
+		seed := trialSeed(cfg.Seed, 1400+pi, trial)
+		uids := core.UniqueUIDs(n, seed)
+		protocols := core.NewBlindGossipNetwork(uids)
+		in := mustInjector(fault.Plan{
+			Seed:       seed + 2,
+			Partitions: []fault.Partition{{Start: start, Heal: pt.heal, Parts: pt.parts}},
+		}, n)
+		// Config.Check audits the partition's deterministic connection
+		// cuts against the conservation invariant on every round.
+		return runTrial(cfg, pi, trial, trialRun{sched: dyngraph.NewStatic(base), protocols: protocols,
+			cfg: sim.Config{Seed: seed + 3, MaxRounds: 50_000_000, Faults: in, Check: true},
+			// Gate past the heal: agreement inside one component (or a
+			// lucky pre-partition stabilization) does not count.
+			stop: func(round int, protocols []sim.Protocol) bool {
+				return round >= pt.heal && sim.AllLeadersEqual(round, protocols)
+			},
+			check: leaderIsMin(uids, nil, protocols)})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -305,29 +295,24 @@ func runR3(cfg Config) (*trace.Table, error) {
 	table := trace.NewTable("R3 election slowdown vs message loss rate",
 		"algorithm", "loss rate", "median rounds", "p90", "slowdown vs lossless")
 
-	builds := make([]func(int) trialRun, 0, len(algos)*len(rates))
-	for ai, ap := range algos {
-		for ri, rate := range rates {
-			builds = append(builds, func(trial int) trialRun {
-				seed := trialSeed(cfg.Seed, 1300+ai*10+ri, trial)
-				uids := core.UniqueUIDs(n, seed)
-				protocols, tags := ap.build(uids, seed+1)
-				simCfg := sim.Config{
-					Seed: seed + 3, TagBits: ap.tagBits, MaxRounds: 50_000_000,
-				}
-				if rate > 0 {
-					// Losses split evenly between the two failure points:
-					// the proposal in flight and the accepted connection.
-					simCfg.Faults = mustInjector(fault.Plan{
-						Seed: seed + 2, ProposalLoss: rate, ConnLoss: rate,
-					}, n)
-				}
-				return trialRun{sched: dyngraph.NewStatic(base), protocols: protocols, cfg: simCfg,
-					check: leaderIsMin(uids, tags, protocols)}
-			})
+	allRounds, err := RunCells(cfg, len(algos)*len(rates), trials, func(p, trial int) (int, error) {
+		ai, ri := p/len(rates), p%len(rates)
+		seed := trialSeed(cfg.Seed, 1300+ai*10+ri, trial)
+		uids := core.UniqueUIDs(n, seed)
+		protocols, tags := algos[ai].build(uids, seed+1)
+		simCfg := sim.Config{
+			Seed: seed + 3, TagBits: algos[ai].tagBits, MaxRounds: 50_000_000,
 		}
-	}
-	allRounds, err := runPointTrials(cfg, trials, builds)
+		if rate := rates[ri]; rate > 0 {
+			// Losses split evenly between the two failure points:
+			// the proposal in flight and the accepted connection.
+			simCfg.Faults = mustInjector(fault.Plan{
+				Seed: seed + 2, ProposalLoss: rate, ConnLoss: rate,
+			}, n)
+		}
+		return runTrial(cfg, p, trial, trialRun{sched: dyngraph.NewStatic(base), protocols: protocols, cfg: simCfg,
+			check: leaderIsMin(uids, tags, protocols)})
+	})
 	if err != nil {
 		return nil, err
 	}

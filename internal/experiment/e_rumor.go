@@ -74,39 +74,49 @@ func runE5(cfg Config) (*trace.Table, error) {
 	taus := []int{1, 2, 3, horizon}
 
 	// Both sweeps share one batch: points 0..maxR-1 are the first, the
-	// last len(taus) the second. newly[point][trial] is the trial's count
-	// of newly informed nodes at its horizon, stored by its check.
-	newly := cells[int](maxR+len(taus), trials)
-	builds := make([]func(int) trialRun, 0, len(newly))
-	// First sweep: r stable rounds on one cut graph.
-	for r := 1; r <= maxR; r++ {
-		builds = append(builds, e5Build(m, r, newly[r-1],
-			func(trial int) (dyngraph.Schedule, uint64) {
-				seed := trialSeed(cfg.Seed, r, trial)
-				g := e5CutGraph(m, targetDeg, xrand.Mix3(seed, 7, 0))
-				return dyngraph.NewStatic(gen.Family{Name: "e5cut", Graph: g}), seed
-			}))
-	}
-	// Second sweep: the τ effect proper. Fix a horizon and re-randomize the
-	// cut graph every τ rounds using the attractor construction below: the
-	// planted matching (hence ν = m) survives every epoch, but each fresh
-	// epoch hides it behind heavy edges to a small rotating attractor set.
-	// One stable round mostly floods the attractors; only the *second*
-	// stable round on the same graph lets informed nodes find their hidden
-	// matching partners. Larger τ therefore raises the informed fraction at
-	// the horizon — the mechanism behind the Δ^{1/τ̂} term of Theorems VII.2
-	// and VIII.2.
-	for ti, tau := range taus {
-		builds = append(builds, e5Build(m, horizon, newly[maxR+ti],
-			func(trial int) (dyngraph.Schedule, uint64) {
-				seed := trialSeed(cfg.Seed, 5000+tau, trial)
-				sched := dyngraph.NewRegenerate("e5attract", tau, seed, func(s uint64) gen.Family {
-					return gen.Family{Name: "e5attract", Graph: e5AttractorGraph(m, heavy, s)}
-				})
-				return sched, seed + 1
-			}))
-	}
-	if _, err := runPointTrials(withoutCheckpoint(cfg), trials, builds); err != nil {
+	// last len(taus) the second. A cell is the trial's count of newly
+	// informed nodes at its horizon: PPUSH with the left half L = 0..m-1
+	// informed, run for exactly that many rounds.
+	newly, err := RunCells(cfg, maxR+len(taus), trials, func(p, trial int) (int, error) {
+		var sched dyngraph.Schedule
+		var seed uint64
+		h := horizon
+		if p < maxR {
+			// First sweep: r = p+1 stable rounds on one cut graph.
+			h, seed = p+1, trialSeed(cfg.Seed, p+1, trial)
+			g := e5CutGraph(m, targetDeg, xrand.Mix3(seed, 7, 0))
+			sched = dyngraph.NewStatic(gen.Family{Name: "e5cut", Graph: g})
+		} else {
+			// Second sweep: the τ effect proper. Fix a horizon and
+			// re-randomize the cut graph every τ rounds using the attractor
+			// construction below: the planted matching (hence ν = m)
+			// survives every epoch, but each fresh epoch hides it behind
+			// heavy edges to a small rotating attractor set. One stable
+			// round mostly floods the attractors; only the *second* stable
+			// round on the same graph lets informed nodes find their hidden
+			// matching partners. Larger τ therefore raises the informed
+			// fraction at the horizon — the mechanism behind the Δ^{1/τ̂}
+			// term of Theorems VII.2 and VIII.2.
+			tau := taus[p-maxR]
+			seed = trialSeed(cfg.Seed, 5000+tau, trial)
+			sched = dyngraph.NewRegenerate("e5attract", tau, seed, func(s uint64) gen.Family {
+				return gen.Family{Name: "e5attract", Graph: e5AttractorGraph(m, heavy, s)}
+			})
+			seed++ // the engine's seed
+		}
+		informed := make(map[int]bool, m)
+		for i := 0; i < m; i++ {
+			informed[i] = true
+		}
+		protocols := rumor.NewPPushNetwork(2*m, informed)
+		if _, err := runTrial(cfg, p, trial, trialRun{sched: sched, protocols: protocols,
+			cfg:  sim.Config{Seed: seed, TagBits: 1, MaxRounds: h},
+			stop: atHorizon(h)}); err != nil {
+			return 0, err
+		}
+		return rumor.CountInformed(protocols) - m, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -129,28 +139,6 @@ func runE5(cfg Config) (*trace.Table, error) {
 			s.Median, s.Min, "", nu)
 	}
 	return table, nil
-}
-
-// e5Build builds one E5 point's trials: PPUSH with the left half
-// L = 0..m-1 informed, run for exactly horizon rounds over the schedule
-// sched returns with the trial's engine seed. The check stores each
-// trial's count of newly informed nodes in newly[trial].
-func e5Build(m, horizon int, newly []int, sched func(trial int) (dyngraph.Schedule, uint64)) func(int) trialRun {
-	return func(trial int) trialRun {
-		s, seed := sched(trial)
-		informed := make(map[int]bool, m)
-		for i := 0; i < m; i++ {
-			informed[i] = true
-		}
-		protocols := rumor.NewPPushNetwork(2*m, informed)
-		return trialRun{sched: s, protocols: protocols,
-			cfg:  sim.Config{Seed: seed, TagBits: 1, MaxRounds: horizon},
-			stop: atHorizon(horizon),
-			check: func() error {
-				newly[trial] = rumor.CountInformed(protocols) - m
-				return nil
-			}}
-	}
 }
 
 // e5AttractorGraph builds the contention cut for the τ sweep: bipartitions

@@ -47,8 +47,8 @@ type Config struct {
 	// Sink, when non-nil, receives the structured event trace of the
 	// batch's first trial (point 0, trial 0); all other trials run
 	// untraced so the batch keeps its parallel throughput. Every
-	// experiment runs its trials through runPointTrials except E4, which
-	// runs no engine and ignores it.
+	// experiment runs its trials through runTrial except E4, which runs no
+	// engine and ignores it.
 	Sink obs.Sink
 	// Profiler, when non-nil, attaches the phase-timing profiler to the same
 	// first trial Sink observes (point 0, trial 0); the caller renders its
@@ -58,13 +58,10 @@ type Config struct {
 	// reads wall time itself. E4 ignores it.
 	Profiler *obs.Profiler
 	// Checkpoint, when non-nil, makes the sweep crash-safe: every completed
-	// trial is recorded as it finishes and already-recorded trials are
-	// replayed instead of re-simulated, so a killed run resumed with the
-	// same checkpoint produces a bit-identical table. E4, which runs no
-	// trials, ignores it, and A2, E5 and E11 run without it and re-run in
-	// full: their tables need per-trial measurements (A2's tag statistics
-	// and outcomes, E5's informed counts, E11's per-edge connection counts)
-	// that a cell, which holds only a stabilization round, cannot replay.
+	// cell is recorded with the result its table reads as it finishes, and
+	// already-recorded cells are replayed instead of re-simulated, so a
+	// killed run resumed with the same checkpoint produces a bit-identical
+	// table. E4, which runs no trials, ignores it.
 	Checkpoint *Checkpoint
 	// Interrupt, when non-nil, requests a graceful abort when closed:
 	// the feeder stops handing out new trials, in-flight trials drain (and
@@ -120,7 +117,7 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// trialRun is one simulation trial, as a point's build hook returns it.
+// trialRun is one simulation trial, as an experiment's cell builds it.
 type trialRun struct {
 	sched     dyngraph.Schedule
 	protocols []sim.Protocol
@@ -128,16 +125,14 @@ type trialRun struct {
 	// stop ends the run; nil means sim.AllLeadersEqual.
 	stop sim.StopCondition
 	// check, if non-nil, runs once stop has fired. It closes over what the
-	// build hook drew (UIDs, tags, protocols) to validate the end state,
-	// and may store a measurement the table reads in a per-(point, trial)
-	// cell.
+	// cell drew (UIDs, tags, protocols) to validate the end state.
 	check func() error
 }
 
 // RunCells runs cell(point, trial) for every trial of every point on one
 // pool of GOMAXPROCS workers and returns the results indexed
 // [point][trial]. It is the one pool trials run on: every experiment's
-// engine trials (through runPointTrials) and mobiletel.RunSweep.
+// engine trials and mobiletel.RunSweep.
 //
 // Feeding every cell of a batch into one pipelined pool, instead of a pool
 // per point with a barrier between points, means a slow trial of point p
@@ -148,17 +143,18 @@ type trialRun struct {
 //
 // The first error in (point, trial) order wins. With cfg.Checkpoint set,
 // recorded cells are replayed instead of re-run and every newly finished
-// cell is recorded; closing cfg.Interrupt stops the feeder, lets in-flight
-// cells drain (they still record) and makes RunCells return
-// ErrInterrupted; cfg.Progress receives throttled progress lines. The
-// other fields of cfg are the cell's business.
-func RunCells(cfg Config, points, trials int, cell func(point, trial int) (int, error)) ([][]int, error) {
-	results, errs := cells[int](points, trials), cells[error](points, trials)
-	// The batch ordinal must advance even for empty batches so a resumed
-	// process hands out the same ordinals to the same batches.
-	batch := -1
-	if cfg.Checkpoint != nil {
-		batch = cfg.Checkpoint.NextBatch()
+// cell is recorded; T must round-trip through JSON, and a checkpoint holds
+// one batch. Closing cfg.Interrupt stops the feeder, lets in-flight cells
+// drain (they still record) and makes RunCells return ErrInterrupted;
+// cfg.Progress receives throttled progress lines. The other fields of cfg
+// are the cell's business.
+func RunCells[T any](cfg Config, points, trials int, cell func(point, trial int) (T, error)) ([][]T, error) {
+	results, errs := cells[T](points, trials), cells[error](points, trials)
+	ck := cfg.Checkpoint
+	if ck != nil {
+		if err := ck.startBatch(); err != nil {
+			return nil, err
+		}
 	}
 	total := points * trials
 	if total == 0 {
@@ -179,15 +175,16 @@ func RunCells(cfg Config, points, trials int, cell func(point, trial int) (int, 
 				// before it was recorded. A replayed (0, 0) engine trial
 				// does not re-emit its trace, so a resumed -trace sink
 				// stays empty.
-				r, replayed := 0, false
-				if cfg.Checkpoint != nil {
-					r, replayed = cfg.Checkpoint.Lookup(batch, t.point, t.trial)
-				}
+				var r T
+				var replayed bool
 				var err error
-				if !replayed {
+				if ck != nil {
+					replayed, err = ck.Lookup(t.point, t.trial, &r)
+				}
+				if err == nil && !replayed {
 					r, err = cell(t.point, t.trial)
-					if err == nil && cfg.Checkpoint != nil {
-						err = cfg.Checkpoint.Record(batch, t.point, t.trial, r)
+					if err == nil && ck != nil {
+						err = ck.Record(t.point, t.trial, r)
 					}
 				}
 				results[t.point][t.trial], errs[t.point][t.trial] = r, err
@@ -232,38 +229,34 @@ feed:
 	return results, nil
 }
 
-// runPointTrials runs trials engine trials of every point on RunCells and
-// returns their stabilization rounds indexed [point][trial]; points[p]
-// builds point p's trial-th trial, in the worker that runs it. Engines run
-// sequentially (parallelism lives at the (point, trial) level), and the
-// batch's first trial (point 0, trial 0) carries cfg.Sink and cfg.Profiler.
-// An engine or check error names its point and trial.
-func runPointTrials(cfg Config, trials int, points []func(trial int) trialRun) ([][]int, error) {
-	return RunCells(cfg, len(points), trials, func(p, t int) (int, error) {
-		tr := points[p](t)
-		tr.cfg.Workers = 1
-		if p == 0 && t == 0 {
-			tr.cfg.Sink, tr.cfg.Profiler = cfg.Sink, cfg.Profiler
-		}
-		if tr.stop == nil {
-			tr.stop = sim.AllLeadersEqual
-		}
-		var res sim.Result
-		eng, err := sim.New(tr.sched, tr.protocols, tr.cfg)
-		if err == nil {
-			res, err = eng.Run(tr.stop)
-		}
-		if err == nil && tr.check != nil {
-			err = tr.check()
-		}
-		if err != nil {
-			return 0, fmt.Errorf("point %d trial %d: %w", p, t, err)
-		}
-		return res.StabilizedRound, nil
-	})
+// runTrial runs the engine trial tr as cell (point, trial) of a batch and
+// returns its stabilization round. The engine runs sequentially
+// (parallelism lives at the (point, trial) level), and cell (0, 0) carries
+// cfg.Sink and cfg.Profiler. An engine or check error names its point and
+// trial.
+func runTrial(cfg Config, point, trial int, tr trialRun) (int, error) {
+	tr.cfg.Workers = 1
+	if point == 0 && trial == 0 {
+		tr.cfg.Sink, tr.cfg.Profiler = cfg.Sink, cfg.Profiler
+	}
+	if tr.stop == nil {
+		tr.stop = sim.AllLeadersEqual
+	}
+	var res sim.Result
+	eng, err := sim.New(tr.sched, tr.protocols, tr.cfg)
+	if err == nil {
+		res, err = eng.Run(tr.stop)
+	}
+	if err == nil && tr.check != nil {
+		err = tr.check()
+	}
+	if err != nil {
+		return 0, fmt.Errorf("point %d trial %d: %w", point, trial, err)
+	}
+	return res.StabilizedRound, nil
 }
 
-// cells allocates a per-(point, trial) grid for what a batch's hooks store.
+// cells allocates a [point][trial] grid for a batch's results.
 func cells[T any](points, trials int) [][]T {
 	g := make([][]T, points)
 	for p := range g {
@@ -273,19 +266,10 @@ func cells[T any](points, trials int) [][]T {
 }
 
 // atHorizon is the stop condition of a fixed-horizon trial: it fires at the
-// end of round h, so the trial runs exactly h rounds and its check measures
+// end of round h, so the trial runs exactly h rounds and its cell measures
 // the state there.
 func atHorizon(h int) sim.StopCondition {
 	return func(round int, _ []sim.Protocol) bool { return round >= h }
-}
-
-// withoutCheckpoint returns cfg with no checkpoint, for batches whose table
-// needs a measurement that a build hook or check stores: a replayed cell
-// skips both and holds only the stabilization round, so such a batch
-// re-runs in full on resume instead.
-func withoutCheckpoint(cfg Config) Config {
-	cfg.Checkpoint = nil
-	return cfg
 }
 
 // progressReporter emits throttled live progress lines for a trial batch.

@@ -708,9 +708,8 @@ type ExperimentOptions struct {
 	// checkpointing: completed trial results are appended to
 	// <CheckpointDir>/<id>.ckpt.jsonl and replayed on the next run with the
 	// same (id, seed, trials, quick) key, producing a bit-identical table.
-	// Stale checkpoints (different key) are rejected with an error. E4, A2,
-	// E5 and E11 record no cells and re-run in full: E4 runs no trials, and
-	// A2, E5 and E11 need per-trial measurements that a cell cannot hold.
+	// Stale checkpoints (different key) are rejected with an error. E4,
+	// which runs no trials, records no cells.
 	CheckpointDir string
 	// DieAfter, when > 0, kills the process (exit 3) after that many newly
 	// recorded checkpoint cells. Test hook for the resume path; requires
