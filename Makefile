@@ -61,12 +61,16 @@ race-smoke:
 # Then 15 seconds that write arbitrary bytes as a checkpoint file and require
 # OpenCheckpoint and every cell lookup never to panic, and every rejection to
 # name the file and the line.
+# Then 15 seconds that draw a seed and a k ≤ 64 and require xrand.At(seed, k),
+# the mobile-model engine's per-node draw, to equal output k of the stepped
+# generator.
 # A failing input is saved under the package's testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesOracle$$' -fuzztime 30s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzFromCSR$$' -fuzztime 15s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzCutMatcher$$' -fuzztime 15s ./internal/matching
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenCheckpoint$$' -fuzztime 15s ./internal/experiment
+	$(GO) test -run '^$$' -fuzz '^FuzzAt$$' -fuzztime 15s ./internal/xrand
 
 lint:
 	$(GO) run ./cmd/mtmlint ./...

@@ -45,14 +45,10 @@ func (e *Extremum) Advertise(*sim.Context) uint64 { return 0 }
 
 // Decide flips a fair coin; senders target a uniformly random neighbor.
 func (e *Extremum) Decide(ctx *sim.Context) (int32, bool) {
-	if ctx.RNG().Bool() {
+	if ctx.Bool() {
 		return 0, false
 	}
-	target, ok := ctx.RandomNeighbor()
-	if !ok {
-		return 0, false
-	}
-	return target, true
+	return ctx.RandomNeighbor()
 }
 
 // Outgoing sends the current extremum in the auxiliary bits.
@@ -105,14 +101,10 @@ func (a *Averager) Advertise(*sim.Context) uint64 { return 0 }
 
 // Decide flips a fair coin; senders target a uniformly random neighbor.
 func (a *Averager) Decide(ctx *sim.Context) (int32, bool) {
-	if ctx.RNG().Bool() {
+	if ctx.Bool() {
 		return 0, false
 	}
-	target, ok := ctx.RandomNeighbor()
-	if !ok {
-		return 0, false
-	}
-	return target, true
+	return ctx.RandomNeighbor()
 }
 
 // Outgoing ships this node's half of the averaging exchange: both sides

@@ -41,6 +41,14 @@ var (
 
 // NewAsyncBitConv creates the protocol instance for one node.
 func NewAsyncBitConv(uid, tag uint64, params BitConvParams) *AsyncBitConv {
+	p := new(AsyncBitConv)
+	p.init(uid, tag, params)
+	return p
+}
+
+// init validates the node's parameters and tag and sets p to the node's
+// initial state.
+func (p *AsyncBitConv) init(uid, tag uint64, params BitConvParams) {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
@@ -48,7 +56,7 @@ func NewAsyncBitConv(uid, tag uint64, params BitConvParams) *AsyncBitConv {
 		panic(fmt.Sprintf("core: tag %d outside [1, 2^%d)", tag, params.K))
 	}
 	pair := IDPair{UID: uid, Tag: tag}
-	return &AsyncBitConv{params: params, self: pair, best: pair}
+	*p = AsyncBitConv{params: params, self: pair, best: pair}
 }
 
 // TagBitsNeeded returns the advertisement width the algorithm requires for
@@ -72,7 +80,7 @@ func encodeTag(position int, bit uint64) uint64 {
 // position) and returns the encoded (position, bit) advertisement.
 func (p *AsyncBitConv) Advertise(ctx *sim.Context) uint64 {
 	if p.localRound%p.params.GroupLen == 0 {
-		next := 1 + ctx.RNG().Intn(p.params.K)
+		next := 1 + ctx.Intn(p.params.K)
 		if next != p.position {
 			ctx.EmitTransition(obs.KindPosition, uint64(p.position), uint64(next))
 			p.position = next
@@ -140,12 +148,15 @@ func (p *AsyncBitConv) CorruptState(*xrand.RNG) {
 func (p *AsyncBitConv) Best() IDPair { return p.best }
 
 // NewAsyncBitConvNetwork builds one AsyncBitConv protocol per node, drawing
-// tags from seed. It returns the protocols and the tag assignment.
+// tags from seed. It returns the protocols and the tag assignment. The
+// protocols live in one slab, as in NewBitConvNetwork.
 func NewAsyncBitConvNetwork(uids []uint64, params BitConvParams, seed uint64) ([]sim.Protocol, []uint64) {
 	tags := AssignTags(len(uids), params.K, xrand.Mix3(seed, 0xa5c, 0))
+	slab := make([]AsyncBitConv, len(uids))
 	protocols := make([]sim.Protocol, len(uids))
 	for i, uid := range uids {
-		protocols[i] = NewAsyncBitConv(uid, tags[i], params)
+		slab[i].init(uid, tags[i], params)
+		protocols[i] = &slab[i]
 	}
 	return protocols, tags
 }

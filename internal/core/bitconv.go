@@ -84,6 +84,14 @@ var (
 
 // NewBitConv creates the protocol instance for one node.
 func NewBitConv(uid, tag uint64, params BitConvParams) *BitConv {
+	p := new(BitConv)
+	p.init(uid, tag, params)
+	return p
+}
+
+// init validates the node's parameters and tag and sets p to the node's
+// initial state.
+func (p *BitConv) init(uid, tag uint64, params BitConvParams) {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
@@ -91,7 +99,7 @@ func NewBitConv(uid, tag uint64, params BitConvParams) *BitConv {
 		panic(fmt.Sprintf("core: tag %d outside [1, 2^%d)", tag, params.K))
 	}
 	pair := IDPair{UID: uid, Tag: tag}
-	return &BitConv{params: params, self: pair, best: pair, pending: pair, leader: uid, lastBit: -1}
+	*p = BitConv{params: params, self: pair, best: pair, pending: pair, leader: uid, lastBit: -1}
 }
 
 // phasePosition decomposes a 1-based global round into its position inside
@@ -176,12 +184,15 @@ func (p *BitConv) Best() IDPair { return p.best }
 
 // NewBitConvNetwork builds one BitConv protocol per node: UIDs are supplied,
 // tags are drawn from seed via AssignTags, parameters via params.
-// It returns the protocols and the tag assignment (for verification).
+// It returns the protocols and the tag assignment (for verification). The
+// protocols live in one slab: two allocations for any n, besides the tags.
 func NewBitConvNetwork(uids []uint64, params BitConvParams, seed uint64) ([]sim.Protocol, []uint64) {
 	tags := AssignTags(len(uids), params.K, xrand.Mix3(seed, 0xb17, 0))
+	slab := make([]BitConv, len(uids))
 	protocols := make([]sim.Protocol, len(uids))
 	for i, uid := range uids {
-		protocols[i] = NewBitConv(uid, tags[i], params)
+		slab[i].init(uid, tags[i], params)
+		protocols[i] = &slab[i]
 	}
 	return protocols, tags
 }

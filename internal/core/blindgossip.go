@@ -32,22 +32,23 @@ var (
 // NewBlindGossip returns the protocol instance for one node with the given
 // UID. Leader is initialized to the node's own UID per Section IV.
 func NewBlindGossip(uid uint64) *BlindGossip {
-	return &BlindGossip{uid: uid, best: uid}
+	p := new(BlindGossip)
+	p.init(uid)
+	return p
 }
+
+// init sets p to the initial state of the node with the given UID.
+func (p *BlindGossip) init(uid uint64) { *p = BlindGossip{uid: uid, best: uid} }
 
 // Advertise returns 0: blind gossip uses no advertisement bits (b = 0).
 func (p *BlindGossip) Advertise(*sim.Context) uint64 { return 0 }
 
 // Decide flips a fair coin; senders target a uniformly random neighbor.
 func (p *BlindGossip) Decide(ctx *sim.Context) (int32, bool) {
-	if ctx.RNG().Bool() {
-		return 0, false // receive
+	if ctx.Bool() {
+		return 0, false
 	}
-	target, ok := ctx.RandomNeighbor()
-	if !ok {
-		return 0, false // isolated this round; nothing to send to
-	}
-	return target, true
+	return ctx.RandomNeighbor()
 }
 
 // Outgoing sends the smallest UID seen so far.
@@ -78,11 +79,13 @@ func (p *BlindGossip) CorruptState(*xrand.RNG) { p.best = p.uid }
 func (p *BlindGossip) UID() uint64 { return p.uid }
 
 // NewBlindGossipNetwork builds one BlindGossip protocol per node for the
-// given UID assignment.
+// given UID assignment, all in one slab: two allocations for any n.
 func NewBlindGossipNetwork(uids []uint64) []sim.Protocol {
+	slab := make([]BlindGossip, len(uids))
 	protocols := make([]sim.Protocol, len(uids))
 	for i, uid := range uids {
-		protocols[i] = NewBlindGossip(uid)
+		slab[i].init(uid)
+		protocols[i] = &slab[i]
 	}
 	return protocols
 }

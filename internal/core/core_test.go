@@ -294,6 +294,40 @@ func TestNetworkFactories(t *testing.T) {
 			t.Fatalf("node %d initial leader wrong", i)
 		}
 	}
+	// Each network's protocols are one slab, so its allocation count does
+	// not grow with n: blind gossip's is two.
+	for _, c := range []struct {
+		name  string
+		build func(uids []uint64)
+	}{
+		{"blindgossip", func(uids []uint64) { NewBlindGossipNetwork(uids) }},
+		{"bitconv", func(uids []uint64) { NewBitConvNetwork(uids, params, 3) }},
+		{"asyncbitconv", func(uids []uint64) { NewAsyncBitConvNetwork(uids, params, 3) }},
+	} {
+		allocs := func(n int) float64 {
+			uids := UniqueUIDs(n, 2)
+			return testing.AllocsPerRun(50, func() { c.build(uids) })
+		}
+		small, big := allocs(16), allocs(4096)
+		if big != small || c.name == "blindgossip" && big != 2 {
+			t.Errorf("%s network: %v allocations for 16 nodes, %v for 4096, want the same (2 for blindgossip)",
+				c.name, small, big)
+		}
+	}
+	// They keep the per-node constructors' validation.
+	for name, build := range map[string]func(){
+		"bitconv":      func() { NewBitConvNetwork(uids, BitConvParams{K: 0, GroupLen: 2}, 3) },
+		"asyncbitconv": func() { NewAsyncBitConvNetwork(uids, BitConvParams{K: 4, GroupLen: 0}, 3) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s network accepted invalid parameters", name)
+				}
+			}()
+			build()
+		}()
+	}
 }
 
 func TestLeadersAllEqualHelper(t *testing.T) {

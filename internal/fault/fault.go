@@ -7,8 +7,8 @@
 //
 //  1. Determinism, order-independently. Every per-node fault draw comes from
 //     its own per-(node, round) stream, derived exactly like the engine's
-//     node streams (rng.Reseed(seed, node, round)) but from Plan.Seed and a
-//     per-fault-kind salt folded into the node address. A draw's outcome
+//     node streams (xrand.Derive(seed, node, round)) but from Plan.Seed and
+//     a per-fault-kind salt folded into the node address. A draw's outcome
 //     therefore depends only on (plan seed, kind, node, round) — never on
 //     how many draws other nodes consumed first — so the engine may evaluate
 //     them in any order, from any worker, and a faulted execution stays a

@@ -74,20 +74,16 @@ func (g *Node) Advertise(*sim.Context) uint64 { return 0 }
 
 // Decide flips a fair coin; senders pick a uniformly random neighbor.
 func (g *Node) Decide(ctx *sim.Context) (int32, bool) {
-	if ctx.RNG().Bool() {
+	if ctx.Bool() {
 		return 0, false
 	}
-	target, ok := ctx.RandomNeighbor()
-	if !ok {
-		return 0, false
-	}
-	return target, true
+	return ctx.RandomNeighbor()
 }
 
 // Outgoing sends one uniformly random known rumor (1 UID: the rumor index).
 func (g *Node) Outgoing(ctx *sim.Context, _ int32) sim.Message {
 	// Select the k-th known rumor for uniform k.
-	k := ctx.RNG().Intn(g.count)
+	k := ctx.Intn(g.count)
 	for word, w := range g.known {
 		c := bits.OnesCount64(w)
 		if k >= c {

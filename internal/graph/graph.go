@@ -461,11 +461,17 @@ func FromCSR(offsets, adj []int32) (*Graph, error) {
 // with v > u is therefore the one at v's cursor. An entry w < u that still
 // sits at a cursor was not consumed when w was visited, so w's list lacks
 // the reverse entry. Checking stops at the first failure, which therefore
-// names an edge whose reverse entry really is missing.
+// names an edge whose reverse entry really is missing. Graphs of at most
+// len(stack) nodes, every per-epoch graph of the paper's experiments among
+// them, keep the cursors on the stack, so their check allocates nothing.
 func checkSymmetric(offsets, adj []int32) error {
 	n := len(offsets) - 1
-	cursor := make([]int32, n)
-	copy(cursor, offsets[:n])
+	var stack [1024]int32
+	cursor := stack[:0]
+	if n > len(stack) {
+		cursor = make([]int32, 0, n)
+	}
+	cursor = append(cursor, offsets[:n]...)
 	for u := 0; u < n; u++ {
 		c, end := cursor[u], offsets[u+1]
 		if c < end && int(adj[c]) < u {

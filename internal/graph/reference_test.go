@@ -328,6 +328,20 @@ func torusCSR(rows, cols int) (offsets, adj []int32) {
 	return g.offsets, g.adj
 }
 
+// TestFromCSRSmallAllocatesOnlyTheGraph pins FromCSR's allocations for a
+// per-epoch-sized graph: validating the arrays allocates nothing, so the
+// returned *Graph is the only allocation.
+func TestFromCSRSmallAllocatesOnlyTheGraph(t *testing.T) {
+	offsets, adj := torusCSR(8, 16)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := FromCSR(offsets, adj); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("FromCSR of a 128-node torus allocates %v times, want 1 (the *Graph)", allocs)
+	}
+}
+
 // BenchmarkFromCSR validates the 2^20-node torus CSR, gen.Torus's
 // validation step.
 func BenchmarkFromCSR(b *testing.B) {

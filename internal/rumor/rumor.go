@@ -61,14 +61,10 @@ func (p *PushPull) Advertise(*sim.Context) uint64 { return 0 }
 
 // Decide flips a fair coin; senders pick a uniformly random neighbor.
 func (p *PushPull) Decide(ctx *sim.Context) (int32, bool) {
-	if ctx.RNG().Bool() {
+	if ctx.Bool() {
 		return 0, false
 	}
-	target, ok := ctx.RandomNeighbor()
-	if !ok {
-		return 0, false
-	}
-	return target, true
+	return ctx.RandomNeighbor()
 }
 
 // Outgoing reports rumor possession in the auxiliary bits.

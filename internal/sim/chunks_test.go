@@ -2,7 +2,6 @@ package sim
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 
 	"mobiletel/internal/dyngraph"
@@ -30,11 +29,11 @@ func chunkProbeNetwork(n int) []Protocol {
 	return ps
 }
 
-// refreshAllocs returns how many allocations the heap profile attributes to
-// a call stack through Engine.refreshChunks. The two collections publish
+// profiledAllocs returns the objects and bytes the heap profile attributes
+// to call stacks through the named function. The two collections publish
 // every allocation made before the call (the profile lags the allocations
 // by up to two cycles).
-func refreshAllocs() int64 {
+func profiledAllocs(function string) (objects, bytes int64) {
 	runtime.GC()
 	runtime.GC()
 	n, _ := runtime.MemProfile(nil, true)
@@ -44,19 +43,26 @@ func refreshAllocs() int64 {
 		recs = make([]runtime.MemProfileRecord, n+64)
 		n, ok = runtime.MemProfile(recs, true)
 	}
-	var total int64
 	for _, r := range recs[:n] {
 		frames := runtime.CallersFrames(r.Stack())
 		for more := true; more; {
 			var f runtime.Frame
 			f, more = frames.Next()
-			if strings.HasSuffix(f.Function, ".(*Engine).refreshChunks") {
-				total += r.AllocObjects
+			if f.Function == function {
+				objects += r.AllocObjects
+				bytes += r.AllocBytes
 				break
 			}
 		}
 	}
-	return total
+	return objects, bytes
+}
+
+// refreshAllocs returns how many allocations the heap profile attributes to
+// a call stack through Engine.refreshChunks.
+func refreshAllocs() int64 {
+	objects, _ := profiledAllocs("mobiletel/internal/sim.(*Engine).refreshChunks")
+	return objects
 }
 
 // TestChunkScratchBoundedAcrossTrials pins the chunk-boundary cache at O(1)
@@ -109,5 +115,47 @@ func TestChunkScratchBoundedAcrossTrials(t *testing.T) {
 	}
 	if eng.chunks[0] != 0 || eng.chunks[workers] != n {
 		t.Errorf("boundaries [%d, ..., %d] do not span [0, %d]", eng.chunks[0], eng.chunks[workers], n)
+	}
+}
+
+// TestEngineFootprintPerNode pins the heap bytes sim.New allocates to the
+// engine's per-node arrays: tags, 8 bytes a node; actions, inboxAt,
+// inboxTo, partner and chosen, 4 each; hist, 4 per dispatched worker;
+// active, 1; and the draw count, 4. Everything else must fit in a small
+// constant, so per-node generator state (a xoshiro256** state is 32 bytes
+// a node) cannot come back to the mobile model unnoticed. Like
+// TestChunkScratchBoundedAcrossTrials it samples every allocation and
+// keeps those whose stack runs through New, so no other allocation in the
+// process can reach the count.
+func TestEngineFootprintPerNode(t *testing.T) {
+	const (
+		n     = 1 << 16
+		slack = 64 << 10
+	)
+	sched := dyngraph.NewStatic(gen.Torus(256, 256))
+	protocols := chunkProbeNetwork(n)
+	for _, c := range []struct {
+		cfg     Config
+		workers int
+	}{
+		{Config{Seed: 1, Workers: 1}, 1},
+		{ForcePool(Config{Seed: 1, Workers: 2}), 2},
+	} {
+		rate := runtime.MemProfileRate
+		_, before := profiledAllocs("mobiletel/internal/sim.New")
+		runtime.MemProfileRate = 1
+		eng, err := New(sched, protocols, c.cfg)
+		runtime.MemProfileRate = rate
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Close()
+		_, after := profiledAllocs("mobiletel/internal/sim.New")
+		perNode := 8 + 5*4 + 4*c.workers + 1 + 4
+		got := after - before
+		if limit := int64(perNode*n + slack); got > limit {
+			t.Errorf("workers=%d: sim.New allocated %d bytes (%.1f a node), want at most %d (%d a node + %d)",
+				c.workers, got, float64(got)/n, limit, perNode, slack)
+		}
 	}
 }

@@ -15,7 +15,7 @@ type politeProto struct{}
 
 func (politeProto) Advertise(*sim.Context) uint64 { return 0 }
 func (politeProto) Decide(ctx *sim.Context) (int32, bool) {
-	if ctx.RNG().Bool() {
+	if ctx.Bool() {
 		return 0, false
 	}
 	t, ok := ctx.RandomNeighbor()
@@ -71,7 +71,7 @@ func TestConformanceCatchesMessageViolation(t *testing.T) {
 	}
 }
 
-// nondetProto draws randomness outside ctx.RNG(), breaking determinism.
+// nondetProto draws randomness outside the Context, breaking determinism.
 type nondetProto struct {
 	politeProto
 	counter *int

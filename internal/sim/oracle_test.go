@@ -12,12 +12,16 @@ import (
 // RunOracle executes rounds 1..rounds of the mobile telephone model with a
 // deliberately naive executor: the reference the engine is checked against
 // (TestEngineMatchesOracle, FuzzEngineMatchesOracle). It is DESIGN §3 written
-// as plain ascending loops, one per step, with an inbox slice per receiver
-// and every node's (seed, node, round) stream derived eagerly at round
-// start. It asks cfg.Faults the same questions the engine does and emits
-// its own mtmtrace/v1 events into cfg.Sink, but calls none of the engine's
-// phase, dispatch, chunking or counting-sort code. A throwaway Engine value
-// only holds the node streams that Context.RNG serves.
+// as plain ascending loops, one per step, with an inbox slice per receiver.
+// It asks cfg.Faults the same questions the engine does and emits its own
+// mtmtrace/v1 events into cfg.Sink, but calls none of the engine's phase,
+// dispatch, chunking or counting-sort code. A throwaway Engine value holds
+// one generator per node, as a classical engine does, so every draw the
+// oracle serves, the protocols' and its accept choices alike, steps the
+// node's (seed, node, round) stream one output at a time. A mobile engine
+// computes its draws with xrand.At instead, so there the oracle checks
+// every draw rather than sharing it; in the classical model both step
+// per-node generators.
 //
 // It honors Seed, TagBits, Activations, Accept, Classical, Faults and Sink,
 // and enforces the MaxUIDs budget; Workers, Observer, Check and Profiler do
@@ -27,7 +31,7 @@ func RunOracle(sched dyngraph.Schedule, protocols []Protocol, cfg Config, rounds
 	o := &oracle{
 		cfg:       cfg,
 		protocols: protocols,
-		streams:   Engine{cfg: cfg, rngs: make([]xrand.RNG, n), rngLive: make([]bool, n)},
+		streams:   Engine{cfg: cfg, draws: make([]uint32, n), streams: make([]xrand.RNG, n)},
 		active:    make([]bool, n),
 		tags:      make([]uint64, n),
 		action:    make([]int32, n),
@@ -93,12 +97,9 @@ func (o *oracle) round(r int, g *graph.Graph) RoundStats {
 			activeCount++
 		}
 	}
-	// Every node's (seed, node, round) stream, derived before anyone draws.
+	// No node has drawn yet this round.
 	o.streams.curRound = r
-	for u := 0; u < n; u++ {
-		o.streams.rngs[u].Reseed(o.cfg.Seed, uint64(u), uint64(r))
-		o.streams.rngLive[u] = true
-	}
+	clear(o.streams.draws)
 	o.emit(obs.Event{Type: obs.TypeRoundStart, Round: r, Node: obs.NoNode, Peer: obs.NoNode, A: uint64(activeCount)})
 	if in != nil {
 		o.roundStartFaults()
@@ -260,7 +261,7 @@ func (o *oracle) accept(v int, inbox []int32) int32 {
 		if len(inbox) == 1 {
 			return inbox[0]
 		}
-		return inbox[o.streams.rngs[v].Intn(len(inbox))]
+		return inbox[o.ctx(int32(v)).Intn(len(inbox))]
 	case AcceptLowestID:
 		return inbox[0]
 	case AcceptHighestID:

@@ -18,9 +18,13 @@
 //     O(1)-UIDs / O(polylog N)-bits connection budget.
 //
 // The engine is deterministic: an execution is a pure function of (seed,
-// schedule, protocol, config). Per-node per-round randomness streams are
-// derived independently (xrand.Derive), on the node's first draw of the
-// round, so the parallel executor is bit-identical to the sequential one.
+// schedule, protocol, config). Draw k of node u in round r is output k of
+// the stream xrand.Derive(seed, u, r), a function of (seed, u, r, k) alone,
+// so the parallel executor is bit-identical to the sequential one. In the
+// mobile model the engine computes each draw from those four values and
+// keeps no generator state per node, only a count of the node's draws in
+// the round; a classical engine, whose receivers draw once per connection,
+// keeps one generator per node.
 package sim
 
 import (
@@ -45,8 +49,8 @@ type Message struct {
 
 // Context is the per-node view the engine passes to protocol callbacks. It
 // exposes the node's identity, its private randomness for the round
-// (RNG), and the scan results (neighbor ids and tags). Contexts are only
-// valid during the callback they are passed to.
+// (Uint64, Intn, Bool), and the scan results (neighbor ids and tags).
+// Contexts are only valid during the callback they are passed to.
 type Context struct {
 	Round int
 	Node  int32
@@ -59,13 +63,36 @@ type Context struct {
 	nbr  []int32  // candidate scratch for the neighbor picks, grown once
 }
 
-// RNG returns the node's private random stream for the round: the
-// (seed, node, round) stream, derived on the node's first draw of the
-// round, so a round in which the node draws nothing costs no derivation.
-// Every draw a protocol makes must come from it.
+// Uint64 returns the node's next 64 random bits of the round. Draw k of
+// node u in round r, counting from 0, is output k of
+// xrand.Derive(seed, u, r), so a node's draws in a round are one private
+// stream, independent of every other node's and of the order nodes run in.
+// Every draw a protocol makes must come from Uint64, Intn or Bool.
 //
 //mtmlint:hotpath
-func (c *Context) RNG() *xrand.RNG { return c.e.nodeRNG(c.Node) }
+func (c *Context) Uint64() uint64 { return c.e.draw(c.Node) }
+
+// Intn returns a uniform integer in [0, n) from the node's draws, by the
+// rule of xrand's Intn (xrand.Bounded), so it consumes the draws that
+// xrand's Intn would. It panics if n <= 0.
+//
+//mtmlint:hotpath
+func (c *Context) Intn(n int) int {
+	if n <= 0 {
+		panic("sim: Intn with non-positive n")
+	}
+	for {
+		if v, ok := xrand.Bounded(c.Uint64(), uint64(n)); ok {
+			return int(v)
+		}
+	}
+}
+
+// Bool returns a fair coin flip from the node's next draw, as xrand's Bool
+// does.
+//
+//mtmlint:hotpath
+func (c *Context) Bool() bool { return c.Uint64()&1 == 1 }
 
 // EmitTransition publishes a protocol state transition (leader-estimate
 // change, bit flip, phase change, ...) to the configured observability sink.
@@ -123,7 +150,7 @@ func (c *Context) RandomNeighbor() (id int32, ok bool) {
 		if len(nbrs) == 0 {
 			return 0, false
 		}
-		return nbrs[c.RNG().Intn(len(nbrs))], true
+		return nbrs[c.Intn(len(nbrs))], true
 	}
 	cand, act := c.scratch(len(nbrs)), c.act
 	k := 0
@@ -178,20 +205,22 @@ func (c *Context) scratch(deg int) []int32 {
 	return c.nbr[:deg]
 }
 
-// pick draws the winner among cand with the node's stream.
+// pick draws the winner among cand with the node's draws.
 //
 //mtmlint:hotpath
 func (c *Context) pick(cand []int32) (id int32, ok bool) {
 	if len(cand) == 0 {
 		return 0, false
 	}
-	return cand[c.RNG().Intn(len(cand))], true
+	return cand[c.Intn(len(cand))], true
 }
 
 // Protocol is the per-node state machine an algorithm implements. The engine
 // owns one Protocol instance per node and invokes the callbacks in a fixed
-// order each round; all randomness must come from ctx.RNG() for
-// determinism.
+// order each round. For determinism all randomness must come from the
+// Context's draws (ctx.Uint64, ctx.Intn, ctx.Bool, and the random neighbor
+// picks built on them): draw k of a node in a round is output k of its
+// (seed, node, round) stream, whichever callback makes it.
 type Protocol interface {
 	// Advertise returns the node's tag for the round. The engine verifies it
 	// fits in Config.TagBits. Called before the node can see its neighbors,
@@ -264,14 +293,15 @@ type Config struct {
 	// and connection loss, partitions, and adversarial state resets of
 	// Corruptible protocols (see internal/fault). Per-node fault draws are
 	// node-addressed — each comes from its own (plan seed, kind, node,
-	// round) stream, exactly like the engine's node RNG streams — so they
-	// are order-independent and run inside the parallel phase bodies; only
-	// the churn state machine and state resets run in the sequential
-	// prologue, before the round's first sweep. Faulted executions are therefore bit-identical at any
-	// worker count, and the node RNG streams are exactly those of the
-	// fault-free run. The injector is single-run state: build a fresh one
-	// per engine. With Faults nil every hook reduces to one predictable
-	// branch and the steady state stays at exactly 0 allocs/round.
+	// round) stream, exactly like the engine's node draws — so they are
+	// order-independent and run inside the parallel phase bodies; only the
+	// churn state machine and state resets run in the sequential prologue,
+	// before the round's first sweep. Faulted executions are therefore
+	// bit-identical at any worker count, and the node draws are exactly
+	// those of the fault-free run. The injector is single-run state: build
+	// a fresh one per engine. With Faults nil every hook reduces to one
+	// predictable branch and the steady state stays at exactly 0
+	// allocs/round.
 	Faults *fault.Injector
 
 	// Check, when true, verifies the engine's per-round invariants at the
@@ -429,12 +459,15 @@ type Engine struct {
 
 	protocols []Protocol
 
-	// Per-round working state, reused across rounds. rngs[u] holds node
-	// u's stream for the current round only while rngLive[u] is set:
-	// nodeRNG derives the stream on the node's first draw of the round, and
-	// phaseActiveScan clears every flag at the start of each round.
-	rngs    []xrand.RNG
-	rngLive []bool
+	// Per-round working state, reused across rounds. draws[u] counts node
+	// u's draws in the current round, the k of its next draw (see draw);
+	// phaseActiveScan clears it at the start of each round. A uint32 never
+	// wraps: a classical-mode hub, which draws once per connection, draws
+	// fewer than 2^32 times in a round. streams is nil in the mobile model;
+	// a classical engine keeps node u's (seed, u, round) stream in
+	// streams[u], derived on the node's first draw of the round.
+	draws   []uint32
+	streams []xrand.RNG
 	tags    []uint64
 	actions []int32 // >=0: proposal target; -1: receive; -2: inactive
 	active  []bool
@@ -451,7 +484,7 @@ type Engine struct {
 	// chosen, so results never depend on the dispatch: fault draws are
 	// node-addressed (see internal/fault), inboxes stay sender-ordered
 	// (worker chunks ascend in sender id), each receiver's accept choice
-	// draws only from its own rngs[v] stream, and trace emission goes
+	// is one of its own (seed, node, round) draws, and trace emission goes
 	// through per-worker buffers drained in chunk order.
 	parExec bool
 	pool    *workerPool // nil unless parExec
@@ -606,8 +639,7 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 		cfg:       cfg,
 		n:         n,
 		protocols: protocols,
-		rngs:      make([]xrand.RNG, n),
-		rngLive:   make([]bool, n),
+		draws:     make([]uint32, n),
 		tags:      make([]uint64, n),
 		actions:   make([]int32, n),
 		active:    make([]bool, n),
@@ -623,6 +655,9 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 		chosen:    make([]int32, n),
 		ctxA:      make([]Context, span),
 		ctxB:      make([]Context, span),
+	}
+	if cfg.Classical {
+		e.streams = make([]xrand.RNG, n)
 	}
 	if cfg.TagBits < 64 {
 		e.tagLimit = uint64(1) << uint(cfg.TagBits)
@@ -816,8 +851,8 @@ func (e *Engine) stepCore(r int) RoundStats {
 		e.parallelFor(obs.PhaseTagFlip, e.phTagFlip)
 		e.flushWorkerBufs()
 	}
-	// Step 3. Each node's RNG is derived from (seed, node, round), so the
-	// order nodes run in is irrelevant.
+	// Step 3. Each node's draws are a function of (seed, node, round), so
+	// the order nodes run in is irrelevant.
 	e.parallelFor(obs.PhaseDecide, e.phDecide)
 	e.flushWorkerBufs()
 
@@ -881,7 +916,7 @@ func (e *Engine) verifyRound(r int, s RoundStats) {
 // histogram row per dispatched worker, one sequential prefix merge that
 // turns histogram cells into scatter cursor bases, then a scatter),
 // followed by the accept sweep, which may run in parallel because each
-// receiver's choice draws only from its own rngs[v] stream. Worker chunks
+// receiver's choice is one of its own draws. Worker chunks
 // ascend in sender id, so every inbox comes out in ascending sender order
 // at any worker count; an inline engine runs each sweep as one chunk over
 // one row.
@@ -1152,8 +1187,8 @@ func (e *Engine) phaseEndRound(w, lo, hi int) {
 }
 
 // phaseActiveScan computes the activity bits for nodes [lo, hi), counts
-// them into worker w's counter row, and marks every node's stream as not
-// yet derived for the round.
+// them into worker w's counter row, and zeroes every node's draw count for
+// the round.
 //
 //mtmlint:hotpath
 func (e *Engine) phaseActiveScan(w, lo, hi int) {
@@ -1161,7 +1196,7 @@ func (e *Engine) phaseActiveScan(w, lo, hi int) {
 	ctr := &e.counters[w]
 	ctr.active = 0
 	for u := lo; u < hi; u++ {
-		e.rngLive[u] = false
+		e.draws[u] = 0
 		a := e.activeAt(u, r)
 		e.active[u] = a
 		if a {
@@ -1183,20 +1218,34 @@ func (e *Engine) activeAt(u, r int) bool {
 	return e.curDown == nil || !e.curDown[u]
 }
 
-// nodeRNG returns node u's random stream for the current round, deriving
-// it from (seed, u, round) on the node's first draw of the round. Both
-// Context.RNG() and the accept step draw through it. Only code running for u
-// calls it — u's own chunk, or, in the exchange, the worker of u's pair —
-// so the derivation never races.
+// draw returns node u's next draw in the current round: draw k, where
+// k = draws[u] counts the node's earlier draws this round, is output k of
+// xrand.Derive(seed, u, round). Every protocol draw (Context.Uint64) and the
+// accept step draw through it. In the mobile model xrand.At computes the
+// draw from (seed, u, round, k) alone: draws 0 and 1 from the state words
+// they read, a later draw by seeding a generator and stepping it k times.
+// No protocol here draws more than three times a round in that model
+// (Intn's rare rejections aside), so a node pays at most one seeding a
+// round. A classical receiver draws once per connection, between other
+// receivers' draws, and stepping from the seed each time would cost it
+// O(c²) steps for c connections, so a classical engine keeps each node's
+// generator in streams, derived on the node's first draw of the round,
+// and steps it once a draw. Only code running for u draws for it — u's own
+// chunk, the worker of u's pair in the exchange, or the sequential
+// classical exchange — so nothing races.
 //
 //mtmlint:hotpath
-func (e *Engine) nodeRNG(u int32) *xrand.RNG {
-	r := &e.rngs[u]
-	if !e.rngLive[u] {
-		r.Reseed(e.cfg.Seed, uint64(u), uint64(e.curRound))
-		e.rngLive[u] = true
+func (e *Engine) draw(u int32) uint64 {
+	k := e.draws[u]
+	e.draws[u] = k + 1
+	if e.streams == nil {
+		return xrand.At(xrand.Mix3(e.cfg.Seed, uint64(u), uint64(e.curRound)), k)
 	}
-	return r
+	r := &e.streams[u]
+	if k == 0 {
+		r.Reseed(e.cfg.Seed, uint64(u), uint64(e.curRound))
+	}
+	return r.Uint64()
 }
 
 // phaseCount is counting-sort pass one: worker w histograms the proposals of
@@ -1279,16 +1328,18 @@ func (e *Engine) phaseScatter(w, lo, hi int) {
 }
 
 // phaseAccept runs step 4's accept decision for receivers [lo, hi): each
-// picks one sender of its inbox by the configured policy, drawing only from
-// its own rngs[v] stream, and records the winner in e.chosen. Every v in the
-// chunk gets a chosen entry (noPartner for non-receivers) so
-// phasePartnerExchange can test chosen[t] for any target. Traced runs also
-// emit the accept (or connection-loss), contention-reject and connect
-// events here, into the worker's private buffer, in ascending receiver
-// order.
+// picks one sender of its inbox by the configured policy, drawing only its
+// own draws through worker w's Context, and records the winner in
+// e.chosen. Every v in the chunk gets a chosen entry (noPartner for
+// non-receivers) so phasePartnerExchange can test chosen[t] for any
+// target. Traced runs also emit the accept (or connection-loss),
+// contention-reject and connect events here, into the worker's private
+// buffer, in ascending receiver order.
 //
 //mtmlint:hotpath
 func (e *Engine) phaseAccept(w, lo, hi int) {
+	ctx := &e.ctxA[w]
+	e.bindCtx(ctx, w)
 	inboxAt, inboxTo, chosen := e.inboxAt, e.inboxTo, e.chosen
 	faults, policy := e.cfg.Faults, e.cfg.Accept
 	var buf *obs.WorkerBuf // nil in untraced runs
@@ -1310,7 +1361,8 @@ func (e *Engine) phaseAccept(w, lo, hi int) {
 		case AcceptUniform:
 			// A lone proposal is accepted without a draw.
 			if len(inbox) > 1 {
-				c = inbox[e.nodeRNG(int32(v)).Intn(len(inbox))]
+				ctx.Node = int32(v)
+				c = inbox[ctx.Intn(len(inbox))]
 			}
 		case AcceptLowestID:
 			// inbox[0] already.
@@ -1320,7 +1372,7 @@ func (e *Engine) phaseAccept(w, lo, hi int) {
 			panic(fmt.Sprintf("sim: unknown accept policy %d", policy))
 		}
 		// One node-addressed fault draw per acceptance, after the accept
-		// choice so the node RNG streams match the fault-free run: a dropped
+		// choice so the node draws match the fault-free run: a dropped
 		// connection exchanges nothing (the receiver wastes its round), and
 		// the proposals the receiver turned down stay contention rejects.
 		dropped := faults != nil && faults.DropConnection(int32(v), c, r)
@@ -1384,7 +1436,7 @@ func (e *Engine) phaseScanAdvertise(w, lo, hi int) {
 // sender, and a sender pairs with its target iff that target chose it, so
 // each node writes only its own partner entry. The exchange reads no partner
 // entry: it runs on the pair just derived, and the peer state it touches
-// (protocols, rngs) is disjoint from the partner cells the peer's worker may
+// (protocols, draws) is disjoint from the partner cells the peer's worker may
 // still be writing; chosen and actions were frozen at the accept and decide
 // barriers. Pairs are handled in ascending order of their smaller endpoint,
 // which is the trace order. The dispatch charges its wall time to

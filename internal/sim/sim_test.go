@@ -39,7 +39,7 @@ func (p *probe) Advertise(*sim.Context) uint64 { return 0 }
 
 func (p *probe) Decide(ctx *sim.Context) (int32, bool) {
 	p.lastRound = ctx.Round
-	if ctx.RNG().Bool() {
+	if ctx.Bool() {
 		return 0, false
 	}
 	t, ok := ctx.RandomNeighbor()
@@ -378,57 +378,149 @@ func TestStopConditionWaitsForAllActive(t *testing.T) {
 	}
 }
 
-// endRoundDrawer draws twice from its stream in EndRound and nowhere else,
-// recording both draws of the latest round.
-type endRoundDrawer struct{ draws [2]uint64 }
-
-func (p *endRoundDrawer) Advertise(*sim.Context) uint64            { return 0 }
-func (p *endRoundDrawer) Decide(*sim.Context) (int32, bool)        { return 0, false }
-func (p *endRoundDrawer) Outgoing(*sim.Context, int32) sim.Message { return sim.Message{} }
-func (p *endRoundDrawer) Deliver(*sim.Context, int32, sim.Message) {}
-func (p *endRoundDrawer) Leader() uint64                           { return 0 }
-func (p *endRoundDrawer) EndRound(ctx *sim.Context) {
-	p.draws[0] = ctx.RNG().Uint64()
-	p.draws[1] = ctx.RNG().Uint64()
+// drawEntry is one draw a streamProbe made; skip marks an Intn(1), which
+// consumes a draw but shows nothing of it.
+type drawEntry struct {
+	v    uint64
+	skip bool
 }
 
-// TestNodeStreamDerivedOnFirstDraw pins when node streams are derived: a
-// node that draws nothing until EndRound gets exactly the (seed, node,
-// round) stream there, a second draw in the same round continues that
-// stream, and running the same round number again re-derives it instead of
-// continuing where the previous call left off.
+// streamProbe draws in every callback of a star: node 0, the hub, always
+// receives, and every leaf proposes to it. It records its draws in the
+// latest round, in the order it made them, and the peers it exchanged
+// with. Its Outgoing makes its Intn(1) before its Uint64 in even rounds and
+// after it in odd ones, so consecutive rounds differ in which draws show.
+type streamProbe struct {
+	round     int
+	draws     []drawEntry
+	preAccept int // draws made before the exchange: Advertise's and Decide's
+	peers     []int32
+}
+
+func (p *streamProbe) draw(ctx *sim.Context) { p.draws = append(p.draws, drawEntry{v: ctx.Uint64()}) }
+func (p *streamProbe) skip(ctx *sim.Context) {
+	if ctx.Intn(1) != 0 {
+		panic("Intn(1) is not 0")
+	}
+	p.draws = append(p.draws, drawEntry{skip: true})
+}
+
+func (p *streamProbe) Advertise(ctx *sim.Context) uint64 {
+	p.round, p.draws, p.peers = ctx.Round, p.draws[:0], p.peers[:0]
+	p.draw(ctx)
+	p.draw(ctx)
+	return 0
+}
+
+func (p *streamProbe) Decide(ctx *sim.Context) (int32, bool) {
+	p.draw(ctx)
+	p.preAccept = len(p.draws)
+	return 0, ctx.Node != 0
+}
+
+func (p *streamProbe) Outgoing(ctx *sim.Context, _ int32) sim.Message {
+	if ctx.Round%2 == 0 {
+		p.skip(ctx)
+		p.draw(ctx)
+	} else {
+		p.draw(ctx)
+		p.skip(ctx)
+	}
+	return sim.Message{}
+}
+
+func (p *streamProbe) Deliver(ctx *sim.Context, peer int32, _ sim.Message) {
+	p.draw(ctx)
+	p.peers = append(p.peers, peer)
+}
+
+func (p *streamProbe) EndRound(ctx *sim.Context) {
+	p.draw(ctx)
+	p.draw(ctx)
+}
+
+func (p *streamProbe) Leader() uint64 { return 0 }
+
+// TestNodeStreamDerivedOnFirstDraw pins the node draws: draw k of node u in
+// round r is output k of xrand.Derive(seed, u, r), whichever callback makes
+// it, with an Intn(1) consuming one draw and the accept step's draws
+// between Decide's and the exchange's. On a star whose leaves all propose
+// to the hub, the mobile model's hub accepts from a contested inbox, and
+// the classical model's hub draws in every one of its connections. Two
+// consecutive rounds, each checked against its own stream, show that no
+// draw count or generator carries over from one round to the next, and
+// running the first round number again derives the same draws.
 func TestNodeStreamDerivedOnFirstDraw(t *testing.T) {
-	const (
-		n     = 6
-		seed  = 17
-		round = 9
-	)
 	for _, cfg := range []sim.Config{
-		{Seed: seed, Workers: 1},
-		sim.ForcePool(sim.Config{Seed: seed, Workers: 2}),
+		{Seed: streamSeed, Workers: 1},
+		sim.ForcePool(sim.Config{Seed: streamSeed, Workers: 2}),
 	} {
 		t.Run(fmt.Sprintf("workers=%d", cfg.Workers), func(t *testing.T) {
-			protocols := make([]sim.Protocol, n)
-			for i := range protocols {
-				protocols[i] = &endRoundDrawer{}
-			}
-			eng, err := sim.New(dyngraph.NewStatic(gen.Cycle(n)), protocols, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			for call := 1; call <= 2; call++ {
-				eng.RunRounds(round, 1)
-				for u, p := range protocols {
-					want := xrand.Derive(seed, uint64(u), round)
-					w0, w1 := want.Uint64(), want.Uint64()
-					if got := p.(*endRoundDrawer).draws; got != [2]uint64{w0, w1} {
-						t.Fatalf("call %d, node %d: draws %#x, want the (seed, node, round) stream %#x, %#x",
-							call, u, got, w0, w1)
+			for _, classical := range []bool{false, true} {
+				cfg := cfg
+				cfg.Classical = classical
+				protocols := make([]sim.Protocol, streamStarN)
+				for i := range protocols {
+					protocols[i] = &streamProbe{}
+				}
+				eng, err := sim.New(dyngraph.NewStatic(gen.Star(streamStarN)), protocols, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range []int{streamRound, streamRound + 1, streamRound} {
+					eng.RunRounds(r, 1)
+					for u, p := range protocols {
+						checkNodeDraws(t, classical, r, u, p.(*streamProbe))
 					}
 				}
+				eng.Close()
 			}
 		})
+	}
+}
+
+// The star size, seed and first round of TestNodeStreamDerivedOnFirstDraw.
+const (
+	streamStarN = 9
+	streamSeed  = 17
+	streamRound = 9
+)
+
+// checkNodeDraws checks one streamProbe's draws in round r of
+// TestNodeStreamDerivedOnFirstDraw against its (seed, node, round) stream.
+func checkNodeDraws(t *testing.T, classical bool, r, u int, p *streamProbe) {
+	t.Helper()
+	peers := 1 // a classical leaf's, and the mobile hub's
+	switch {
+	case u == 0 && classical:
+		peers = streamStarN - 1
+	case u != 0 && !classical:
+		peers = min(len(p.peers), 1) // only the accepted leaf connects
+	}
+	// Advertise, Decide and EndRound draw five times, and every exchange
+	// draws three.
+	if p.round != r || len(p.peers) != peers || len(p.draws) != 5+3*peers {
+		t.Fatalf("classical=%v, node %d: round %d, %d draws and peers %v, want round %d, %d draws and %d peers",
+			classical, u, p.round, len(p.draws), p.peers, r, 5+3*peers, peers)
+	}
+	want := xrand.Derive(streamSeed, uint64(u), uint64(r))
+	for k, d := range p.draws {
+		if k == p.preAccept && u == 0 && !classical {
+			// The mobile hub accepts one leaf of its inbox of all eight,
+			// drawing until a draw is accepted.
+			for {
+				if i, ok := xrand.Bounded(want.Uint64(), streamStarN-1); ok {
+					if p.peers[0] != int32(i)+1 {
+						t.Fatalf("hub exchanged with %v, want leaf %d, its accept draw's choice", p.peers, i+1)
+					}
+					break
+				}
+			}
+		}
+		if x := want.Uint64(); !d.skip && d.v != x {
+			t.Fatalf("classical=%v, round %d, node %d: draw %d = %#x, want the (seed, node, round) stream's %#x",
+				classical, r, u, k, d.v, x)
+		}
 	}
 }
 

@@ -269,3 +269,66 @@ func BenchmarkFillUint64s(b *testing.B) {
 		r.FillUint64s(dst)
 	}
 }
+
+// FuzzAt holds At to the stepped generator: for any seed and any k ≤ 64,
+// At(seed, k) is the value the (k+1)-th Uint64 call of New(seed) returns.
+func FuzzAt(f *testing.F) {
+	g := uint64(golden)
+	for _, seed := range []uint64{0, 1, 42, -g, -(2 * g), -(3 * g), -(4 * g), ^uint64(0)} {
+		for _, k := range []uint8{0, 1, 2, 3, 64} {
+			f.Add(seed, k)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, k uint8) {
+		k %= 65
+		r := New(seed)
+		for i := uint8(0); i < k; i++ {
+			r.Uint64()
+		}
+		if got, want := At(seed, uint32(k)), r.Uint64(); got != want {
+			t.Fatalf("At(%#x, %d) = %#x, want the stepped generator's %#x", seed, k, got, want)
+		}
+	})
+}
+
+// TestSeedZeroesAtMostOneWord pins the argument in Seed's comment. Seed
+// −iγ makes word i-1 zero, because SplitMix64 feeds that word the input
+// 0, and leaves the other three nonzero. Each such generator still steps
+// as At computes it.
+func TestSeedZeroesAtMostOneWord(t *testing.T) {
+	for i := 1; i <= 4; i++ {
+		seed := -uint64(i) * golden
+		r := New(seed)
+		for w, word := range r.s {
+			if (word == 0) != (w == i-1) {
+				t.Fatalf("seed -%dγ: state %#x, want exactly word %d zero", i, r.s, i-1)
+			}
+		}
+		for k := uint32(0); k <= 64; k++ {
+			if got, want := At(seed, k), r.Uint64(); got != want {
+				t.Fatalf("seed -%dγ: At(seed, %d) = %#x, want the stepped generator's %#x", i, k, got, want)
+			}
+		}
+	}
+}
+
+// TestBoundedRejectsOnlyTheBiasedSliver pins Lemire's rule at its edges: a
+// draw is rejected exactly when the low word of x·n falls below 2^64 mod n.
+func TestBoundedRejectsOnlyTheBiasedSliver(t *testing.T) {
+	for _, c := range []struct {
+		x, n, v uint64
+		ok      bool
+	}{
+		{0, 3, 0, false},          // 2^64 mod 3 = 1 and the low word is 0
+		{1, 3, 0, true},           // low word 3
+		{^uint64(0), 3, 2, true},  // the largest draw maps to n-1
+		{1 << 63, 2, 1, true},     // 2^64 mod 2 = 0: nothing is rejected
+		{^uint64(0), 1, 0, true},  // n = 1 always yields 0
+		{0, ^uint64(0), 0, false}, // 2^64 mod (2^64-1) = 1 and the low word is 0
+		{1, ^uint64(0), 0, true},  // low word 2^64-1 = n
+	} {
+		if v, ok := Bounded(c.x, c.n); v != c.v || ok != c.ok {
+			t.Fatalf("Bounded(%#x, %#x) = (%d, %v), want (%d, %v)", c.x, c.n, v, ok, c.v, c.ok)
+		}
+	}
+}
