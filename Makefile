@@ -104,9 +104,9 @@ bench-smoke:
 # contract end to end: (1) a checkpointed sweep killed mid-run (-die-after)
 # and resumed must render the byte-identical CSV of an uninterrupted run,
 # both for R2, whose cells hold a round, and for E5, whose cells hold the
-# informed count its table reads; (2) two recordings under the same fault
-# plan must be byte-identical — fault injection is as deterministic as the
-# fault-free engine.
+# informed count its table reads; (2) two mtmsim recordings under the same
+# fault plan must be byte-identical — fault injection is as deterministic as
+# the fault-free engine.
 fault-smoke:
 	rm -rf /tmp/mtm-fault-smoke && mkdir -p /tmp/mtm-fault-smoke
 	$(GO) build -o /tmp/mtm-fault-smoke/mtmexp ./cmd/mtmexp
@@ -117,29 +117,28 @@ fault-smoke:
 	  /tmp/mtm-fault-smoke/mtmexp -run $$id -quick -trials 2 -csv -checkpoint /tmp/mtm-fault-smoke/ck > /tmp/mtm-fault-smoke/$$id.resumed.csv || exit 1; \
 	  cmp /tmp/mtm-fault-smoke/$$id.baseline.csv /tmp/mtm-fault-smoke/$$id.resumed.csv || exit 1; \
 	done
-	$(GO) run ./cmd/mtmtrace record -topo regular -n 64 -deg 8 -algo blindgossip -proposal-loss 0.3 -conn-loss 0.2 -tagflip-rate 0.05 -seed 11 -o /tmp/mtm-fault-smoke/a.jsonl
-	$(GO) run ./cmd/mtmtrace record -topo regular -n 64 -deg 8 -algo blindgossip -proposal-loss 0.3 -conn-loss 0.2 -tagflip-rate 0.05 -seed 11 -o /tmp/mtm-fault-smoke/b.jsonl
+	$(GO) run ./cmd/mtmsim -topo regular -n 64 -deg 8 -algo blindgossip -proposal-loss 0.3 -conn-loss 0.2 -tagflip-rate 0.05 -seed 11 -trace /tmp/mtm-fault-smoke/a.jsonl
+	$(GO) run ./cmd/mtmsim -topo regular -n 64 -deg 8 -algo blindgossip -proposal-loss 0.3 -conn-loss 0.2 -tagflip-rate 0.05 -seed 11 -trace /tmp/mtm-fault-smoke/b.jsonl
 	$(GO) run ./cmd/mtmtrace diff /tmp/mtm-fault-smoke/a.jsonl /tmp/mtm-fault-smoke/b.jsonl
 	$(GO) run ./cmd/mtmtrace summary /tmp/mtm-fault-smoke/a.jsonl
 
-# trace-smoke mirrors the CI obs-smoke job: record the same run twice and
-# require byte-identical traces — executions (and their event streams) are
-# pure functions of (seed, schedule, protocol, config), so any diff output
-# here is a determinism regression. Then one faulted, partitioned run goes
-# through both mtmsim and mtmtrace record, which share their simulation
-# flags and the facade's one run path: their traces and metrics must be
-# byte-identical.
+# trace-smoke mirrors the CI obs-smoke job: mtmsim records the same run
+# twice and the traces must be byte-identical — executions (and their event
+# streams) are pure functions of (seed, schedule, protocol, config), so any
+# diff output here is a determinism regression. Then mtmsim records one
+# faulted, partitioned run twice: its traces and its metrics must be
+# byte-identical too.
 SMOKE_FAULTED = -topo regular -n 64 -deg 6 -algo asyncbitconv -crash-rate 0.005 -recover-rate 0.3 -max-down 4 \
 	-proposal-loss 0.1 -conn-loss 0.05 -tagflip-rate 0.02 -partition 10:40:2 -seed 5 -max-rounds 200000
 trace-smoke:
-	$(GO) run ./cmd/mtmtrace record -topo regular -n 64 -deg 8 -algo blindgossip -seed 7 -o /tmp/mtmtrace-smoke-a.jsonl
-	$(GO) run ./cmd/mtmtrace record -topo regular -n 64 -deg 8 -algo blindgossip -seed 7 -o /tmp/mtmtrace-smoke-b.jsonl
+	$(GO) run ./cmd/mtmsim -topo regular -n 64 -deg 8 -algo blindgossip -seed 7 -trace /tmp/mtmtrace-smoke-a.jsonl
+	$(GO) run ./cmd/mtmsim -topo regular -n 64 -deg 8 -algo blindgossip -seed 7 -trace /tmp/mtmtrace-smoke-b.jsonl
 	$(GO) run ./cmd/mtmtrace diff /tmp/mtmtrace-smoke-a.jsonl /tmp/mtmtrace-smoke-b.jsonl
 	$(GO) run ./cmd/mtmtrace summary /tmp/mtmtrace-smoke-a.jsonl
-	$(GO) run ./cmd/mtmsim $(SMOKE_FAULTED) -trace /tmp/mtmtrace-smoke-sim.jsonl -metrics /tmp/mtmtrace-smoke-sim.metrics.json
-	$(GO) run ./cmd/mtmtrace record $(SMOKE_FAULTED) -o /tmp/mtmtrace-smoke-rec.jsonl -metrics /tmp/mtmtrace-smoke-rec.metrics.json
-	cmp /tmp/mtmtrace-smoke-sim.jsonl /tmp/mtmtrace-smoke-rec.jsonl
-	cmp /tmp/mtmtrace-smoke-sim.metrics.json /tmp/mtmtrace-smoke-rec.metrics.json
+	$(GO) run ./cmd/mtmsim $(SMOKE_FAULTED) -trace /tmp/mtmtrace-smoke-f1.jsonl -metrics /tmp/mtmtrace-smoke-f1.metrics.json
+	$(GO) run ./cmd/mtmsim $(SMOKE_FAULTED) -trace /tmp/mtmtrace-smoke-f2.jsonl -metrics /tmp/mtmtrace-smoke-f2.metrics.json
+	cmp /tmp/mtmtrace-smoke-f1.jsonl /tmp/mtmtrace-smoke-f2.jsonl
+	cmp /tmp/mtmtrace-smoke-f1.metrics.json /tmp/mtmtrace-smoke-f2.metrics.json
 
 # fault-par-smoke mirrors the CI fault-par-smoke job: faulted runs ride the
 # parallel round core, so a faulted, partitioned, invariant-audited trace at
@@ -149,28 +148,31 @@ trace-smoke:
 # plus a scheduled partition) and a large 65536-node case.
 fault-par-smoke:
 	rm -rf /tmp/mtm-fault-par && mkdir -p /tmp/mtm-fault-par
+	$(GO) build -o /tmp/mtm-fault-par/mtmsim ./cmd/mtmsim
 	$(GO) build -o /tmp/mtm-fault-par/mtmtrace ./cmd/mtmtrace
-	/tmp/mtm-fault-par/mtmtrace record -topo regular -n 512 -deg 8 -algo blindgossip -workers 1 -max-rounds 100000 -crash-rate 0.005 -recover-rate 0.3 -proposal-loss 0.05 -conn-loss 0.03 -tagflip-rate 0.02 -partition 5:25:2 -seed 9 -o /tmp/mtm-fault-par/small-w1.jsonl
-	/tmp/mtm-fault-par/mtmtrace record -topo regular -n 512 -deg 8 -algo blindgossip -workers 8 -max-rounds 100000 -crash-rate 0.005 -recover-rate 0.3 -proposal-loss 0.05 -conn-loss 0.03 -tagflip-rate 0.02 -partition 5:25:2 -seed 9 -o /tmp/mtm-fault-par/small-w8.jsonl
+	/tmp/mtm-fault-par/mtmsim -topo regular -n 512 -deg 8 -algo blindgossip -workers 1 -max-rounds 100000 -crash-rate 0.005 -recover-rate 0.3 -proposal-loss 0.05 -conn-loss 0.03 -tagflip-rate 0.02 -partition 5:25:2 -seed 9 -trace /tmp/mtm-fault-par/small-w1.jsonl
+	/tmp/mtm-fault-par/mtmsim -topo regular -n 512 -deg 8 -algo blindgossip -workers 8 -max-rounds 100000 -crash-rate 0.005 -recover-rate 0.3 -proposal-loss 0.05 -conn-loss 0.03 -tagflip-rate 0.02 -partition 5:25:2 -seed 9 -trace /tmp/mtm-fault-par/small-w8.jsonl
 	/tmp/mtm-fault-par/mtmtrace diff /tmp/mtm-fault-par/small-w1.jsonl /tmp/mtm-fault-par/small-w8.jsonl
-	/tmp/mtm-fault-par/mtmtrace record -topo expander -n 65536 -rumor pushpull -workers 1 -sample 2 -types connect,transition -proposal-loss 0.02 -conn-loss 0.01 -partition 2:6:2 -seed 7 -o /tmp/mtm-fault-par/big-w1.jsonl
-	/tmp/mtm-fault-par/mtmtrace record -topo expander -n 65536 -rumor pushpull -workers 8 -sample 2 -types connect,transition -proposal-loss 0.02 -conn-loss 0.01 -partition 2:6:2 -seed 7 -o /tmp/mtm-fault-par/big-w8.jsonl
+	/tmp/mtm-fault-par/mtmsim -topo expander -n 65536 -rumor pushpull -workers 1 -sample 2 -types connect,transition -proposal-loss 0.02 -conn-loss 0.01 -partition 2:6:2 -seed 7 -trace /tmp/mtm-fault-par/big-w1.jsonl
+	/tmp/mtm-fault-par/mtmsim -topo expander -n 65536 -rumor pushpull -workers 8 -sample 2 -types connect,transition -proposal-loss 0.02 -conn-loss 0.01 -partition 2:6:2 -seed 7 -trace /tmp/mtm-fault-par/big-w8.jsonl
 	/tmp/mtm-fault-par/mtmtrace diff /tmp/mtm-fault-par/big-w1.jsonl /tmp/mtm-fault-par/big-w8.jsonl
 	/tmp/mtm-fault-par/mtmtrace summary /tmp/mtm-fault-par/small-w8.jsonl
 
 # prof-smoke mirrors the CI prof-smoke job, the scale-safe observability
-# contract end to end: (1) the same sampled, type-filtered parallel record
-# at 1 and 8 workers must diff clean — per-worker buffered emission flushed
-# in chunk order reproduces the sequential event order byte for byte;
-# (2) a profiled parallel run must render an mtmprof/v1 phase table.
+# contract end to end: (1) the same sampled, type-filtered parallel mtmsim
+# recording at 1 and 8 workers must diff clean — per-worker buffered
+# emission flushed in chunk order reproduces the sequential event order
+# byte for byte; (2) a profiled parallel run must render an mtmprof/v1
+# phase table.
 prof-smoke:
 	rm -rf /tmp/mtm-prof-smoke && mkdir -p /tmp/mtm-prof-smoke
+	$(GO) build -o /tmp/mtm-prof-smoke/mtmsim ./cmd/mtmsim
 	$(GO) build -o /tmp/mtm-prof-smoke/mtmtrace ./cmd/mtmtrace
-	/tmp/mtm-prof-smoke/mtmtrace record -topo expander -n 65536 -rumor pushpull -workers 1 -sample 4 -types connect,transition -seed 7 -o /tmp/mtm-prof-smoke/w1.jsonl
-	/tmp/mtm-prof-smoke/mtmtrace record -topo expander -n 65536 -rumor pushpull -workers 8 -sample 4 -types connect,transition -seed 7 -o /tmp/mtm-prof-smoke/w8.jsonl
+	/tmp/mtm-prof-smoke/mtmsim -topo expander -n 65536 -rumor pushpull -workers 1 -sample 4 -types connect,transition -seed 7 -trace /tmp/mtm-prof-smoke/w1.jsonl
+	/tmp/mtm-prof-smoke/mtmsim -topo expander -n 65536 -rumor pushpull -workers 8 -sample 4 -types connect,transition -seed 7 -trace /tmp/mtm-prof-smoke/w8.jsonl
 	/tmp/mtm-prof-smoke/mtmtrace diff /tmp/mtm-prof-smoke/w1.jsonl /tmp/mtm-prof-smoke/w8.jsonl
 	/tmp/mtm-prof-smoke/mtmtrace summary /tmp/mtm-prof-smoke/w8.jsonl
-	$(GO) run ./cmd/mtmsim -topo expander -n 65536 -workers 8 -phase-prof /tmp/mtm-prof-smoke/run.prof.json
+	/tmp/mtm-prof-smoke/mtmsim -topo expander -n 65536 -workers 8 -phase-prof /tmp/mtm-prof-smoke/run.prof.json
 	/tmp/mtm-prof-smoke/mtmtrace prof /tmp/mtm-prof-smoke/run.prof.json
 
 # tables-check mirrors the CI tables-check job: it regenerates every

@@ -10,71 +10,38 @@ import (
 	"strings"
 	"testing"
 
-	"mobiletel/cmd/internal/simflags"
+	"mobiletel"
 )
 
-// goldenConfig must match the invocation that generated
-// testdata/golden.trace.jsonl:
+// goldenPath is the trace of
 //
-//	mtmtrace record -topo clique -n 8 -algo blindgossip -seed 42
+//	mtmsim -topo clique -n 8 -algo blindgossip -seed 42 -max-rounds 20000 -trace F
 //
-// MaxRounds is not part of the trace header, so it is capped far below the
-// CLI default: a test built on this config that cannot stabilize fails
-// fast with ErrNotStabilized instead of buffering millions of rounds.
-var goldenConfig = recordConfig{Flags: simflags.Flags{
-	Topo:      "clique",
-	N:         8,
-	Deg:       8,
-	Algo:      "blindgossip",
-	Schedule:  "static",
-	Tau:       4,
-	Seed:      42,
-	MaxRounds: 20_000,
-}}
-
+// which cmd/mtmsim's tests re-record byte for byte.
 const goldenPath = "testdata/golden.trace.jsonl"
 
-// TestGoldenTraceSchemaStable pins the JSONL wire format: re-recording the
-// golden configuration must reproduce the committed fixture byte for byte.
-// If this fails because the schema intentionally changed, bump obs.Schema
-// and regenerate the fixture (see goldenConfig above); if it fails without
-// a schema change, determinism or the wire encoding regressed.
-func TestGoldenTraceSchemaStable(t *testing.T) {
-	want, err := os.ReadFile(goldenPath)
+// recordClique8 records, through the facade, the golden run under opts:
+// Seed 44 is the engine seed mtmsim -seed 42 passes, so it reproduces the
+// fixture, and any other seed diverges from it.
+func recordClique8(t *testing.T, opts mobiletel.Options) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	opts.MaxRounds, opts.TraceTo = 20_000, &buf
+	if _, err := mobiletel.ElectLeader(mobiletel.Static(mobiletel.Clique(8)), mobiletel.BlindGossip, opts); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDiffIdenticalTraces checks that the golden fixture and a same-seed
+// recording compare equal (exit code 0 path).
+func TestDiffIdenticalTraces(t *testing.T) {
+	golden, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
-	if err := recordTrace(goldenConfig, &got, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gotLines := strings.Split(got.String(), "\n")
-		wantLines := strings.Split(string(want), "\n")
-		for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
-			if gotLines[i] != wantLines[i] {
-				t.Fatalf("trace deviates from golden fixture at line %d:\n got: %s\nwant: %s",
-					i+1, gotLines[i], wantLines[i])
-			}
-		}
-		t.Fatalf("trace length differs from golden fixture: got %d lines, want %d",
-			len(gotLines), len(wantLines))
-	}
-}
-
-// TestDiffIdenticalTraces checks that two same-seed recordings compare equal
-// (exit code 0 path) and that changing the seed reports the first divergent
-// round and event (exit code 1 path).
-func TestDiffIdenticalTraces(t *testing.T) {
-	var a, b bytes.Buffer
-	if err := recordTrace(goldenConfig, &a, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := recordTrace(goldenConfig, &b, nil); err != nil {
-		t.Fatal(err)
-	}
 	var out bytes.Buffer
-	divergent, err := diffTraces(bytes.NewReader(a.Bytes()), bytes.NewReader(b.Bytes()), "a", "b", &out)
+	divergent, err := diffTraces(bytes.NewReader(golden), bytes.NewReader(recordClique8(t, mobiletel.Options{Seed: 44})), "a", "b", &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,18 +53,15 @@ func TestDiffIdenticalTraces(t *testing.T) {
 	}
 }
 
+// TestDiffDivergentTraces checks that changing the seed reports the first
+// divergent round and event (exit code 1 path).
 func TestDiffDivergentTraces(t *testing.T) {
-	other := goldenConfig
-	other.Seed = 43
-	var a, b bytes.Buffer
-	if err := recordTrace(goldenConfig, &a, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := recordTrace(other, &b, nil); err != nil {
+	golden, err := os.ReadFile(goldenPath)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	divergent, err := diffTraces(bytes.NewReader(a.Bytes()), bytes.NewReader(b.Bytes()), "a", "b", &out)
+	divergent, err := diffTraces(bytes.NewReader(golden), bytes.NewReader(recordClique8(t, mobiletel.Options{Seed: 45})), "a", "b", &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +82,7 @@ func TestDiffDivergentTraces(t *testing.T) {
 func TestDiffExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	same := filepath.Join(dir, "same.jsonl")
-	var buf bytes.Buffer
-	if err := recordTrace(goldenConfig, &buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(same, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(same, recordClique8(t, mobiletel.Options{Seed: 44}), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,14 +92,8 @@ func TestDiffExitCodes(t *testing.T) {
 		t.Fatalf("identical diff: code %d, err %v\n%s", code, err, out.String())
 	}
 
-	other := goldenConfig
-	other.Seed = 43
-	buf.Reset()
-	if err := recordTrace(other, &buf, nil); err != nil {
-		t.Fatal(err)
-	}
 	diffFile := filepath.Join(dir, "other.jsonl")
-	if err := os.WriteFile(diffFile, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(diffFile, recordClique8(t, mobiletel.Options{Seed: 45}), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
@@ -302,34 +256,11 @@ func TestDiffTruncatedTrace(t *testing.T) {
 	}
 }
 
-// TestFaultedRecordDeterministic pins the fault path end to end: two
-// recordings with the same fault plan are byte-identical, and their summary
-// reports the injected-fault rows.
-func TestFaultedRecordDeterministic(t *testing.T) {
-	cfg := goldenConfig
-	cfg.Topo, cfg.N, cfg.Algo = "regular", 24, "asyncbitconv"
-	cfg.Deg = 6
-	// Crash and recover rates apply to each device every round, and the
-	// recorder resets a recovering device's state. The paper (Section VIII)
-	// promises convergence only after faults cease, so under steady churn
-	// "every up device agrees" is a race the protocol wins only between
-	// crashes: at 0.05 (about 1.2 crashes a round) it took thousands to
-	// hundreds of thousands of rounds, or did not happen within 400 000.
-	// At 0.01 seeds 40-49 stabilize in 99-532 rounds, well inside the
-	// 20 000-round cap.
-	cfg.CrashRate, cfg.RecoverRate, cfg.MaxDown = 0.01, 0.3, 4
-	cfg.ProposalLoss = 0.1
-	var a, b bytes.Buffer
-	if err := recordTrace(cfg, &a, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := recordTrace(cfg, &b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("same-seed faulted recordings differ")
-	}
-	s, err := replay(bytes.NewReader(a.Bytes()))
+// TestSummaryFaultRows checks that the summary of a faulted trace counts
+// the injected faults and renders their rows.
+func TestSummaryFaultRows(t *testing.T) {
+	trace := recordClique8(t, mobiletel.Options{Seed: 44, Faults: &mobiletel.FaultPlan{Seed: 45, ProposalLoss: 0.2}})
+	s, err := replay(bytes.NewReader(trace))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,9 +96,10 @@ type Partition struct {
 // Partitions) fire at exact rounds; rates draw independently each round
 // from the plan's own seed-derived streams.
 type Plan struct {
-	// Seed derives the fault RNG streams. Independent of sim.Config.Seed so
-	// the same fault pattern can be replayed against different executions
-	// (and vice versa).
+	// Seed derives the fault RNG streams. Independent of the execution's
+	// seed (sim.Config.Seed, the facade's Options.Seed) so the same fault
+	// pattern can be replayed against different executions (and vice
+	// versa).
 	Seed uint64
 
 	// CrashRate is the per-round probability that each up node crashes;

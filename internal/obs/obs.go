@@ -168,7 +168,7 @@ const (
 	// group (AsyncBitConv). A/B are the old/new 1-based positions.
 	KindPosition
 
-	// KindInformed: the node learned the rumor (PushPull/PPush).
+	// KindInformed: the node learned the rumor (every rumor strategy).
 	// A/B are 0/1.
 	KindInformed
 

@@ -8,14 +8,12 @@ import "mobiletel/internal/sim"
 // PUSH-PULL on star-like graphs (an informed hub can push to only one leaf
 // per round — that bottleneck is the whole point of the one-connection
 // restriction the mobile telephone model makes explicit).
-type Push struct {
-	informed bool
-}
+type Push struct{ informedBit }
 
 var _ Spreader = (*Push)(nil)
 
 // NewPush creates one node's PUSH protocol; informed seeds the rumor.
-func NewPush(informed bool) *Push { return &Push{informed: informed} }
+func NewPush(informed bool) *Push { return &Push{informedBit{informed}} }
 
 // Advertise returns 0 (b = 0).
 func (p *Push) Advertise(*sim.Context) uint64 { return 0 }
@@ -25,55 +23,19 @@ func (p *Push) Decide(ctx *sim.Context) (int32, bool) {
 	if !p.informed {
 		return 0, false
 	}
-	target, ok := ctx.RandomNeighbor()
-	if !ok {
-		return 0, false
-	}
-	return target, true
+	return ctx.RandomNeighbor()
 }
-
-// Outgoing reports rumor possession.
-func (p *Push) Outgoing(*sim.Context, int32) sim.Message {
-	aux := uint64(0)
-	if p.informed {
-		aux = 1
-	}
-	return sim.Message{Aux: aux}
-}
-
-// Deliver learns the rumor from an informed peer.
-func (p *Push) Deliver(_ *sim.Context, _ int32, msg sim.Message) {
-	if msg.Aux == 1 {
-		p.informed = true
-	}
-}
-
-// EndRound is a no-op.
-func (p *Push) EndRound(*sim.Context) {}
-
-// Leader reports rumor status (see PushPull.Leader).
-func (p *Push) Leader() uint64 {
-	if p.informed {
-		return 1
-	}
-	return 0
-}
-
-// Informed reports whether this node knows the rumor.
-func (p *Push) Informed() bool { return p.informed }
 
 // Pull is the PULL-only baseline (b = 0): uninformed nodes propose to a
 // uniformly random neighbor every round; informed nodes only receive.
 // Symmetric to Push: a lone informed leaf is found only when some neighbor
 // happens to pull from it.
-type Pull struct {
-	informed bool
-}
+type Pull struct{ informedBit }
 
 var _ Spreader = (*Pull)(nil)
 
 // NewPull creates one node's PULL protocol; informed seeds the rumor.
-func NewPull(informed bool) *Pull { return &Pull{informed: informed} }
+func NewPull(informed bool) *Pull { return &Pull{informedBit{informed}} }
 
 // Advertise returns 0 (b = 0).
 func (p *Pull) Advertise(*sim.Context) uint64 { return 0 }
@@ -83,42 +45,8 @@ func (p *Pull) Decide(ctx *sim.Context) (int32, bool) {
 	if p.informed {
 		return 0, false
 	}
-	target, ok := ctx.RandomNeighbor()
-	if !ok {
-		return 0, false
-	}
-	return target, true
+	return ctx.RandomNeighbor()
 }
-
-// Outgoing reports rumor possession.
-func (p *Pull) Outgoing(*sim.Context, int32) sim.Message {
-	aux := uint64(0)
-	if p.informed {
-		aux = 1
-	}
-	return sim.Message{Aux: aux}
-}
-
-// Deliver learns the rumor from an informed peer.
-func (p *Pull) Deliver(_ *sim.Context, _ int32, msg sim.Message) {
-	if msg.Aux == 1 {
-		p.informed = true
-	}
-}
-
-// EndRound is a no-op.
-func (p *Pull) EndRound(*sim.Context) {}
-
-// Leader reports rumor status (see PushPull.Leader).
-func (p *Pull) Leader() uint64 {
-	if p.informed {
-		return 1
-	}
-	return 0
-}
-
-// Informed reports whether this node knows the rumor.
-func (p *Pull) Informed() bool { return p.informed }
 
 // NewPushNetwork builds a PUSH-only network with the given informed set.
 func NewPushNetwork(n int, informed map[int]bool) []sim.Protocol {

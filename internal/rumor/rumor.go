@@ -45,16 +45,55 @@ func CountInformed(protocols []sim.Protocol) int {
 	return count
 }
 
-// PushPull is the b = 0 strategy (classical PUSH-PULL restricted to one
-// connection per node per round).
-type PushPull struct {
+// informedBit is the state every rumor strategy keeps — whether this node
+// knows the rumor — with the callbacks that trade and learn it. Each
+// strategy embeds it and adds only its Advertise and Decide.
+type informedBit struct {
 	informed bool
 }
+
+// Outgoing reports rumor possession in the auxiliary bits.
+func (b *informedBit) Outgoing(*sim.Context, int32) sim.Message {
+	aux := uint64(0)
+	if b.informed {
+		aux = 1
+	}
+	return sim.Message{Aux: aux}
+}
+
+// Deliver learns the rumor if the peer had it (PUSH and PULL both work
+// because the exchange is bidirectional).
+func (b *informedBit) Deliver(ctx *sim.Context, _ int32, msg sim.Message) {
+	if msg.Aux == 1 && !b.informed {
+		ctx.EmitTransition(obs.KindInformed, 0, 1)
+		b.informed = true
+	}
+}
+
+// EndRound is a no-op.
+func (b *informedBit) EndRound(*sim.Context) {}
+
+// Leader reports rumor status (1 = informed) so generic all-equal stop
+// conditions also work for rumor runs seeded with at least one informed
+// node.
+func (b *informedBit) Leader() uint64 {
+	if b.informed {
+		return 1
+	}
+	return 0
+}
+
+// Informed reports whether this node knows the rumor.
+func (b *informedBit) Informed() bool { return b.informed }
+
+// PushPull is the b = 0 strategy (classical PUSH-PULL restricted to one
+// connection per node per round).
+type PushPull struct{ informedBit }
 
 var _ Spreader = (*PushPull)(nil)
 
 // NewPushPull creates one node's protocol; informed seeds the rumor.
-func NewPushPull(informed bool) *PushPull { return &PushPull{informed: informed} }
+func NewPushPull(informed bool) *PushPull { return &PushPull{informedBit{informed}} }
 
 // Advertise returns 0: PUSH-PULL uses no tag bits.
 func (p *PushPull) Advertise(*sim.Context) uint64 { return 0 }
@@ -67,49 +106,13 @@ func (p *PushPull) Decide(ctx *sim.Context) (int32, bool) {
 	return ctx.RandomNeighbor()
 }
 
-// Outgoing reports rumor possession in the auxiliary bits.
-func (p *PushPull) Outgoing(*sim.Context, int32) sim.Message {
-	aux := uint64(0)
-	if p.informed {
-		aux = 1
-	}
-	return sim.Message{Aux: aux}
-}
-
-// Deliver learns the rumor if the peer had it (PUSH and PULL both work
-// because the exchange is bidirectional).
-func (p *PushPull) Deliver(ctx *sim.Context, _ int32, msg sim.Message) {
-	if msg.Aux == 1 && !p.informed {
-		ctx.EmitTransition(obs.KindInformed, 0, 1)
-		p.informed = true
-	}
-}
-
-// EndRound is a no-op.
-func (p *PushPull) EndRound(*sim.Context) {}
-
-// Leader reports rumor status (1 = informed) so generic all-equal stop
-// conditions also work for rumor runs seeded with at least one informed
-// node.
-func (p *PushPull) Leader() uint64 {
-	if p.informed {
-		return 1
-	}
-	return 0
-}
-
-// Informed reports whether this node knows the rumor.
-func (p *PushPull) Informed() bool { return p.informed }
-
 // PPush is the b = 1 "productive PUSH" strategy from Section V.
-type PPush struct {
-	informed bool
-}
+type PPush struct{ informedBit }
 
 var _ Spreader = (*PPush)(nil)
 
 // NewPPush creates one node's protocol; informed seeds the rumor.
-func NewPPush(informed bool) *PPush { return &PPush{informed: informed} }
+func NewPPush(informed bool) *PPush { return &PPush{informedBit{informed}} }
 
 // Advertise: informed nodes advertise 0, uninformed advertise 1.
 func (p *PPush) Advertise(*sim.Context) uint64 {
@@ -125,43 +128,8 @@ func (p *PPush) Decide(ctx *sim.Context) (int32, bool) {
 	if !p.informed {
 		return 0, false
 	}
-	target, ok := ctx.RandomNeighborWithTag(1)
-	if !ok {
-		return 0, false
-	}
-	return target, true
+	return ctx.RandomNeighborWithTag(1)
 }
-
-// Outgoing transfers the rumor bit.
-func (p *PPush) Outgoing(*sim.Context, int32) sim.Message {
-	aux := uint64(0)
-	if p.informed {
-		aux = 1
-	}
-	return sim.Message{Aux: aux}
-}
-
-// Deliver learns the rumor from an informed peer.
-func (p *PPush) Deliver(ctx *sim.Context, _ int32, msg sim.Message) {
-	if msg.Aux == 1 && !p.informed {
-		ctx.EmitTransition(obs.KindInformed, 0, 1)
-		p.informed = true
-	}
-}
-
-// EndRound is a no-op.
-func (p *PPush) EndRound(*sim.Context) {}
-
-// Leader reports rumor status, as for PushPull.
-func (p *PPush) Leader() uint64 {
-	if p.informed {
-		return 1
-	}
-	return 0
-}
-
-// Informed reports whether this node knows the rumor.
-func (p *PPush) Informed() bool { return p.informed }
 
 // NewPushPullNetwork builds a PushPull network with the given informed set.
 func NewPushPullNetwork(n int, informed map[int]bool) []sim.Protocol {

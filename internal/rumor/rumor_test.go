@@ -5,6 +5,7 @@ import (
 
 	"mobiletel/internal/dyngraph"
 	"mobiletel/internal/graph/gen"
+	"mobiletel/internal/obs"
 	"mobiletel/internal/rumor"
 	"mobiletel/internal/sim"
 )
@@ -153,5 +154,48 @@ func TestLeaderReportsInformedStatus(t *testing.T) {
 	q := rumor.NewPPush(true)
 	if q.Leader() != 1 || !q.Informed() {
 		t.Fatal("informed state wrong")
+	}
+}
+
+// TestEveryStrategyTracesInformedTransitions traces each strategy's spread
+// from one source and counts its informed transitions: every other node
+// learns the rumor once, so a complete run emits n-1 of them.
+func TestEveryStrategyTracesInformedTransitions(t *testing.T) {
+	f := gen.RandomRegular(48, 6, 3)
+	for _, c := range []struct {
+		name    string
+		tagBits int
+		network func(int, map[int]bool) []sim.Protocol
+	}{
+		{"pushpull", 0, rumor.NewPushPullNetwork},
+		{"ppush", 1, rumor.NewPPushNetwork},
+		{"push", 0, rumor.NewPushNetwork},
+		{"pull", 0, rumor.NewPullNetwork},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ring := obs.NewRing(1 << 16)
+			eng, err := sim.New(dyngraph.NewStatic(f), c.network(f.N(), map[int]bool{0: true}),
+				sim.Config{Seed: 21, TagBits: c.tagBits, MaxRounds: 100_000, Sink: ring})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if _, err := eng.Run(rumor.AllInformed); err != nil {
+				t.Fatal(err)
+			}
+			events := ring.Events()
+			if int64(len(events)) != ring.Total() {
+				t.Fatalf("ring kept %d of %d events; grow it", len(events), ring.Total())
+			}
+			informed := 0
+			for _, e := range events {
+				if e.Type == obs.TypeTransition && e.Kind == obs.KindInformed {
+					informed++
+				}
+			}
+			if informed != f.N()-1 {
+				t.Fatalf("%d informed transitions, want n-1 = %d", informed, f.N()-1)
+			}
+		})
 	}
 }

@@ -286,16 +286,20 @@ type Options struct {
 	// per round) — the related-work baseline, not the paper's model. See
 	// experiment E12 for the gap this exposes.
 	Classical bool
-	// Faults, when non-nil, injects deterministic faults (crash/recover
-	// churn, message loss, advertisement corruption, adversarial state
-	// resets) into the execution. Faulted runs remain a pure function of
-	// (Seed, schedule, algorithm, Options, Faults) at any worker count.
-	// A crashed device keeps stale state, so every entry point evaluates
-	// its stop condition over the up devices only, and ElectLeader and
-	// Decide report the first up device's state. GossipAll and Aggregate's
-	// Mean, Count and Sum still measure against the whole network (all n
-	// rumors, the true aggregate), so a device that crashes holding a share
-	// no up device has holds the run until it recovers, or to MaxRounds.
+	// Faults, when non-nil, injects deterministic faults into the
+	// execution: crash/recover churn, message loss, advertisement
+	// corruption, network partitions and adversarial state resets.
+	// FaultPlan is fault.Plan, whose field docs are the reference; the run
+	// validates the plan against the network size before round 1. Fault
+	// draws come from the plan's own Seed, so faulted runs remain a pure
+	// function of (Seed, schedule, algorithm, Options, Faults) at any
+	// worker count. A crashed device keeps stale state, so every entry
+	// point evaluates its stop condition over the up devices only, and
+	// ElectLeader and Decide report the first up device's state.
+	// GossipAll and Aggregate's Mean, Count and Sum still measure against
+	// the whole network (all n rumors, the true aggregate), so a device
+	// that crashes holding a share no up device has holds the run until it
+	// recovers, or to MaxRounds.
 	Faults *FaultPlan
 	// Check audits every round against the engine's safety invariants
 	// (proposal conservation, matching symmetry, down-device silence,
@@ -304,29 +308,24 @@ type Options struct {
 	Check bool
 }
 
-// FaultEvent schedules a scripted crash or recovery of one device at the
-// start of one round (rounds are 1-based).
-type FaultEvent struct {
-	Round  int
-	Device int
-}
+// FaultPlan is a deterministic, seed-derived description of the faults to
+// inject; see fault.Plan for each field. The zero value injects nothing.
+type FaultPlan = fault.Plan
 
-// FaultBurst schedules an adversarial state reset of a set of devices at
-// the start of one round — the Section VIII self-stabilization adversary.
-type FaultBurst struct {
-	Round   int
-	Devices []int
-}
+// FaultEvent schedules a scripted crash or recovery of one device (Node) at
+// the start of one round (rounds are 1-based).
+type FaultEvent = fault.NodeRound
+
+// FaultBurst schedules an adversarial state reset of a set of devices
+// (Nodes) at the start of one round — the Section VIII self-stabilization
+// adversary.
+type FaultBurst = fault.Burst
 
 // FaultPartition schedules a seed-derived network partition: from round
 // Start (inclusive) to round Heal (exclusive; 0 = never heals), the devices
 // are split into Parts components and every connection crossing a component
 // boundary deterministically fails.
-type FaultPartition struct {
-	Start int
-	Heal  int
-	Parts int
-}
+type FaultPartition = fault.Partition
 
 // ParsePartitions parses a comma-separated list of start:heal:parts triples
 // (the CLI -partition syntax), e.g. "10:40:2" or "10:40:2,60:0:3". Heal 0
@@ -355,74 +354,18 @@ func ParsePartitions(s string) ([]FaultPartition, error) {
 	return out, nil
 }
 
-// FaultPlan mirrors internal/fault.Plan: a deterministic, seed-derived
-// description of the faults to inject. The zero value injects nothing.
-type FaultPlan struct {
-	// Seed derives the fault randomness, independently of Options.Seed, so
-	// the same fault pattern can be replayed against different executions.
-	Seed uint64
-	// CrashRate / RecoverRate are per-round per-device probabilities of an
-	// up device crashing and a down device recovering. MaxDown caps the
-	// random churn (scripted crashes are exempt); 0 means no cap.
-	CrashRate   float64
-	RecoverRate float64
-	MaxDown     int
-	// ResetOnRecover models crash-with-amnesia: a recovering device's
-	// protocol state is reset as if freshly started.
-	ResetOnRecover bool
-	// ProposalLoss / ConnLoss are per-message loss probabilities for
-	// connection proposals and accepted connections; TagFlipRate is the
-	// per-(device, round) probability of one advertisement bit flipping.
-	ProposalLoss float64
-	ConnLoss     float64
-	TagFlipRate  float64
-	// Scripted faults, applied at the start of their round.
-	Crashes     []FaultEvent
-	Recoveries  []FaultEvent
-	Corruptions []FaultBurst
-	// Partitions schedules network splits with optional heal rounds.
-	Partitions []FaultPartition
-}
-
-// compile converts the public plan into a validated engine injector.
-func (p *FaultPlan) compile(n int) (*fault.Injector, error) {
-	if p == nil {
-		return nil, nil
-	}
-	plan := fault.Plan{
-		Seed:           p.Seed,
-		CrashRate:      p.CrashRate,
-		RecoverRate:    p.RecoverRate,
-		MaxDown:        p.MaxDown,
-		ResetOnRecover: p.ResetOnRecover,
-		ProposalLoss:   p.ProposalLoss,
-		ConnLoss:       p.ConnLoss,
-		TagFlipRate:    p.TagFlipRate,
-	}
-	for _, e := range p.Crashes {
-		plan.Crashes = append(plan.Crashes, fault.NodeRound{Round: e.Round, Node: e.Device})
-	}
-	for _, e := range p.Recoveries {
-		plan.Recoveries = append(plan.Recoveries, fault.NodeRound{Round: e.Round, Node: e.Device})
-	}
-	for _, b := range p.Corruptions {
-		plan.Corruptions = append(plan.Corruptions, fault.Burst{Round: b.Round, Nodes: b.Devices})
-	}
-	for _, pt := range p.Partitions {
-		plan.Partitions = append(plan.Partitions, fault.Partition{Start: pt.Start, Heal: pt.Heal, Parts: pt.Parts})
-	}
-	return fault.NewInjector(plan, n)
-}
-
 // run is the one execution path behind every entry point. It compiles
 // o.Faults, attaches the observers o names, runs protocols over s until stop
 // holds over the up devices, and writes the metrics and phase profile. It
 // returns the first up device, whose state the entry point reports.
 func (o Options) run(s Schedule, protocols []sim.Protocol, tagBits int, stop sim.StopCondition) (sim.Result, int, error) {
 	n := s.sched.N()
-	injector, err := o.Faults.compile(n)
-	if err != nil {
-		return sim.Result{}, 0, err
+	var injector *fault.Injector
+	if o.Faults != nil {
+		var err error
+		if injector, err = fault.NewInjector(*o.Faults, n); err != nil {
+			return sim.Result{}, 0, err
+		}
 	}
 	out, err := o.outputs()
 	if err != nil {

@@ -284,7 +284,7 @@ func TestElectLeaderScheduledCrash(t *testing.T) {
 			Seed: 2,
 			Faults: &mobiletel.FaultPlan{
 				Seed:    21,
-				Crashes: []mobiletel.FaultEvent{{Round: 1, Device: 3}},
+				Crashes: []mobiletel.FaultEvent{{Round: 1, Node: 3}},
 			},
 		})
 	if err != nil {

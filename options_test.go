@@ -115,7 +115,7 @@ func TestEntryPointsStopOverUpDevices(t *testing.T) {
 	const n = 32
 	sched := mobiletel.Static(mobiletel.RandomRegular(n, 6, 3))
 	opts := mobiletel.Options{Seed: 9, MaxRounds: 50_000, Faults: &mobiletel.FaultPlan{
-		Crashes: []mobiletel.FaultEvent{{Round: 2, Device: 5}},
+		Crashes: []mobiletel.FaultEvent{{Round: 2, Node: 5}},
 	}}
 	if _, err := mobiletel.ElectLeader(sched, mobiletel.AsyncBitConv, opts); err != nil {
 		t.Errorf("ElectLeader: %v", err)
