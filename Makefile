@@ -64,6 +64,10 @@ race-smoke:
 # Then 15 seconds that draw a seed and a k ≤ 64 and require xrand.At(seed, k),
 # the mobile-model engine's per-node draw, to equal output k of the stepped
 # generator.
+# Then 15 seconds that feed arbitrary bytes to the mtmtrace/v1 reader
+# (obs.NewReader, Next) and to the metrics fold mtmtrace summary runs, and
+# require no panic, a line number in every rejection, and the accepted
+# header and events to read back unchanged through the JSONL sink.
 # A failing input is saved under the package's testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesOracle$$' -fuzztime 30s ./internal/sim
@@ -71,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCutMatcher$$' -fuzztime 15s ./internal/matching
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenCheckpoint$$' -fuzztime 15s ./internal/experiment
 	$(GO) test -run '^$$' -fuzz '^FuzzAt$$' -fuzztime 15s ./internal/xrand
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime 15s ./cmd/mtmtrace
 
 lint:
 	$(GO) run ./cmd/mtmlint ./...

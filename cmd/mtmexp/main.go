@@ -8,11 +8,10 @@
 //	mtmexp -run E1-blindgossip-scaling
 //	mtmexp -run all -quick
 //	mtmexp -run E4-lemma-v1-gamma -csv > e4.csv
-//	mtmexp -run E1-blindgossip-scaling -cpuprofile cpu.out -bench-json times.json
+//	mtmexp -run E1-blindgossip-scaling -cpuprofile cpu.out
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -26,21 +25,6 @@ import (
 	"mobiletel/internal/atomicwrite"
 	"mobiletel/internal/prof"
 )
-
-// benchEntry is one experiment's wall-clock record in the -bench-json file.
-type benchEntry struct {
-	ID      string  `json:"id"`
-	Seconds float64 `json:"seconds"`
-	OK      bool    `json:"ok"`
-}
-
-// benchFile is the -bench-json layout.
-type benchFile struct {
-	Schema      string       `json:"schema"`
-	Quick       bool         `json:"quick"`
-	Seed        uint64       `json:"seed"`
-	Experiments []benchEntry `json:"experiments"`
-}
 
 // defaultCheckpointDir is where -resume looks for checkpoints when
 // -checkpoint does not name a directory explicitly.
@@ -71,7 +55,6 @@ func run() error {
 		profDir    = flag.String("phase-prof", "", "write each experiment's first-trial JSON phase-timing report (mtmprof/v1) into this directory; with -progress, progress lines show the hottest phases")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		benchJSON  = flag.String("bench-json", "", "write per-experiment wall-clock timings as JSON to this file")
 		checkpoint = flag.String("checkpoint", "", "checkpoint completed trials into this directory; reruns with the same seed/trials/quick resume from them")
 		resume     = flag.Bool("resume", false, "resume from checkpoints (shorthand for -checkpoint "+defaultCheckpointDir+" when -checkpoint is unset)")
 		dieAfter   = flag.Int("die-after", 0, "kill the process (exit 3) after N newly checkpointed trials; testing hook for -resume")
@@ -147,7 +130,6 @@ func run() error {
 		}
 	}
 
-	bench := benchFile{Schema: "mtmexp-bench/v1", Quick: *quick, Seed: *seed}
 	failed := 0
 	for _, id := range ids {
 		runOpts := opts
@@ -193,7 +175,6 @@ func run() error {
 				failed++
 			}
 		}
-		bench.Experiments = append(bench.Experiments, benchEntry{ID: id, Seconds: elapsed, OK: err == nil})
 		if errors.Is(err, mobiletel.ErrInterrupted) {
 			fmt.Fprintf(os.Stderr, "mtmexp: %s interrupted; %s\n", id, resumeHint(*checkpoint))
 			return err
@@ -209,15 +190,6 @@ func run() error {
 		}
 	}
 
-	if *benchJSON != "" {
-		data, err := json.MarshalIndent(&bench, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := atomicwrite.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
 	if *memprofile != "" {
 		if err := prof.WriteHeap(*memprofile); err != nil {
 			return err

@@ -38,11 +38,20 @@ func cmdSummary(args []string, stdout io.Writer) error {
 	return writeSummaryText(stdout, summary)
 }
 
+// maxSummaryN bounds the device count of a trace summary reads: the
+// metrics fold allocates its per-device load ledger up front, 8 bytes a
+// device, so a header naming 2^31-1 devices would ask for 16 GiB. The
+// largest workload the engine runs has 2^20 devices.
+const maxSummaryN = 1 << 24
+
 // replay folds a JSONL trace into its metrics summary.
 func replay(in io.Reader) (obs.Summary, error) {
 	r, err := obs.NewReader(in)
 	if err != nil {
 		return obs.Summary{}, err
+	}
+	if n := r.Header().N; n > maxSummaryN {
+		return obs.Summary{}, fmt.Errorf("summary: trace header (line 1): n = %d exceeds %d devices", n, maxSummaryN)
 	}
 	m := obs.NewMetrics()
 	m.Begin(r.Header())

@@ -68,9 +68,6 @@ func (e *Extremum) Deliver(_ *sim.Context, _ int32, msg sim.Message) {
 	}
 }
 
-// EndRound is a no-op.
-func (e *Extremum) EndRound(*sim.Context) {}
-
 // Leader reports the current extremum's bits, so sim.AllLeadersEqual
 // doubles as the completion detector.
 func (e *Extremum) Leader() uint64 { return math.Float64bits(e.best) }
@@ -125,9 +122,6 @@ func (a *Averager) Deliver(_ *sim.Context, _ int32, msg sim.Message) {
 	a.value = (a.value + pv) / 2
 	a.weight = (a.weight + pw) / 2
 }
-
-// EndRound is a no-op.
-func (a *Averager) EndRound(*sim.Context) {}
 
 // Leader is unused for averaging (no exact stabilization point); it reports
 // a quantized estimate so coarse agreement checks are possible.

@@ -28,8 +28,9 @@ import (
 
 // Proposer is a consensus node: an AsyncBitConv leader election machine
 // carrying a proposal value with its smallest ID pair. It runs
-// AsyncBitConv's advertise, decide and end-of-round rules unchanged; only
-// the exchange, which carries the value, and the state reset differ.
+// AsyncBitConv's advertise rule (which also counts its local rounds) and
+// decide rule unchanged; only the exchange, which carries the value, and
+// the state reset differ.
 type Proposer struct {
 	core.AsyncBitConv
 
@@ -75,8 +76,8 @@ func (p *Proposer) Deliver(ctx *sim.Context, _ int32, msg sim.Message) {
 // CorruptState implements sim.Corruptible: the node reverts to its initial
 // state, its own pair and its own proposal together, so a reset node never
 // carries a value that is not its pair owner's.
-func (p *Proposer) CorruptState(rng *xrand.RNG) {
-	p.AsyncBitConv.CorruptState(rng)
+func (p *Proposer) CorruptState() {
+	p.AsyncBitConv.CorruptState()
 	p.value = p.proposal
 }
 

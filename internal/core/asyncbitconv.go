@@ -27,7 +27,7 @@ type AsyncBitConv struct {
 
 	best IDPair
 
-	localRound int // rounds completed since activation
+	localRound int // rounds advertised since activation or the last reset
 	position   int // 1-based tag bit position for the current group
 
 	// buf backs the UID slice of outgoing messages, as in BlindGossip.
@@ -77,7 +77,10 @@ func encodeTag(position int, bit uint64) uint64 {
 }
 
 // Advertise starts a new local group when due (picking a fresh random
-// position) and returns the encoded (position, bit) advertisement.
+// position), advances the local round counter and returns the encoded
+// (position, bit) advertisement. The engine calls Advertise once in every
+// round the node is active, after any reset of that round, so the counter
+// is the node's activation-relative time.
 func (p *AsyncBitConv) Advertise(ctx *sim.Context) uint64 {
 	if p.localRound%p.params.GroupLen == 0 {
 		next := 1 + ctx.Intn(p.params.K)
@@ -86,6 +89,7 @@ func (p *AsyncBitConv) Advertise(ctx *sim.Context) uint64 {
 			p.position = next
 		}
 	}
+	p.localRound++
 	return encodeTag(p.position, p.bitValue())
 }
 
@@ -129,9 +133,6 @@ func (p *AsyncBitConv) Adopt(ctx *sim.Context, got IDPair) bool {
 	return true
 }
 
-// EndRound advances the local round counter (activation-relative time).
-func (p *AsyncBitConv) EndRound(*sim.Context) { p.localRound++ }
-
 // Leader returns the UID of the node's current smallest ID pair.
 func (p *AsyncBitConv) Leader() uint64 { return p.best.UID }
 
@@ -140,7 +141,7 @@ func (p *AsyncBitConv) Leader() uint64 { return p.best.UID }
 // Advertise starts a fresh local group and draws one). This is the
 // Section VIII adversary: the algorithm's self-stabilization claim is that
 // it converges from any such reset, which the R-series experiments measure.
-func (p *AsyncBitConv) CorruptState(*xrand.RNG) {
+func (p *AsyncBitConv) CorruptState() {
 	p.best, p.localRound, p.position = p.self, 0, 0
 }
 

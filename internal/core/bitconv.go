@@ -165,9 +165,6 @@ func (p *BitConv) Deliver(_ *sim.Context, _ int32, msg sim.Message) {
 	}
 }
 
-// EndRound is a no-op; adoption happens at phase boundaries in Advertise.
-func (p *BitConv) EndRound(*sim.Context) {}
-
 // Leader returns the leader variable, updated at phase boundaries.
 func (p *BitConv) Leader() uint64 { return p.leader }
 
@@ -175,7 +172,7 @@ func (p *BitConv) Leader() uint64 { return p.leader }
 // state (own pair adopted and pending, itself as leader), as if it had just
 // started. Phase positions are global-round derived, so a corrupted node
 // stays phase-aligned — what BitConv's synchronized-start assumption needs.
-func (p *BitConv) CorruptState(*xrand.RNG) {
+func (p *BitConv) CorruptState() {
 	p.best, p.pending, p.leader, p.lastBit = p.self, p.self, p.self.UID, -1
 }
 

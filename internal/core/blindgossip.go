@@ -3,7 +3,6 @@ package core
 import (
 	"mobiletel/internal/obs"
 	"mobiletel/internal/sim"
-	"mobiletel/internal/xrand"
 )
 
 // BlindGossip is the Section VI algorithm for b = 0: each round, flip a fair
@@ -65,15 +64,12 @@ func (p *BlindGossip) Deliver(ctx *sim.Context, _ int32, msg sim.Message) {
 	}
 }
 
-// EndRound is a no-op: state updates happen on delivery.
-func (p *BlindGossip) EndRound(*sim.Context) {}
-
 // Leader returns the current leader variable: the smallest UID seen.
 func (p *BlindGossip) Leader() uint64 { return p.best }
 
 // CorruptState implements sim.Corruptible: the node forgets every UID it
 // has seen and restarts from its own, exactly as a fresh activation.
-func (p *BlindGossip) CorruptState(*xrand.RNG) { p.best = p.uid }
+func (p *BlindGossip) CorruptState() { p.best = p.uid }
 
 // UID returns the node's own immutable UID.
 func (p *BlindGossip) UID() uint64 { return p.uid }

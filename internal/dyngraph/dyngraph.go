@@ -68,12 +68,11 @@ func (s *Static) GraphAt(r int) *graph.Graph {
 	}
 	return s.family.Graph
 }
-func (s *Static) Tau() int           { return InfiniteTau }
-func (s *Static) N() int             { return s.family.N() }
-func (s *Static) MaxDegree() int     { return s.family.MaxDegree() }
-func (s *Static) Alpha() float64     { return s.family.Alpha }
-func (s *Static) Name() string       { return "static/" + s.family.Name }
-func (s *Static) Family() gen.Family { return s.family }
+func (s *Static) Tau() int       { return InfiniteTau }
+func (s *Static) N() int         { return s.family.N() }
+func (s *Static) MaxDegree() int { return s.family.MaxDegree() }
+func (s *Static) Alpha() float64 { return s.family.Alpha }
+func (s *Static) Name() string   { return "static/" + s.family.Name }
 
 // epoch returns the 0-based epoch index of round r under stability tau.
 func epoch(r, tau int) int {

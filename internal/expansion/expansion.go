@@ -353,20 +353,3 @@ func bestPrefixCut(g *graph.Graph, order []int) (float64, []int) {
 	copy(prefix, order[:bestLen])
 	return best, prefix
 }
-
-// Verify recomputes α(S) for the given set from first principles and reports
-// whether it equals claimed (to within floating-point equality). It is used
-// by tests to confirm minimizing sets returned by Exact/SweepUpperBound.
-func Verify(g *graph.Graph, set []int, claimed float64) bool {
-	if len(set) == 0 || len(set) > g.N()/2 {
-		return false
-	}
-	inSet := make([]bool, g.N())
-	for _, u := range set {
-		if u < 0 || u >= g.N() || inSet[u] {
-			return false
-		}
-		inSet[u] = true
-	}
-	return g.AlphaOf(inSet) == claimed
-}

@@ -18,7 +18,7 @@ func TestExactClique(t *testing.T) {
 		if alpha != f.Alpha {
 			t.Errorf("K_%d: exact α=%v, analytic %v", n, alpha, f.Alpha)
 		}
-		if !expansion.Verify(f.Graph, set, alpha) {
+		if !verify(f.Graph, set, alpha) {
 			t.Errorf("K_%d: minimizing set %v does not attain %v", n, set, alpha)
 		}
 	}
@@ -136,7 +136,7 @@ func TestSweepIsUpperBound(t *testing.T) {
 		if sweep < exact-1e-12 {
 			t.Fatalf("sweep %v below exact %v on %v", sweep, exact, g)
 		}
-		if !expansion.Verify(g, set, sweep) {
+		if !verify(g, set, sweep) {
 			t.Fatalf("sweep set %v does not attain %v on %v", set, sweep, g)
 		}
 	}
@@ -171,22 +171,44 @@ func TestSweepOnRandomRegularIsConstantish(t *testing.T) {
 	}
 }
 
+// verify recomputes α(S) for the given set from first principles and
+// reports whether it equals claimed: the check every minimizing set that
+// Exact or SweepUpperBound returns must pass.
+func verify(g *graph.Graph, set []int, claimed float64) bool {
+	if len(set) == 0 || len(set) > g.N()/2 {
+		return false
+	}
+	inSet := make([]bool, g.N())
+	for _, u := range set {
+		if u < 0 || u >= g.N() || inSet[u] {
+			return false
+		}
+		inSet[u] = true
+	}
+	return g.AlphaOf(inSet) == claimed
+}
+
+// TestVerifyRejectsBadSets keeps the minimizing-set check honest: a check
+// that accepted any set would make every test that uses it vacuous.
 func TestVerifyRejectsBadSets(t *testing.T) {
 	g := gen.Cycle(8).Graph
-	if expansion.Verify(g, nil, 0.5) {
-		t.Fatal("Verify accepted empty set")
+	if verify(g, nil, 0.5) {
+		t.Fatal("verify accepted empty set")
 	}
-	if expansion.Verify(g, []int{0, 1, 2, 3, 4}, 0.5) {
-		t.Fatal("Verify accepted oversized set")
+	if verify(g, []int{0, 1, 2, 3, 4}, 0.5) {
+		t.Fatal("verify accepted oversized set")
 	}
-	if expansion.Verify(g, []int{0, 0}, 0.5) {
-		t.Fatal("Verify accepted duplicate nodes")
+	if verify(g, []int{0, 0}, 0.5) {
+		t.Fatal("verify accepted duplicate nodes")
 	}
-	if expansion.Verify(g, []int{99}, 0.5) {
-		t.Fatal("Verify accepted out-of-range node")
+	if verify(g, []int{99}, 0.5) {
+		t.Fatal("verify accepted out-of-range node")
 	}
-	if expansion.Verify(g, []int{0, 1}, 0.123) {
-		t.Fatal("Verify accepted wrong claimed value")
+	if verify(g, []int{0, 1}, 0.123) {
+		t.Fatal("verify accepted wrong claimed value")
+	}
+	if !verify(g, []int{0, 1}, 1) {
+		t.Fatal("verify refused an arc of the cycle at its α")
 	}
 }
 
@@ -286,7 +308,7 @@ func checkNaive(t *testing.T, name string, g *graph.Graph) {
 	if want := naiveAlpha(g); alpha != want {
 		t.Errorf("%s: exact α=%v, naive enumeration %v", name, alpha, want)
 	}
-	if !expansion.Verify(g, set, alpha) {
+	if !verify(g, set, alpha) {
 		t.Errorf("%s: minimizing set %v does not attain %v", name, set, alpha)
 	}
 }
@@ -330,12 +352,13 @@ func TestExactWheel(t *testing.T) {
 }
 
 func TestExactCirculant(t *testing.T) {
-	f := gen.Circulant(12, []int{1, 3})
-	checkNaive(t, f.Name, f.Graph)
-	alpha, _ := expansion.Exact(f.Graph)
-	if alpha != f.Alpha {
-		t.Errorf("circulant: exact α=%v, family %v", alpha, f.Alpha)
+	// C_12(1, 3): node i is adjacent to i±1 and i±3 (mod 12).
+	b := graph.NewBuilder(12)
+	for u := 0; u < 12; u++ {
+		b.AddEdge(u, (u+1)%12)
+		b.AddEdge(u, (u+3)%12)
 	}
+	checkNaive(t, "circulant C_12(1,3)", b.MustBuild())
 }
 
 func TestExactExpanderFamilyAlpha(t *testing.T) {

@@ -3,7 +3,6 @@ package experiment
 import (
 	"mobiletel/internal/core"
 	"mobiletel/internal/dyngraph"
-	"mobiletel/internal/graph"
 	"mobiletel/internal/graph/gen"
 	"mobiletel/internal/sim"
 	"mobiletel/internal/stats"
@@ -100,17 +99,6 @@ func runE8(cfg Config) (*trace.Table, error) {
 	return table, nil
 }
 
-// twoComponents builds a disconnected union of two random-regular halves.
-func twoComponents(n, d int, seed uint64) gen.Family {
-	half := n / 2
-	a := gen.RandomRegular(half, d, seed)
-	b := gen.RandomRegular(half, d, seed+1)
-	bl := graph.NewBuilder(n)
-	a.Graph.Edges(func(u, v int) { bl.AddEdge(u, v) })
-	b.Graph.Edges(func(u, v int) { bl.AddEdge(half+u, half+v) })
-	return gen.Family{Name: "two-components", Graph: bl.MustBuild()}
-}
-
 func runE9(cfg Config) (*trace.Table, error) {
 	trials := pickTrials(cfg, 5, 15)
 	n := pick(cfg.Quick, 48, 96)
@@ -124,7 +112,7 @@ func runE9(cfg Config) (*trace.Table, error) {
 	allRounds, err := RunCells(cfg, len(preMerges), trials, func(pi, trial int) (int, error) {
 		preMerge := preMerges[pi]
 		seed := trialSeed(cfg.Seed, 900+preMerge, trial)
-		pre := twoComponents(n, d, seed+10)
+		pre := gen.DisjointUnion(gen.RandomRegular(n/2, d, seed+10), gen.RandomRegular(n/2, d, seed+11))
 		post := gen.RandomRegular(n, d, seed+11)
 		sched := dyngraph.NewSwitch(dyngraph.NewStatic(pre), dyngraph.NewStatic(post), preMerge+1)
 

@@ -55,11 +55,6 @@ func (c *connCounter) Deliver(ctx *sim.Context, peer int32, msg sim.Message) {
 	c.inner.Deliver(ctx, peer, msg)
 }
 
-func (c *connCounter) EndRound(ctx *sim.Context) {
-	c.proposed = -1
-	c.inner.EndRound(ctx)
-}
-
 func (c *connCounter) Leader() uint64 { return c.inner.Leader() }
 
 func runE11(cfg Config) (*trace.Table, error) {

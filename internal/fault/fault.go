@@ -17,8 +17,10 @@
 //     recoveries, rate churn under the MaxDown cap) is inherently
 //     order-dependent; it runs once per round in BeginRound, on the
 //     engine's sequential prologue, drawing from a per-round stream in
-//     ascending node order. Rates of zero consume no draws and touch no
-//     stream, so adding an unused knob never perturbs runs.
+//     ascending node order. State resets (corruption bursts, recoveries
+//     with ResetOnRecover) draw nothing: a reset node returns to the state
+//     its protocol was built with. Rates of zero consume no draws and touch
+//     no stream, so adding an unused knob never perturbs runs.
 //  2. Composability. Faults stack on top of any schedule: a crashed node is
 //     treated exactly like a node outside its activation window (invisible,
 //     no callbacks), and recovers into whatever topology the schedule then
@@ -58,7 +60,6 @@ const (
 	tagStream   = 0xfa17_2000_0000_0000
 	propStream  = 0xfa17_3000_0000_0000
 	connStream  = 0xfa17_4000_0000_0000
-	resetStream = 0xfa17_5000_0000_0000
 	partStream  = 0xfa17_6000_0000_0000
 )
 
@@ -216,7 +217,7 @@ func (p *Plan) Validate(n int) error {
 
 // Injector is a Plan compiled for one n-node execution. The engine calls
 // BeginRound once per round in its sequential prologue; the churn accessors
-// (DownMask, NewlyDown, ...) and StateRNG are likewise sequential-only. The
+// (DownMask, NewlyDown, ...) are likewise sequential-only. The
 // per-node draw methods (FlipTag, DropProposal, DropConnection) touch no
 // injector state and may be called concurrently from any worker, in any
 // order.
@@ -224,8 +225,7 @@ type Injector struct {
 	plan Plan
 	n    int
 
-	// rng is sequential scratch: the churn stream in BeginRound, then
-	// whatever per-(node, round) stream StateRNG last addressed.
+	// rng is sequential scratch for the churn stream in BeginRound.
 	rng xrand.RNG
 
 	down      []bool
@@ -318,16 +318,6 @@ func (in *Injector) ResetOnRecover() bool { return in.plan.ResetOnRecover }
 // TagFlipEnabled reports whether any tag-flip draw can fire, so the engine
 // can skip the flip pass entirely for plans that never flip.
 func (in *Injector) TagFlipEnabled() bool { return in.plan.TagFlipRate > 0 }
-
-// StateRNG returns the per-(node, round) stream for node u's adversarial
-// state reset (crash-with-amnesia recovery or corruption burst) at round r.
-// The returned pointer is the injector's sequential scratch generator:
-// engine sequential sections only, valid until the next StateRNG or
-// BeginRound call.
-func (in *Injector) StateRNG(u int32, r int) *xrand.RNG {
-	in.rng.Reseed(in.plan.Seed, resetStream|uint64(uint32(u)), uint64(r))
-	return &in.rng
-}
 
 // BeginRound advances the churn state machine into round r: it reseeds the
 // round's churn stream, applies scripted crashes and recoveries, then draws

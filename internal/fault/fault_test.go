@@ -304,34 +304,18 @@ func TestFlipTagStaysInRange(t *testing.T) {
 func TestZeroRatesConsumeNoDraws(t *testing.T) {
 	// Zero-rate plans draw nothing: the query methods return their no-fault
 	// verdicts without touching any stream, so adding unused knobs can never
-	// perturb existing runs — and the state-reset streams are untouched by
-	// any number of interleaved queries.
+	// perturb existing runs.
 	in, _ := NewInjector(Plan{Seed: 11, Crashes: []NodeRound{{Round: 1, Node: 0}}}, 4)
 	in.BeginRound(1)
-	before := in.StateRNG(0, 1).Uint64()
-	in.BeginRound(1) // replay the round
+	churn := in.rng
 	if in.DropProposal(1, 1) || in.DropConnection(1, 2, 1) {
 		t.Fatal("zero-rate drop fired")
 	}
 	if _, flipped := in.FlipTag(1, 1, 3, 1); flipped {
 		t.Fatal("zero-rate flip fired")
 	}
-	if got := in.StateRNG(0, 1).Uint64(); got != before {
-		t.Error("zero-rate queries perturbed the state-reset stream")
-	}
-}
-
-func TestStateRNGIsNodeAddressed(t *testing.T) {
-	in, _ := NewInjector(Plan{Seed: 11, Corruptions: []Burst{{Round: 1, Nodes: []int{0, 1}}}}, 4)
-	in.BeginRound(1)
-	a01 := in.StateRNG(0, 1).Uint64()
-	a11 := in.StateRNG(1, 1).Uint64()
-	a02 := in.StateRNG(0, 2).Uint64()
-	if a01 == a11 || a01 == a02 {
-		t.Error("StateRNG streams for distinct (node, round) collide")
-	}
-	if got := in.StateRNG(0, 1).Uint64(); got != a01 {
-		t.Error("StateRNG is not a pure function of (node, round)")
+	if in.rng != churn {
+		t.Error("zero-rate queries advanced the injector's churn stream")
 	}
 }
 

@@ -112,9 +112,6 @@ func (g *Node) Deliver(_ *sim.Context, _ int32, msg sim.Message) {
 	g.learn(idx)
 }
 
-// EndRound is a no-op.
-func (g *Node) EndRound(*sim.Context) {}
-
 // Leader reports the known-rumor count, so AllComplete can piggyback on the
 // generic leader comparison in diagnostics.
 func (g *Node) Leader() uint64 { return uint64(g.count) }

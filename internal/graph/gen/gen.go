@@ -624,39 +624,6 @@ func Wheel(n int) Family {
 	return Family{Name: "wheel", Graph: g, Alpha: alpha, AlphaExact: true}
 }
 
-// Circulant returns the circulant graph C_n(offsets): node i is adjacent to
-// i±off (mod n) for each offset. Offsets must be in [1, n/2]. No closed
-// form for α is attempted: it is expansion.Exact's value for n ≤ 20 and NaN
-// above.
-func Circulant(n int, offsets []int) Family {
-	if n < 3 || len(offsets) == 0 {
-		panic("gen: Circulant needs n >= 3 and offsets")
-	}
-	b := graph.NewBuilder(n)
-	seen := map[[2]int32]bool{}
-	for _, off := range offsets {
-		if off < 1 || 2*off > n {
-			panic(fmt.Sprintf("gen: Circulant offset %d outside [1, n/2]", off))
-		}
-		for u := 0; u < n; u++ {
-			v := (u + off) % n
-			e := [2]int32{int32(min(u, v)), int32(max(u, v))}
-			if !seen[e] {
-				seen[e] = true
-				b.AddEdge(u, v)
-			}
-		}
-	}
-	g := b.MustBuild()
-	alpha := math.NaN()
-	exact := false
-	if n <= 20 {
-		alpha, _ = expansion.Exact(g)
-		exact = true
-	}
-	return Family{Name: "circulant", Graph: g, Alpha: alpha, AlphaExact: exact}
-}
-
 // BarabasiAlbert grows a scale-free graph by preferential attachment: it
 // starts from a clique on m0 = m+1 nodes, then attaches each new node to m
 // distinct existing nodes chosen proportionally to their current degree.

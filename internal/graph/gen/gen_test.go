@@ -297,33 +297,10 @@ func TestWheelStructure(t *testing.T) {
 	}
 }
 
-func TestCirculantStructure(t *testing.T) {
-	f := Circulant(10, []int{1, 2})
-	if f.N() != 10 || f.Graph.M() != 20 {
-		t.Fatalf("C_10(1,2): n=%d m=%d", f.N(), f.Graph.M())
-	}
-	for u := 0; u < 10; u++ {
-		if f.Graph.Degree(u) != 4 {
-			t.Fatalf("node %d degree %d", u, f.Graph.Degree(u))
-		}
-	}
-	if !f.AlphaExact {
-		t.Fatal("small circulant should have brute-forced exact alpha")
-	}
-	// Antipodal offset covered once.
-	g := Circulant(6, []int{3})
-	if g.Graph.M() != 3 {
-		t.Fatalf("C_6(3): m=%d, want 3", g.Graph.M())
-	}
-}
-
 func TestNewFamilyPanics(t *testing.T) {
 	cases := []func(){
 		func() { CompleteBipartite(0, 3) },
 		func() { Wheel(3) },
-		func() { Circulant(2, []int{1}) },
-		func() { Circulant(10, []int{6}) },
-		func() { Circulant(10, nil) },
 	}
 	for i, fn := range cases {
 		func() {

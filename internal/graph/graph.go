@@ -74,13 +74,6 @@ func (g *Graph) Edges(fn func(u, v int)) {
 	}
 }
 
-// EdgeList returns all undirected edges as [2]int pairs with u < v.
-func (g *Graph) EdgeList() [][2]int {
-	edges := make([][2]int, 0, g.m)
-	g.Edges(func(u, v int) { edges = append(edges, [2]int{u, v}) })
-	return edges
-}
-
 // Connected reports whether the graph is connected (true for n <= 1).
 func (g *Graph) Connected() bool {
 	if g.n <= 1 {
@@ -172,17 +165,6 @@ func (g *Graph) AlphaOf(inSet []bool) float64 {
 	return float64(len(g.Boundary(inSet))) / float64(size)
 }
 
-// Relabel returns the graph obtained by renaming node u to perm[u], where
-// perm must be a permutation of 0..n-1. The result shares no storage with g
-// and is built in O(n+m) with no sorting: new labels are visited in ascending
-// order and appended to their neighbors' lists, so every adjacency list is
-// emitted already sorted. The output is identical (Equal) to rebuilding the
-// relabeled edge set through a Builder, at a fraction of the cost — this is
-// what lets τ=1 schedules serve a fresh topology every round cheaply.
-func (g *Graph) Relabel(perm []int) *Graph {
-	return g.RelabelInto(perm, &RelabelScratch{})
-}
-
 // RelabelScratch holds the reusable working storage of RelabelInto — the
 // inverse permutation and the per-node emission cursors. The zero value is
 // ready to use; it grows to the largest n seen and is reused afterwards.
@@ -202,15 +184,21 @@ func (s *RelabelScratch) grow(n int) {
 	s.cursor = s.cursor[:n]
 }
 
-// RelabelInto is Relabel with caller-owned scratch: only the result graph's
-// own storage (offsets, adj) is freshly allocated, so epoch-driven callers
-// (dyngraph.Permuted at τ=1 rebuilds every round) run in O(n+m) with O(1)
-// transient garbage. The result is still independent of g and of s — the
-// scratch may be reused immediately for the next relabel while earlier
-// results stay live.
+// RelabelInto returns the graph obtained by renaming node u to perm[u],
+// where perm must be a permutation of 0..n-1. It is built in O(n+m) with no
+// sorting: new labels are visited in ascending order and appended to their
+// neighbors' lists, so every adjacency list is emitted already sorted. The
+// output is identical (Equal) to rebuilding the relabeled edge set through
+// a Builder, at a fraction of the cost — this is what lets τ=1 schedules
+// serve a fresh topology every round cheaply. The scratch s is the
+// caller's: only the result graph's own storage (offsets, adj) is freshly
+// allocated, so epoch-driven callers (dyngraph.Permuted at τ=1 rebuilds
+// every round) run with O(1) transient garbage. The result shares no
+// storage with g or s — the scratch may be reused immediately for the next
+// relabel while earlier results stay live.
 func (g *Graph) RelabelInto(perm []int, s *RelabelScratch) *Graph {
 	if len(perm) != g.n {
-		panic(fmt.Sprintf("graph: Relabel permutation length %d != n %d", len(perm), g.n))
+		panic(fmt.Sprintf("graph: RelabelInto permutation length %d != n %d", len(perm), g.n))
 	}
 	s.grow(g.n)
 	inv := s.inv
@@ -219,7 +207,7 @@ func (g *Graph) RelabelInto(perm []int, s *RelabelScratch) *Graph {
 	}
 	for u, p := range perm {
 		if p < 0 || p >= g.n || inv[p] != -1 {
-			panic(fmt.Sprintf("graph: Relabel argument is not a permutation (perm[%d] = %d)", u, p))
+			panic(fmt.Sprintf("graph: RelabelInto argument is not a permutation (perm[%d] = %d)", u, p))
 		}
 		inv[p] = int32(u)
 	}
@@ -388,15 +376,6 @@ func (b *Builder) MustBuild() *Graph {
 		panic(err)
 	}
 	return g
-}
-
-// FromEdges builds a graph on n nodes from an explicit edge list.
-func FromEdges(n int, edges [][2]int) (*Graph, error) {
-	b := NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdge(e[0], e[1])
-	}
-	return b.Build()
 }
 
 // FromCSR adopts ready-made CSR arrays as a graph, skipping the Builder's

@@ -159,9 +159,9 @@ func TestEdgesEnumeratesEachOnce(t *testing.T) {
 
 func TestEdgeListMatchesHasEdge(t *testing.T) {
 	g := randomGraph(5, 20, 0.25)
-	for _, e := range g.EdgeList() {
+	for _, e := range edgeList(g) {
 		if !g.HasEdge(e[0], e[1]) {
-			t.Fatalf("EdgeList contains non-edge %v", e)
+			t.Fatalf("Edges yielded non-edge %v", e)
 		}
 	}
 }
@@ -235,17 +235,36 @@ func TestEqual(t *testing.T) {
 }
 
 func TestFromEdges(t *testing.T) {
-	g, err := FromEdges(3, [][2]int{{0, 1}, {1, 2}})
+	g, err := fromEdges(3, [][2]int{{0, 1}, {1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.M() != 2 || !g.Connected() {
-		t.Fatalf("FromEdges produced %v", g)
+		t.Fatalf("Build produced %v", g)
 	}
-	if _, err := FromEdges(3, [][2]int{{0, 1}, {0, 1}}); err == nil {
-		t.Fatal("FromEdges accepted duplicate edge")
+	if _, err := fromEdges(3, [][2]int{{0, 1}, {0, 1}}); err == nil {
+		t.Fatal("Build accepted duplicate edge")
 	}
 }
+
+// fromEdges builds a graph on n nodes from an explicit edge list.
+func fromEdges(n int, edges [][2]int) (*Graph, error) {
+	b := NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e[0], e[1])
+	}
+	return b.Build()
+}
+
+// edgeList returns g's undirected edges as pairs with u < v, in Edges order.
+func edgeList(g *Graph) [][2]int {
+	edges := make([][2]int, 0, g.M())
+	g.Edges(func(u, v int) { edges = append(edges, [2]int{u, v}) })
+	return edges
+}
+
+// relabel is RelabelInto with fresh scratch.
+func relabel(g *Graph, perm []int) *Graph { return g.RelabelInto(perm, &RelabelScratch{}) }
 
 // randomGraph builds a connected-ish Erdős–Rényi graph for property tests
 // (connectivity is not required by the properties above).
@@ -282,7 +301,7 @@ func BenchmarkBuild1000(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FromEdges(1000, uniq); err != nil {
+		if _, err := fromEdges(1000, uniq); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -312,7 +331,7 @@ func TestRelabelMatchesBuilderRandomized(t *testing.T) {
 		}
 		g := b.MustBuild()
 		perm := rng.Perm(n)
-		got := g.Relabel(perm)
+		got := relabel(g, perm)
 		want := NewBuilder(n)
 		for _, e := range edges {
 			want.AddEdge(perm[e[0]], perm[e[1]])
@@ -330,16 +349,16 @@ func TestRelabelMatchesBuilderRandomized(t *testing.T) {
 func TestRelabelIdentity(t *testing.T) {
 	g := mustPath(t, 6)
 	perm := []int{0, 1, 2, 3, 4, 5}
-	if !g.Relabel(perm).Equal(g) {
+	if !relabel(g, perm).Equal(g) {
 		t.Fatal("identity relabel changed the graph")
 	}
 }
 
 func TestRelabelSharesNoStorage(t *testing.T) {
 	// Schedules hand out relabeled graphs while consumers still hold the
-	// previous epoch's graph, so Relabel must not reuse g's arrays.
+	// previous epoch's graph, so RelabelInto must not reuse g's arrays.
 	g := mustPath(t, 4)
-	h := g.Relabel([]int{3, 2, 1, 0})
+	h := relabel(g, []int{3, 2, 1, 0})
 	if &g.adj[0] == &h.adj[0] || &g.offsets[0] == &h.offsets[0] {
 		t.Fatal("relabel shares storage with the source graph")
 	}
@@ -359,7 +378,7 @@ func TestRelabelRejectsBadPerm(t *testing.T) {
 					t.Errorf("perm %v did not panic", bad)
 				}
 			}()
-			g.Relabel(bad)
+			relabel(g, bad)
 		}()
 	}
 }
@@ -371,8 +390,8 @@ func TestRelabelIntoReusesScratchAcrossEpochs(t *testing.T) {
 	for epoch := 0; epoch < 20; epoch++ {
 		perm := rng.Perm(g.N())
 		got := g.RelabelInto(perm, &s)
-		if want := g.Relabel(perm); !got.Equal(want) {
-			t.Fatalf("epoch %d: RelabelInto differs from Relabel", epoch)
+		if want := relabel(g, perm); !got.Equal(want) {
+			t.Fatalf("epoch %d: RelabelInto with reused scratch differs from a fresh one", epoch)
 		}
 		// The result must outlive the scratch: mutate it and re-check the
 		// previous epoch's graph would be unaffected (fresh arrays).

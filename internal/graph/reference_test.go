@@ -70,7 +70,7 @@ func TestBuildMatchesReference(t *testing.T) {
 			}
 		}
 		want, wantErr := refBuild(n, pairs)
-		got, err := FromEdges(n, pairs)
+		got, err := fromEdges(n, pairs)
 		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 			t.Fatalf("trial %d (n=%d, %d edges): error %v, want %v", trial, n, len(pairs), err, wantErr)
 		}
@@ -154,7 +154,7 @@ func checkFromCSR(t *testing.T, offsets, adj []int32) {
 		t.Fatalf("offsets %v adj %v: error %v, reference %v", offsets, adj, err, want)
 	}
 	if err == nil {
-		h, berr := FromEdges(g.N(), g.EdgeList())
+		h, berr := fromEdges(g.N(), edgeList(g))
 		if berr != nil || !g.Equal(h) || g.MaxDegree() != h.MaxDegree() {
 			t.Fatalf("offsets %v adj %v: accepted graph differs from its edge list's build (%v)", offsets, adj, berr)
 		}

@@ -306,3 +306,23 @@ func TestDownsample(t *testing.T) {
 		t.Errorf("Downsample short float series = %v", got)
 	}
 }
+
+// TestReaderRejectsDeviceCount checks that a header whose device count
+// events cannot name as int32 is refused at line 1.
+func TestReaderRejectsDeviceCount(t *testing.T) {
+	for _, tc := range []struct {
+		n  string
+		ok bool
+	}{
+		{"0", false}, {"-1", false}, {"1", true}, {"2147483647", true},
+		{"2147483648", false}, {"1152921504606846976", false},
+	} {
+		_, err := NewReader(strings.NewReader(`{"schema":"` + Schema + `","n":` + tc.n + "}\n"))
+		if tc.ok && err != nil {
+			t.Errorf("n = %s refused: %v", tc.n, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "line 1")) {
+			t.Errorf("n = %s: err = %v, want a line-1 rejection", tc.n, err)
+		}
+	}
+}

@@ -43,7 +43,9 @@ const (
 	// PhaseExchange runs step 5 (partner derivation and message exchange
 	// over connections).
 	PhaseExchange
-	// PhaseEndRound runs the end-of-round protocol callbacks.
+	// PhaseEndRound named an end-of-round protocol sweep outside the
+	// model's five steps; the engine no longer runs one, so nothing charges
+	// it. The name stays in the mtmprof/v1 schema.
 	PhaseEndRound
 	// PhaseFlush drains per-worker event buffers into the sink (traced
 	// runs only).

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Ring is a bounded in-memory recorder: it keeps the most recent capacity
@@ -118,7 +119,9 @@ type Reader struct {
 // sink emits; a longer line means the file is not a trace).
 const maxTraceLine = 1 << 20
 
-// NewReader reads and validates the header line of a trace.
+// NewReader reads and validates the header line of a trace. Every
+// rejection names line 1. The header's device count must lie in
+// [1, math.MaxInt32], because events name devices as int32.
 func NewReader(r io.Reader) (*Reader, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxTraceLine)
@@ -126,7 +129,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	data, err := rd.scanLine()
 	if err != nil {
 		if err == io.EOF {
-			return nil, fmt.Errorf("obs: trace header: empty trace")
+			return nil, fmt.Errorf("obs: trace header (line 1): empty trace")
 		}
 		return nil, fmt.Errorf("obs: trace header: %w", err)
 	}
@@ -135,7 +138,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("obs: trace header (line 1): %w", err)
 	}
 	if h.Schema != Schema {
-		return nil, fmt.Errorf("obs: trace schema %q, this reader speaks %q", h.Schema, Schema)
+		return nil, fmt.Errorf("obs: trace header (line 1): schema %q, this reader speaks %q", h.Schema, Schema)
+	}
+	if h.N < 1 || h.N > math.MaxInt32 {
+		return nil, fmt.Errorf("obs: trace header (line 1): n = %d outside [1, %d]", h.N, math.MaxInt32)
 	}
 	rd.header = h
 	return rd, nil
@@ -155,9 +161,6 @@ func (r *Reader) scanLine() ([]byte, error) {
 
 // Header returns the trace's run header.
 func (r *Reader) Header() Header { return r.header }
-
-// Line returns the 1-based number of the last line consumed.
-func (r *Reader) Line() int { return r.line }
 
 // Next returns the next event, or io.EOF after the last one. A malformed or
 // truncated line (e.g. a write cut off mid-record) is an error naming the

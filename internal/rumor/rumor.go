@@ -70,9 +70,6 @@ func (b *informedBit) Deliver(ctx *sim.Context, _ int32, msg sim.Message) {
 	}
 }
 
-// EndRound is a no-op.
-func (b *informedBit) EndRound(*sim.Context) {}
-
 // Leader reports rumor status (1 = informed) so generic all-equal stop
 // conditions also work for rumor runs seeded with at least one informed
 // node.

@@ -18,7 +18,6 @@ func (p *chunkProbe) Advertise(*Context) uint64        { return 0 }
 func (p *chunkProbe) Decide(*Context) (int32, bool)    { return 0, false }
 func (p *chunkProbe) Outgoing(*Context, int32) Message { return Message{} }
 func (p *chunkProbe) Deliver(*Context, int32, Message) {}
-func (p *chunkProbe) EndRound(*Context)                {}
 func (p *chunkProbe) Leader() uint64                   { return p.uid }
 
 func chunkProbeNetwork(n int) []Protocol {

@@ -23,7 +23,6 @@ func (politeProto) Decide(ctx *sim.Context) (int32, bool) {
 }
 func (politeProto) Outgoing(*sim.Context, int32) sim.Message { return sim.Message{} }
 func (politeProto) Deliver(*sim.Context, int32, sim.Message) {}
-func (politeProto) EndRound(*sim.Context)                    {}
 func (politeProto) Leader() uint64                           { return 0 }
 
 func TestConformancePassesPoliteProtocol(t *testing.T) {

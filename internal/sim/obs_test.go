@@ -138,8 +138,8 @@ func TestTraceCountersMatchStats(t *testing.T) {
 // forced pool. Both dispatches run the same round, so they report the same
 // phases: the fused dispatches attribute wall time to the composite phases
 // and self-timed busy time to their constituent sweeps, the partner
-// derivation is timed as part of exchange, and bucket_accept and partner
-// are never charged. On the pool every worker has busy time in every
+// derivation is timed as part of exchange, and bucket_accept, partner and
+// end_round are never charged. On the pool every worker has busy time in every
 // chunked phase. The flush phase appears exactly when tracing is on, the
 // resolved dispatch mode and gate are visible in the report, and profiling
 // never perturbs the run (bit-identical Result vs the unprofiled engine).
@@ -198,9 +198,9 @@ func TestPhaseProfiler(t *testing.T) {
 	// Composites and sequential sections carry wall time; the constituent
 	// sweeps of the fused dispatches carry self-timed busy time only.
 	wallPhases := []string{"scan_advertise", "decide", "count", "merge",
-		"scatter", "accept", "partner_exchange", "end_round", "flush"}
+		"scatter", "accept", "partner_exchange", "flush"}
 	busyOnly := []string{"active_scan", "advertise", "exchange"}
-	chunked := append([]string{"decide", "count", "scatter", "accept", "end_round"}, busyOnly...)
+	chunked := append([]string{"decide", "count", "scatter", "accept"}, busyOnly...)
 	check := func(t *testing.T, rep obs.ProfReport, busyWorkers int) {
 		t.Helper()
 		phases := phaseMap(rep)
@@ -214,9 +214,16 @@ func TestPhaseProfiler(t *testing.T) {
 				t.Errorf("fused sweep %q has wall time %d; the composite dispatch should own it", name, p.WallNS)
 			}
 		}
-		for _, name := range []string{"bucket_accept", "partner"} {
-			if _, ok := phases[name]; ok {
-				t.Errorf("report charged retired phase %q", name)
+		// The retired phases keep their mtmprof/v1 wire names.
+		for _, retired := range []struct {
+			ph   obs.Phase
+			name string
+		}{{obs.PhaseBucketSeq, "bucket_accept"}, {obs.PhasePartner, "partner"}, {obs.PhaseEndRound, "end_round"}} {
+			if got := retired.ph.String(); got != retired.name {
+				t.Errorf("retired phase wire name %q, want %q", got, retired.name)
+			}
+			if _, ok := phases[retired.name]; ok {
+				t.Errorf("report charged retired phase %q", retired.name)
 			}
 		}
 		for _, name := range chunked {

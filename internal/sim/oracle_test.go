@@ -153,11 +153,6 @@ func (o *oracle) round(r int, g *graph.Graph) RoundStats {
 		o.acceptAndExchange(&s)
 	}
 
-	for u := 0; u < n; u++ {
-		if o.active[u] {
-			o.protocols[u].EndRound(o.ctx(int32(u)))
-		}
-	}
 	o.emit(obs.Event{Type: obs.TypeRoundEnd, Round: r, Node: int32(s.Connections), Peer: int32(s.Rejects),
 		A: uint64(s.Proposals), B: uint64(s.Connections)})
 	return s
@@ -174,7 +169,7 @@ func (o *oracle) roundStartFaults() {
 	for _, u := range in.NewlyRecovered() {
 		old := o.protocols[u].Leader()
 		if c, ok := o.protocols[u].(Corruptible); ok && in.ResetOnRecover() {
-			c.CorruptState(in.StateRNG(u, r))
+			c.CorruptState()
 		}
 		o.emit(obs.Event{Type: obs.TypeFault, Kind: obs.KindRecover, Round: r, Node: u, Peer: obs.NoNode,
 			A: old, B: o.protocols[u].Leader()})
@@ -185,7 +180,7 @@ func (o *oracle) roundStartFaults() {
 			continue
 		}
 		old := o.protocols[u].Leader()
-		c.CorruptState(in.StateRNG(u, r))
+		c.CorruptState()
 		o.emit(obs.Event{Type: obs.TypeFault, Kind: obs.KindCorrupt, Round: r, Node: u, Peer: obs.NoNode,
 			A: old, B: o.protocols[u].Leader()})
 	}

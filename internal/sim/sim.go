@@ -17,6 +17,11 @@
 //     MaxUIDs UIDs plus 64 auxiliary bits, enforcing the problem statement's
 //     O(1)-UIDs / O(polylog N)-bits connection budget.
 //
+// The engine runs exactly these five steps: a Protocol implements one
+// callback per step it takes part in, and a protocol that keeps a clock of
+// its own rounds advances it in one of them (AsyncBitConv counts its local
+// rounds in Advertise).
+//
 // The engine is deterministic: an execution is a pure function of (seed,
 // schedule, protocol, config). Draw k of node u in round r is output k of
 // the stream xrand.Derive(seed, u, r), a function of (seed, u, r, k) alone,
@@ -49,8 +54,10 @@ type Message struct {
 
 // Context is the per-node view the engine passes to protocol callbacks. It
 // exposes the node's identity, its private randomness for the round
-// (Uint64, Intn, Bool), and the scan results (neighbor ids and tags).
-// Contexts are only valid during the callback they are passed to.
+// (Uint64, Intn, Bool), and the scan: a uniformly random active neighbor,
+// optionally one advertising a given tag (RandomNeighbor,
+// RandomNeighborWithTag). Contexts are only valid during the callback they
+// are passed to.
 type Context struct {
 	Round int
 	Node  int32
@@ -109,34 +116,6 @@ func (c *Context) EmitTransition(kind obs.Kind, old, new uint64) {
 		Type: obs.TypeTransition, Kind: kind, Round: c.Round,
 		Node: c.Node, Peer: obs.NoNode, A: old, B: new,
 	})
-}
-
-// Degree returns the number of active neighbors visible in this round's scan.
-//
-//mtmlint:hotpath
-func (c *Context) Degree() int {
-	if c.act == nil {
-		return c.g.Degree(int(c.Node))
-	}
-	d := 0
-	for _, v := range c.g.Neighbors(int(c.Node)) {
-		if c.act[v] {
-			d++
-		}
-	}
-	return d
-}
-
-// Neighbors iterates over the active neighbors, invoking fn with each
-// neighbor's id and advertised tag. Iteration is in ascending id order.
-//
-//mtmlint:hotpath
-func (c *Context) Neighbors(fn func(id int32, tag uint64)) {
-	for _, v := range c.g.Neighbors(int(c.Node)) {
-		if c.act == nil || c.act[v] {
-			fn(v, c.tags[v])
-		}
-	}
 }
 
 // RandomNeighbor returns a uniformly random active neighbor, or ok=false if
@@ -215,21 +194,27 @@ func (c *Context) pick(cand []int32) (id int32, ok bool) {
 	return cand[c.Intn(len(cand))], true
 }
 
-// Protocol is the per-node state machine an algorithm implements. The engine
-// owns one Protocol instance per node and invokes the callbacks in a fixed
-// order each round. For determinism all randomness must come from the
-// Context's draws (ctx.Uint64, ctx.Intn, ctx.Bool, and the random neighbor
-// picks built on them): draw k of a node in a round is output k of its
-// (seed, node, round) stream, whichever callback makes it.
+// Protocol is the per-node state machine an algorithm implements: one
+// callback for each model step a node takes part in (advertise, decide,
+// and the exchange's two halves) and its leader variable. The engine owns
+// one Protocol instance per node and, each round, calls Advertise and
+// Decide once on every active node, then Outgoing and Deliver over each
+// connection. For determinism all randomness must come from the Context's
+// draws (ctx.Uint64, ctx.Intn, ctx.Bool, and the random neighbor picks
+// built on them): draw k of a node in a round is output k of its (seed,
+// node, round) stream, whichever callback makes it.
 type Protocol interface {
 	// Advertise returns the node's tag for the round. The engine verifies it
 	// fits in Config.TagBits. Called before the node can see its neighbors,
-	// so implementations must not call ctx.Neighbors here.
+	// so implementations must not call the neighbor picks here. It runs
+	// exactly once per round the node is active, after any state reset of
+	// that round, so a protocol may count its own rounds here.
 	Advertise(ctx *Context) uint64
 
-	// Decide inspects the scan (ctx.Neighbors/ctx.Degree) and either returns
-	// (target, true) to propose a connection to neighbor `target`, or
-	// (_, false) to receive. Proposing to a non-neighbor is an engine error.
+	// Decide inspects the scan (ctx.RandomNeighbor,
+	// ctx.RandomNeighborWithTag) and either returns (target, true) to
+	// propose a connection to neighbor `target`, or (_, false) to receive.
+	// Proposing to a non-neighbor is an engine error.
 	Decide(ctx *Context) (target int32, propose bool)
 
 	// Outgoing produces the message for a connection with peer. It is called
@@ -239,9 +224,6 @@ type Protocol interface {
 	// Deliver hands the node the peer's message for an established
 	// connection.
 	Deliver(ctx *Context, peer int32, msg Message)
-
-	// EndRound is called once per round after all exchanges complete.
-	EndRound(ctx *Context)
 
 	// Leader returns the node's current leader variable (a UID).
 	Leader() uint64
@@ -520,7 +502,6 @@ type Engine struct {
 	// stack Context whose address reaches an interface method would escape
 	// to the heap on every round. TestSteadyStateZeroAllocs pins this.
 	phDecide    func(w, lo, hi int)
-	phEndRound  func(w, lo, hi int)
 	phTagFlip   func(w, lo, hi int)
 	phCount     func(w, lo, hi int)
 	phScatter   func(w, lo, hi int)
@@ -580,10 +561,10 @@ type workerCounters struct {
 // resets — the internal/fault corruption adversary and crash-with-amnesia
 // recovery. CorruptState must return the node to a legal initial state (the
 // Section VIII self-stabilization experiments measure how the protocol
-// recovers from exactly this), drawing any randomness it needs from rng,
-// the injector's deterministic fault stream.
+// recovers from exactly this). A reset draws nothing: each state it may
+// restore is fixed when the protocol is built.
 type Corruptible interface {
-	CorruptState(rng *xrand.RNG)
+	CorruptState()
 }
 
 // New validates the configuration and builds an engine. protocols must have
@@ -690,7 +671,6 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 	// Method values allocate their receiver binding; do it once here, not
 	// once per parallelFor call.
 	e.phDecide = e.phaseDecide
-	e.phEndRound = e.phaseEndRound
 	e.phTagFlip = e.phaseTagFlip
 	e.phCount = e.phaseCount
 	e.phScatter = e.phaseScatter
@@ -867,10 +847,6 @@ func (e *Engine) stepCore(r int) RoundStats {
 	e.parallelForFused(obs.PhasePartnerExchange, e.phPartnerEx)
 	e.flushWorkerBufs()
 
-	// End of round.
-	e.parallelFor(obs.PhaseEndRound, e.phEndRound)
-	e.flushWorkerBufs()
-
 	if sink != nil {
 		sink.Event(obs.Event{Type: obs.TypeRoundEnd, Round: r,
 			Node: int32(connections), Peer: int32(rejects),
@@ -964,9 +940,8 @@ func (e *Engine) bucketAccept() (proposals, connections, rejects, busyLost, faul
 // applyRoundStartFaults publishes this round's churn and applies state
 // resets: crash-with-amnesia recoveries (Plan.ResetOnRecover) and scripted
 // corruption bursts of nodes active this round. Runs sequentially before
-// the scan/advertise sweep; each reset draws from the injector's
-// per-(node, round) state stream. Its events go to worker 0's buffer, which
-// the engine flushes right after round_start.
+// the scan/advertise sweep; resets draw nothing. Its events go to worker
+// 0's buffer, which the engine flushes right after round_start.
 func (e *Engine) applyRoundStartFaults(r int) {
 	in := e.cfg.Faults
 	sink := e.workerSink(0)
@@ -980,7 +955,7 @@ func (e *Engine) applyRoundStartFaults(r int) {
 		old := e.protocols[u].Leader()
 		if in.ResetOnRecover() {
 			if c, ok := e.protocols[u].(Corruptible); ok {
-				c.CorruptState(in.StateRNG(u, r))
+				c.CorruptState()
 			}
 		}
 		if sink != nil {
@@ -997,7 +972,7 @@ func (e *Engine) applyRoundStartFaults(r int) {
 			continue
 		}
 		old := e.protocols[u].Leader()
-		c.CorruptState(in.StateRNG(u, r))
+		c.CorruptState()
 		if sink != nil {
 			sink.Event(obs.Event{Type: obs.TypeFault, Kind: obs.KindCorrupt,
 				Round: r, Node: u, Peer: obs.NoNode, A: old, B: e.protocols[u].Leader()})
@@ -1169,21 +1144,6 @@ func (e *Engine) emitDeliver(sink obs.Sink, to, from int32, m Message) {
 	}
 	sink.Event(obs.Event{Type: obs.TypeDeliver, Round: e.curRound,
 		Node: to, Peer: from, A: uid, B: m.Aux})
-}
-
-// phaseEndRound runs the end-of-round callback for nodes [lo, hi).
-//
-//mtmlint:hotpath
-func (e *Engine) phaseEndRound(w, lo, hi int) {
-	ctx := &e.ctxA[w]
-	e.bindCtx(ctx, w)
-	for u := lo; u < hi; u++ {
-		if !e.active[u] {
-			continue
-		}
-		ctx.Node = int32(u)
-		e.protocols[u].EndRound(ctx)
-	}
 }
 
 // phaseActiveScan computes the activity bits for nodes [lo, hi), counts
@@ -1535,8 +1495,6 @@ func (e *Engine) classicalFinish(r, activeCount int) RoundStats {
 		e.protocols[v].Deliver(ctxV, int32(u), mu)
 	}
 	e.profEnd(obs.PhaseExchange, t0)
-
-	e.parallelFor(obs.PhaseEndRound, e.phEndRound)
 	e.flushWorkerBufs()
 	if e.cfg.Sink != nil {
 		e.cfg.Sink.Event(obs.Event{Type: obs.TypeRoundEnd, Round: r,
@@ -1558,7 +1516,7 @@ func (e *Engine) checkMessage(u int, m Message) {
 // benchmark tier re-measures it). A pool dispatch is one atomic publish +
 // wake (~1µs end to end at 8 workers), but per-phase chunk work is only
 // ~100ns/node — below about a thousand nodes per phase even an ideal
-// speedup cannot recover ~7 wake/join barriers per round.
+// speedup cannot recover ~6 wake/join barriers per round.
 const poolDispatchFloor = 1024
 
 // parallelFor runs fn over [0, n) split at the degree-weighted boundaries in

@@ -58,8 +58,7 @@ func (p *probe) Deliver(ctx *sim.Context, peer int32, _ sim.Message) {
 	p.mu.Unlock()
 }
 
-func (p *probe) EndRound(*sim.Context) {}
-func (p *probe) Leader() uint64        { return 0 }
+func (p *probe) Leader() uint64 { return 0 }
 
 func TestEngineInvariants(t *testing.T) {
 	f := gen.RandomRegular(60, 4, 3)
@@ -243,7 +242,6 @@ func (b *badTagProto) Advertise(*sim.Context) uint64            { return 2 } // 
 func (b *badTagProto) Decide(*sim.Context) (int32, bool)        { return 0, false }
 func (b *badTagProto) Outgoing(*sim.Context, int32) sim.Message { return sim.Message{} }
 func (b *badTagProto) Deliver(*sim.Context, int32, sim.Message) {}
-func (b *badTagProto) EndRound(*sim.Context)                    {}
 func (b *badTagProto) Leader() uint64                           { return 0 }
 
 func TestMessageBudgetEnforced(t *testing.T) {
@@ -276,7 +274,6 @@ func (c *chattyProto) Outgoing(*sim.Context, int32) sim.Message {
 	return sim.Message{UIDs: []uint64{1, 2, 3}}
 }
 func (c *chattyProto) Deliver(*sim.Context, int32, sim.Message) {}
-func (c *chattyProto) EndRound(*sim.Context)                    {}
 func (c *chattyProto) Leader() uint64                           { return 0 }
 
 func TestProposalToNonNeighborPanics(t *testing.T) {
@@ -305,7 +302,6 @@ func (p *rogueProto) Decide(ctx *sim.Context) (int32, bool) {
 }
 func (p *rogueProto) Outgoing(*sim.Context, int32) sim.Message { return sim.Message{} }
 func (p *rogueProto) Deliver(*sim.Context, int32, sim.Message) {}
-func (p *rogueProto) EndRound(*sim.Context)                    {}
 func (p *rogueProto) Leader() uint64                           { return 0 }
 
 func TestConfigValidation(t *testing.T) {
@@ -434,11 +430,6 @@ func (p *streamProbe) Deliver(ctx *sim.Context, peer int32, _ sim.Message) {
 	p.peers = append(p.peers, peer)
 }
 
-func (p *streamProbe) EndRound(ctx *sim.Context) {
-	p.draw(ctx)
-	p.draw(ctx)
-}
-
 func (p *streamProbe) Leader() uint64 { return 0 }
 
 // TestNodeStreamDerivedOnFirstDraw pins the node draws: draw k of node u in
@@ -497,11 +488,11 @@ func checkNodeDraws(t *testing.T, classical bool, r, u int, p *streamProbe) {
 	case u != 0 && !classical:
 		peers = min(len(p.peers), 1) // only the accepted leaf connects
 	}
-	// Advertise, Decide and EndRound draw five times, and every exchange
-	// draws three.
-	if p.round != r || len(p.peers) != peers || len(p.draws) != 5+3*peers {
+	// Advertise and Decide draw three times, and every exchange draws
+	// three.
+	if p.round != r || len(p.peers) != peers || len(p.draws) != 3+3*peers {
 		t.Fatalf("classical=%v, node %d: round %d, %d draws and peers %v, want round %d, %d draws and %d peers",
-			classical, u, p.round, len(p.draws), p.peers, r, 5+3*peers, peers)
+			classical, u, p.round, len(p.draws), p.peers, r, 3+3*peers, peers)
 	}
 	want := xrand.Derive(streamSeed, uint64(u), uint64(r))
 	for k, d := range p.draws {
@@ -564,7 +555,6 @@ func (p *centerCounter) Decide(ctx *sim.Context) (int32, bool) {
 }
 func (p *centerCounter) Outgoing(*sim.Context, int32) sim.Message { return sim.Message{} }
 func (p *centerCounter) Deliver(*sim.Context, int32, sim.Message) {}
-func (p *centerCounter) EndRound(*sim.Context)                    {}
 func (p *centerCounter) Leader() uint64                           { return 0 }
 
 func TestAcceptUniformAmongProposers(t *testing.T) {
@@ -606,8 +596,7 @@ func (p *leafPusher) Deliver(ctx *sim.Context, peer int32, _ sim.Message) {
 		p.accepted[peer]++
 	}
 }
-func (p *leafPusher) EndRound(*sim.Context) {}
-func (p *leafPusher) Leader() uint64        { return 0 }
+func (p *leafPusher) Leader() uint64 { return 0 }
 
 func BenchmarkEngineRoundClique1000(b *testing.B) {
 	uids := core.UniqueUIDs(1000, 1)
