@@ -37,10 +37,9 @@ race:
 # included, fault injection inside the parallel phase bodies, and the chaos
 # soak) under the race detector, without -short. This is the dynamic backstop for the
 # happensbefore analyzer's documented static boundaries (untraceable
-# pointers, receiver-method bodies, the scatter-cursor idiom whose
-# disjointness rests on the sequential prefix merge, the frozen-for-the-
-# round fault mask reads, and the epoch-publish proof's single-dispatcher
-# and constructor-before-spawn assumptions). The second command runs the
+# pointers, receiver-method bodies, the frozen-for-the-round fault mask
+# reads, and the epoch-publish proof's single-dispatcher and
+# constructor-before-spawn assumptions). The second command runs the
 # experiment harness's shared trial pool: the quick sweep, the checkpoint and
 # interrupt tests and the adaptive adversary, whose trial closures run
 # concurrently and which -short skips.
@@ -68,6 +67,11 @@ race-smoke:
 # (obs.NewReader, Next) and to the metrics fold mtmtrace summary runs, and
 # require no panic, a line number in every rejection, and the accepted
 # header and events to read back unchanged through the JSONL sink.
+# Then 15 seconds that decode a network size and a fault plan, its rates
+# from raw float64 bits (NaN and ±Inf included), and require
+# fault.Plan.Validate never to panic and to start every rejection with
+# "fault: ", and an accepted plan to hold its rates in [0, 1], compile
+# through NewInjector and answer a few rounds of the engine's queries.
 # A failing input is saved under the package's testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesOracle$$' -fuzztime 30s ./internal/sim
@@ -76,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenCheckpoint$$' -fuzztime 15s ./internal/experiment
 	$(GO) test -run '^$$' -fuzz '^FuzzAt$$' -fuzztime 15s ./internal/xrand
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime 15s ./cmd/mtmtrace
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanValidate$$' -fuzztime 15s ./internal/fault
 
 lint:
 	$(GO) run ./cmd/mtmlint ./...

@@ -205,3 +205,27 @@ func TestNotStabilizedLeavesNoOutput(t *testing.T) {
 		t.Errorf("failed run left %s behind", e.Name())
 	}
 }
+
+// TestNaNFaultRateRejected checks that a fault rate of NaN, which
+// flag.Float64 parses, fails the run with an error naming the plan field
+// instead of running fault-free.
+func TestNaNFaultRateRejected(t *testing.T) {
+	for _, c := range []struct{ flag, field string }{
+		{"-crash-rate", "CrashRate"},
+		{"-recover-rate", "RecoverRate"},
+		{"-proposal-loss", "ProposalLoss"},
+		{"-conn-loss", "ConnLoss"},
+		{"-tagflip-rate", "TagFlipRate"},
+	} {
+		args := []string{"-topo", "regular", "-n", "64", "-deg", "6", "-algo", "blindgossip", "-seed", "5",
+			c.flag, "NaN", "-metrics", "-"}
+		var stdout, stderr bytes.Buffer
+		err := run(args, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s NaN: err = %v, want an error naming %s", c.flag, err, c.field)
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("%s NaN: rejected run printed %q", c.flag, stdout.String())
+		}
+	}
+}

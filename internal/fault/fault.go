@@ -153,7 +153,7 @@ func (p *Plan) Validate(n int) error {
 		{"ConnLoss", p.ConnLoss},
 		{"TagFlipRate", p.TagFlipRate},
 	} {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("fault: %s = %v, want [0, 1]", r.name, r.v)
 		}
 	}

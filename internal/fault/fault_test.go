@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -14,6 +16,12 @@ func TestValidate(t *testing.T) {
 		{"rates in range", Plan{CrashRate: 0.5, RecoverRate: 1, ProposalLoss: 0.1, ConnLoss: 0.2, TagFlipRate: 0.3}, true},
 		{"negative rate", Plan{CrashRate: -0.1}, false},
 		{"rate above one", Plan{ProposalLoss: 1.5}, false},
+		{"crash rate NaN", Plan{CrashRate: math.NaN()}, false},
+		{"recover rate NaN", Plan{RecoverRate: math.NaN()}, false},
+		{"proposal loss NaN", Plan{ProposalLoss: math.NaN()}, false},
+		{"conn loss NaN", Plan{ConnLoss: math.NaN()}, false},
+		{"tag flip rate NaN", Plan{TagFlipRate: math.NaN()}, false},
+		{"rate infinite", Plan{ConnLoss: math.Inf(1)}, false},
 		{"scripted ok", Plan{Crashes: []NodeRound{{Round: 3, Node: 7}}}, true},
 		{"crash round zero", Plan{Crashes: []NodeRound{{Round: 0, Node: 0}}}, false},
 		{"crash node out of range", Plan{Crashes: []NodeRound{{Round: 1, Node: 8}}}, false},
@@ -433,4 +441,84 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// FuzzPlanValidate decodes a network size n in [1, 64] and a Plan whose
+// rates are raw float64 bits (so NaN and ±Inf occur) and whose scripted
+// faults come from 4-byte records of script. Validate must never panic and
+// must word every rejection "fault: ...". An accepted plan must hold every
+// rate in [0, 1], compile through NewInjector, and survive a few rounds of
+// every query the engine makes.
+func FuzzPlanValidate(f *testing.F) {
+	bits := math.Float64bits
+	// One valid plan per feature, then the NaN rate that Validate once let
+	// through as a fault-free plan.
+	f.Add(uint8(15), bits(0.1), bits(0.5), uint64(0), uint64(0), uint64(0), int8(0), true, []byte(nil))
+	f.Add(uint8(15), bits(0.2), uint64(0), uint64(0), uint64(0), uint64(0), int8(3), false, []byte(nil))
+	f.Add(uint8(7), uint64(0), uint64(0), bits(0.2), bits(0.3), bits(0.25), int8(0), false, []byte(nil))
+	f.Add(uint8(7), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), int8(0), true,
+		[]byte{0, 2, 3, 0, 1, 4, 3, 0})
+	f.Add(uint8(7), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), int8(0), false,
+		[]byte{2 | 2<<2, 3, 1, 5})
+	f.Add(uint8(7), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), int8(0), false,
+		[]byte{3, 2, 6, 2, 3, 4, 0, 3})
+	f.Add(uint8(63), uint64(0), uint64(0), bits(math.NaN()), uint64(0), uint64(0), int8(0), false, []byte(nil))
+	f.Fuzz(func(t *testing.T, nb uint8, crash, recover, prop, conn, flip uint64, maxDown int8, reset bool, script []byte) {
+		n := 1 + int(nb%64)
+		p := Plan{
+			Seed:           uint64(nb) * 0x9e3779b97f4a7c15,
+			CrashRate:      math.Float64frombits(crash),
+			RecoverRate:    math.Float64frombits(recover),
+			MaxDown:        int(maxDown),
+			ResetOnRecover: reset,
+			ProposalLoss:   math.Float64frombits(prop),
+			ConnLoss:       math.Float64frombits(conn),
+			TagFlipRate:    math.Float64frombits(flip),
+		}
+		for i := 0; i+4 <= len(script) && i < 64; i += 4 {
+			op, x, y, z := script[i], int(int8(script[i+1])), int(int8(script[i+2])), int(int8(script[i+3]))
+			switch op % 4 {
+			case 0:
+				p.Crashes = append(p.Crashes, NodeRound{Round: x, Node: y})
+			case 1:
+				p.Recoveries = append(p.Recoveries, NodeRound{Round: x, Node: y})
+			case 2:
+				p.Corruptions = append(p.Corruptions, Burst{Round: x, Nodes: []int{y, z}[:op>>2%3]})
+			case 3:
+				p.Partitions = append(p.Partitions, Partition{Start: x, Heal: y, Parts: z})
+			}
+		}
+		if err := p.Validate(n); err != nil {
+			if !strings.HasPrefix(err.Error(), "fault: ") {
+				t.Fatalf("rejection %q does not start with %q", err, "fault: ")
+			}
+			return
+		}
+		for _, r := range []float64{p.CrashRate, p.RecoverRate, p.ProposalLoss, p.ConnLoss, p.TagFlipRate} {
+			if !(r >= 0 && r <= 1) {
+				t.Fatalf("Validate accepted rate %v outside [0, 1] in %+v", r, p)
+			}
+		}
+		in, err := NewInjector(p, n)
+		if err != nil {
+			t.Fatalf("NewInjector rejected a valid plan: %v", err)
+		}
+		tagBits := 1 + int(nb%64)
+		for r := 1; r <= 8; r++ {
+			in.BeginRound(r)
+			if down := in.DownMask(); down != nil && len(down) != n {
+				t.Fatalf("round %d: down mask of %d nodes, want %d", r, len(down), n)
+			}
+			for u := int32(0); u < int32(n); u++ {
+				in.DropProposal(u, r)
+				in.DropConnection(u, (u+1)%int32(n), r)
+				in.FlipTag(u, r, tagBits, uint64(u))
+			}
+			for _, u := range in.CorruptTargets(r) {
+				if u < 0 || int(u) >= n {
+					t.Fatalf("round %d: corruption target %d outside [0, %d)", r, u, n)
+				}
+			}
+		}
+	})
 }

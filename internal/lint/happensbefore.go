@@ -37,28 +37,18 @@ import (
 // early `continue` guard) are proven too, and every failed proof carries
 // the def-use chain that `mtmlint -explain` prints.
 //
-// Two idioms of the parallel counting sort are recognized as proven:
-//
-//   - a *worker-private row*: row := shared[w*K : (w+1)*K]. Distinct worker
-//     ids address disjoint ranges for any K, so the view is private to the
-//     worker and may be read or written at any index (the per-worker
-//     histogram of the two-pass bucketing sort);
-//   - a *scatter cursor*: a write shared[row[t]] = v whose index is loaded
-//     from a worker-private row. The sequential prefix merge between the
-//     histogram and scatter passes rewrites each row cell into a cursor
-//     base such that distinct (worker, bucket) cursor ranges are disjoint;
-//     the analyzer accepts the write on the strength of that idiom (the
-//     merge itself runs outside any region), while still counting the
-//     container as region-written so stray same-region reads are flagged.
-//
-// A slice alias with any other bounds (row := shared[2:7]) is treated as
-// the shared container itself and held to the chunk proof.
+// One idiom is recognized as proven: a *worker-private row*, row :=
+// shared[w*K : (w+1)*K]. Distinct worker ids address disjoint ranges for
+// any K, so the view is private to the worker and may be read or written
+// at any index (the per-worker list heads of the engine's step-4 count
+// pass). A slice alias with any other bounds (row := shared[2:7]) is
+// treated as the shared container itself and held to the chunk proof.
 //
 // A method worker that forwards its own (w, lo, hi) to another receiver
 // method (a fused body running two sweeps back to back) has that method
 // analyzed as a worker too.
 //
-// Boundaries, dynamically backed by the race-smoke CI job (`make race`):
+// Boundaries, dynamically backed by the race-smoke CI job (`make race-smoke`):
 // other bodies of calls on the receiver itself (e.bindCtx(ctx)) are not
 // walked, writes through pointers the analyzer cannot trace to one &s[i]
 // site are skipped, and `go` statements inside a region belong to
@@ -211,13 +201,12 @@ func hbCheckDecl(p *Pass, decl *ast.FuncDecl) {
 
 // hbAccess is one recorded element access to a shared container.
 type hbAccess struct {
-	key    string // canonical container spelling, e.g. "e.tags"
-	index  ast.Expr
-	env    *ssa.Env
-	pos    token.Pos
-	what   string // access description for diagnostics
-	write  bool
-	proven bool // accepted by idiom (scatter cursor); still marks key written
+	key   string // canonical container spelling, e.g. "e.tags"
+	index ast.Expr
+	env   *ssa.Env
+	pos   token.Pos
+	what  string // access description for diagnostics
+	write bool
 }
 
 // hbClass classifies a container expression within a worker region.
@@ -280,9 +269,6 @@ func (r *hbRegion) run(body *ast.BlockStmt) {
 	for _, acc := range r.accesses {
 		if !acc.write && !written[acc.key] {
 			continue // shared-read-only container: no proof needed
-		}
-		if acc.proven {
-			continue // accepted by the scatter-cursor idiom
 		}
 		iv := r.an.Eval(acc.env, acc.index)
 		if r.inChunk(iv) {
@@ -404,17 +390,8 @@ func (r *hbRegion) checkWrite(lhs ast.Expr, env *ssa.Env) {
 			r.p.Reportf(lhs.Pos(), "parallelFor worker writes to shared map %s; concurrent map writes are unsafe even on distinct keys", key)
 			return
 		}
-		proven := false
-		if cursor, ok := ast.Unparen(ix.Index).(*ast.IndexExpr); ok {
-			if _, ccls := r.classify(cursor.X, env); ccls == hbPrivateRow {
-				// The scatter-cursor idiom: the index is loaded from a
-				// worker-private histogram row whose cells the sequential
-				// prefix merge turned into disjoint cursor bases.
-				proven = true
-			}
-		}
 		r.record(hbAccess{key: key, index: ix.Index, env: env,
-			pos: lhs.Pos(), what: "write", write: true, proven: proven})
+			pos: lhs.Pos(), what: "write", write: true})
 		return
 	}
 

@@ -29,7 +29,7 @@ import (
 //
 //   - amortized growth: `x = make(...)` or `x = append(x, ...)` guarded by
 //     an enclosing if whose condition measures cap(x) or len(x) — the
-//     inboxTo doubling, Context.nbr — and self-append to a struct field
+//     Context.nbr candidate scratch — and self-append to a struct field
 //     or package variable (high-water-mark scratch such as the
 //     obs.WorkerBuf event buffer);
 //   - panic-cold code: allocations inside panic arguments, or in a block

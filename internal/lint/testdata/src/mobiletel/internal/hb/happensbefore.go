@@ -170,12 +170,13 @@ func Suppressed(out []int) {
 	})
 }
 
-// HistScatter is the two-pass counting-sort idiom from internal/sim: each
-// worker counts into its private row of a shared histogram, a sequential
-// prefix merge between the passes (the caller's job) turns cells into
-// scatter-cursor bases, and the scatter writes through those cursors. Both
-// passes are accepted: hist[w*n:(w+1)*n] is disjoint per worker for any
-// stride, and the cursor-indexed write inherits the merge's disjointness.
+// HistScatter is a two-pass counting sort: each worker counts into its
+// private row of a shared histogram, a sequential prefix merge between the
+// passes (the caller's job) turns cells into scatter cursors, and the
+// scatter writes through them. The histogram pass is accepted:
+// hist[w*n:(w+1)*n] is disjoint per worker for any stride. The scatter is
+// not: its disjointness rests on the merge, outside the region, so a
+// cursor loaded from the row proves nothing.
 func HistScatter(hist, out []int, keys []int, n int) {
 	parallelFor(len(keys), func(w, lo, hi int) {
 		row := hist[w*n : (w+1)*n]
@@ -187,8 +188,23 @@ func HistScatter(hist, out []int, keys []int, n int) {
 	parallelFor(len(keys), func(w, lo, hi int) {
 		row := hist[w*n : (w+1)*n]
 		for i := lo; i < hi; i++ {
-			out[row[keys[i]]] = i
+			out[row[keys[i]]] = i // want `cannot prove`
 			row[keys[i]]++
+		}
+	})
+}
+
+// LinkLists is the step-4 count pass of internal/sim: each worker links the
+// items of its chunk into per-key lists whose heads live in its private
+// row of a shared array, and writes item i's link at i. Both writes are
+// accepted.
+func LinkLists(heads, next, keys []int, n int) {
+	parallelFor(len(keys), func(w, lo, hi int) {
+		row := heads[w*n : (w+1)*n]
+		clear(row)
+		for i := lo; i < hi; i++ {
+			next[i] = row[keys[i]]
+			row[keys[i]] = i + 1
 		}
 	})
 }
@@ -213,18 +229,6 @@ func SliceAliasShared(out []int, idx []int) {
 		row := out[2 : len(out)-1]
 		for i := lo; i < hi; i++ {
 			row[idx[i]] = i // want `cannot prove`
-		}
-	})
-}
-
-// CursorFromSharedRow scatters through cursors loaded from a shared (not
-// worker-private) slice: no disjointness proof attaches, so the write is
-// the usual unprovable finding.
-func CursorFromSharedRow(hist, out []int, n int) {
-	parallelFor(n, func(w, lo, hi int) {
-		cur := hist[0:n]
-		for i := lo; i < hi; i++ {
-			out[cur[i]] = i // want `cannot prove`
 		}
 	})
 }

@@ -24,14 +24,19 @@ const (
 	PhaseTagFlip
 	// PhaseDecide runs step 3 (propose-or-receive decisions).
 	PhaseDecide
-	// PhaseCount is counting-sort pass one (per-worker proposal histograms).
+	// PhaseCount is step 4's first pass: it counts the proposals and links
+	// each delivered one into its receiver's list (per-worker list heads).
 	PhaseCount
-	// PhaseMerge is the sequential column-major prefix merge between the
-	// counting-sort passes.
+	// PhaseMerge named a sequential prefix merge between two counting-sort
+	// passes; step 4 now links proposals in the count pass, so nothing
+	// charges it. The name stays in the mtmprof/v1 schema.
 	PhaseMerge
-	// PhaseScatter is counting-sort pass two (parallel inbox scatter).
+	// PhaseScatter named the counting sort's inbox scatter pass, retired
+	// with the merge; nothing charges it. The name stays in the mtmprof/v1
+	// schema.
 	PhaseScatter
-	// PhaseAccept runs step 4's accept decisions.
+	// PhaseAccept runs step 4's accept decisions, each receiver reading
+	// its inbox from the count pass's lists.
 	PhaseAccept
 	// PhasePartner named a separate partner-materialization sweep; the
 	// engine now derives partners inside the exchange sweep, so nothing

@@ -6,7 +6,8 @@ package obs
 // order at each sequential barrier. Worker chunks ascend in node id and
 // each worker iterates its chunk in ascending order, so the chunk-order
 // concatenation reproduces exactly the sequential engine's event order —
-// the same argument that makes the parallel counting sort bit-identical.
+// the same argument that makes the engine's parallel step-4 inboxes
+// bit-identical.
 //
 // The struct is padded to a cache line (like workerCounters in the engine)
 // so adjacent workers' appends never false-share, and growth uses the

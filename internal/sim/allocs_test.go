@@ -107,8 +107,8 @@ func TestSteadyStateZeroAllocsTracedParallel(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		// Warm up: one-time growth (inboxTo and worker-buffer high-water
-		// marks, lazy state).
+		// Warm up: one-time growth (the Context scratch and the worker-buffer
+		// high-water marks, lazy state).
 		eng.RunRounds(1, 50)
 		next := 51
 		return testing.AllocsPerRun(200, func() {

@@ -118,11 +118,11 @@ func TestChunkScratchBoundedAcrossTrials(t *testing.T) {
 }
 
 // TestEngineFootprintPerNode pins the heap bytes sim.New allocates to the
-// engine's per-node arrays: tags, 8 bytes a node; actions, inboxAt,
-// inboxTo, partner and chosen, 4 each; hist, 4 per dispatched worker;
-// active, 1; and the draw count, 4. Everything else must fit in a small
-// constant, so per-node generator state (a xoshiro256** state is 32 bytes
-// a node) cannot come back to the mobile model unnoticed. Like
+// engine's per-node arrays: tags, 8 bytes a node; actions, next, partner
+// and chosen, 4 each; heads, 4 per dispatched worker; active, 1; and the
+// draw count, 4. Everything else must fit in a small constant, so
+// per-node generator state (a xoshiro256** state is 32 bytes a node) or a
+// further 4-byte step-4 array cannot come to the mobile model unnoticed. Like
 // TestChunkScratchBoundedAcrossTrials it samples every allocation and
 // keeps those whose stack runs through New, so no other allocation in the
 // process can reach the count.
@@ -150,7 +150,7 @@ func TestEngineFootprintPerNode(t *testing.T) {
 		}
 		eng.Close()
 		_, after := profiledAllocs("mobiletel/internal/sim.New")
-		perNode := 8 + 5*4 + 4*c.workers + 1 + 4
+		perNode := 8 + 4*4 + 4*c.workers + 1 + 4
 		got := after - before
 		if limit := int64(perNode*n + slack); got > limit {
 			t.Errorf("workers=%d: sim.New allocated %d bytes (%.1f a node), want at most %d (%d a node + %d)",

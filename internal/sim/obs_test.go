@@ -197,10 +197,10 @@ func TestPhaseProfiler(t *testing.T) {
 
 	// Composites and sequential sections carry wall time; the constituent
 	// sweeps of the fused dispatches carry self-timed busy time only.
-	wallPhases := []string{"scan_advertise", "decide", "count", "merge",
-		"scatter", "accept", "partner_exchange", "flush"}
+	wallPhases := []string{"scan_advertise", "decide", "count", "accept",
+		"partner_exchange", "flush"}
 	busyOnly := []string{"active_scan", "advertise", "exchange"}
-	chunked := append([]string{"decide", "count", "scatter", "accept"}, busyOnly...)
+	chunked := append([]string{"decide", "count", "accept"}, busyOnly...)
 	check := func(t *testing.T, rep obs.ProfReport, busyWorkers int) {
 		t.Helper()
 		phases := phaseMap(rep)
@@ -218,7 +218,8 @@ func TestPhaseProfiler(t *testing.T) {
 		for _, retired := range []struct {
 			ph   obs.Phase
 			name string
-		}{{obs.PhaseBucketSeq, "bucket_accept"}, {obs.PhasePartner, "partner"}, {obs.PhaseEndRound, "end_round"}} {
+		}{{obs.PhaseBucketSeq, "bucket_accept"}, {obs.PhasePartner, "partner"}, {obs.PhaseEndRound, "end_round"},
+			{obs.PhaseMerge, "merge"}, {obs.PhaseScatter, "scatter"}} {
 			if got := retired.ph.String(); got != retired.name {
 				t.Errorf("retired phase wire name %q, want %q", got, retired.name)
 			}

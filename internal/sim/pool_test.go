@@ -86,7 +86,7 @@ func TestSteadyStateZeroAllocsPool(t *testing.T) {
 	)
 	eng, _ := poolEngine(t, n, workers)
 	defer eng.Close()
-	// Warm up: one-time growth (inboxTo high-water mark, lazy state).
+	// Warm up: one-time growth (the Context scratch, lazy state).
 	eng.RunRounds(1, 50)
 	next := 51
 	avg := testing.AllocsPerRun(200, func() {

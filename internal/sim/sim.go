@@ -20,7 +20,13 @@
 // The engine runs exactly these five steps: a Protocol implements one
 // callback per step it takes part in, and a protocol that keeps a clock of
 // its own rounds advances it in one of them (AsyncBitConv counts its local
-// rounds in Advertise).
+// rounds in Advertise). Step 3 checks that each proposal goes to an active
+// neighbor, unless it goes to the neighbor the node's own scan returned in
+// the same Decide call, which the scan drew from the round's active
+// neighbors. Step 4 is two
+// sweeps: a count pass links each delivered proposal into its receiver's
+// list, and the accept sweep reads every receiver's lists back as its
+// inbox, in ascending sender id.
 //
 // The engine is deterministic: an execution is a pure function of (seed,
 // schedule, protocol, config). Draw k of node u in round r is output k of
@@ -67,7 +73,13 @@ type Context struct {
 	tags []uint64
 	act  []bool   // activity per node (nil means all active)
 	sink obs.Sink // event sink, nil when tracing is disabled
-	nbr  []int32  // candidate scratch for the neighbor picks, grown once
+	nbr  []int32  // candidate scratch for the neighbor picks and the accept step's inbox, grown once
+
+	// picked is the neighbor the node's last scan returned during the
+	// current Decide call, or -1: an active neighbor in the round's graph,
+	// so a proposal to it needs no check. The engine resets it before each
+	// Decide.
+	picked int32
 }
 
 // Uint64 returns the node's next 64 random bits of the round. Draw k of
@@ -129,7 +141,9 @@ func (c *Context) RandomNeighbor() (id int32, ok bool) {
 		if len(nbrs) == 0 {
 			return 0, false
 		}
-		return nbrs[c.Intn(len(nbrs))], true
+		id = nbrs[c.Intn(len(nbrs))]
+		c.picked = id
+		return id, true
 	}
 	cand, act := c.scratch(len(nbrs)), c.act
 	k := 0
@@ -184,14 +198,17 @@ func (c *Context) scratch(deg int) []int32 {
 	return c.nbr[:deg]
 }
 
-// pick draws the winner among cand with the node's draws.
+// pick draws the winner among cand with the node's draws and records it in
+// c.picked.
 //
 //mtmlint:hotpath
 func (c *Context) pick(cand []int32) (id int32, ok bool) {
 	if len(cand) == 0 {
 		return 0, false
 	}
-	return cand[c.Intn(len(cand))], true
+	id = cand[c.Intn(len(cand))]
+	c.picked = id
+	return id, true
 }
 
 // Protocol is the per-node state machine an algorithm implements: one
@@ -453,32 +470,31 @@ type Engine struct {
 	tags    []uint64
 	actions []int32 // >=0: proposal target; -1: receive; -2: inactive
 	active  []bool
-	inboxTo []int32 // flattened proposals grouped per receiver
-	inboxAt []int32 // offsets per receiver (n+1)
 	partner []int32 // accepted connection partner or -1
 	workers int
 
 	// parExec, resolved once in New (see DESIGN §14), says whether this
 	// engine dispatches phases on the persistent worker pool or runs each
-	// phase inline as a single chunk. Either way step 4 is one two-pass
-	// counting sort (a histogram row per dispatched worker in hist, a
-	// sequential prefix merge, a scatter) followed by an accept sweep into
-	// chosen, so results never depend on the dispatch: fault draws are
+	// phase inline as a single chunk. Either way step 4 is a count pass that
+	// links every delivered proposal into its receiver's list (heads, one
+	// row of n per dispatched worker, and next) followed by an accept sweep
+	// into chosen, so results never depend on the dispatch: fault draws are
 	// node-addressed (see internal/fault), inboxes stay sender-ordered
 	// (worker chunks ascend in sender id), each receiver's accept choice
 	// is one of its own (seed, node, round) draws, and trace emission goes
 	// through per-worker buffers drained in chunk order.
 	parExec bool
 	pool    *workerPool // nil unless parExec
-	hist    []int32     // proposal histograms/scatter cursors, one row of n per dispatched worker
 	chosen  []int32     // per-receiver accepted sender (or noPartner)
 
-	// propLost[u] records whether a fault dropped sender u's proposal in
-	// transit this round: written at u by the counting pass, read at u by
-	// the scatter pass (chunk-local in both), replacing the historical
-	// in-place actions[u] rewrite that the parallel core could not perform
-	// race-free. Allocated only when Faults is non-nil.
-	propLost []bool
+	// heads[w*n+t] is 1 + the highest sender in worker w's chunk whose
+	// proposal reached receiver t this round, or 0; next[u] is 1 + the
+	// next lower sender of the same chunk and receiver after u, or 0. So
+	// each (worker, receiver) list descends in sender id. Written by the
+	// count pass (row w by worker w, next[u] by u's worker), read by the
+	// accept sweep.
+	heads []int32
+	next  []int32
 
 	// curDown is this round's fault down-mask (nil when nobody is down),
 	// published before the active scan so the parallel scan can read it.
@@ -504,7 +520,6 @@ type Engine struct {
 	phDecide    func(w, lo, hi int)
 	phTagFlip   func(w, lo, hi int)
 	phCount     func(w, lo, hi int)
-	phScatter   func(w, lo, hi int)
 	phAccept    func(w, lo, hi int)
 	phScanAdv   func(w, lo, hi int)
 	phPartnerEx func(w, lo, hi int)
@@ -624,16 +639,15 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 		tags:      make([]uint64, n),
 		actions:   make([]int32, n),
 		active:    make([]bool, n),
-		inboxTo:   make([]int32, 0, n),
-		inboxAt:   make([]int32, n+1),
 		partner:   make([]int32, n),
 		workers:   workers,
 		parExec:   parExec,
 		stopGate:  stopGate,
 		chunks:    make([]int, workers+1),
 		counters:  make([]workerCounters, span),
-		hist:      make([]int32, span*n),
 		chosen:    make([]int32, n),
+		heads:     make([]int32, span*n),
+		next:      make([]int32, n),
 		ctxA:      make([]Context, span),
 		ctxB:      make([]Context, span),
 	}
@@ -642,9 +656,6 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 	}
 	if cfg.TagBits < 64 {
 		e.tagLimit = uint64(1) << uint(cfg.TagBits)
-	}
-	if cfg.Faults != nil {
-		e.propLost = make([]bool, n)
 	}
 	if cfg.Sink != nil {
 		e.wbufs = make([]obs.WorkerBuf, span)
@@ -673,7 +684,6 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 	e.phDecide = e.phaseDecide
 	e.phTagFlip = e.phaseTagFlip
 	e.phCount = e.phaseCount
-	e.phScatter = e.phaseScatter
 	e.phAccept = e.phaseAccept
 	e.phScanAdv = e.phaseScanAdvertise
 	e.phPartnerEx = e.phasePartnerExchange
@@ -840,9 +850,10 @@ func (e *Engine) stepCore(r int) RoundStats {
 		return e.classicalFinish(r, activeCount)
 	}
 
-	// Step 4: group proposals by receiver (the counting sort keeps each
-	// inbox ordered by sender id), then accept. Step 5, the exchange, runs
-	// in the sweep that derives partners from the accept results.
+	// Step 4: link proposals into per-receiver lists, then accept (each
+	// receiver reads its inbox in ascending sender id). Step 5, the
+	// exchange, runs in the sweep that derives partners from the accept
+	// results.
 	proposals, connections, rejects, busyLost, faultLost := e.bucketAccept()
 	e.parallelForFused(obs.PhasePartnerExchange, e.phPartnerEx)
 	e.flushWorkerBufs()
@@ -888,40 +899,18 @@ func (e *Engine) verifyRound(r int, s RoundStats) {
 	}
 }
 
-// bucketAccept is step 4: a two-pass counting sort buckets proposals (a
-// histogram row per dispatched worker, one sequential prefix merge that
-// turns histogram cells into scatter cursor bases, then a scatter),
-// followed by the accept sweep, which may run in parallel because each
-// receiver's choice is one of its own draws. Worker chunks
-// ascend in sender id, so every inbox comes out in ascending sender order
-// at any worker count; an inline engine runs each sweep as one chunk over
-// one row.
+// bucketAccept is step 4: the count pass links each delivered proposal
+// into its receiver's list in the sending worker's row of heads, and the
+// accept sweep, which may run in parallel because each receiver's choice
+// is one of its own draws, reads every receiver's lists back as its inbox.
+// Worker chunks ascend in sender id, so every inbox comes out in
+// ascending sender order at any worker count; an inline engine runs each
+// sweep as one chunk over one row.
 //
 //mtmlint:hotpath
 func (e *Engine) bucketAccept() (proposals, connections, rejects, busyLost, faultLost int) {
 	e.parallelFor(obs.PhaseCount, e.phCount)
 	e.flushWorkerBufs()
-	t0 := e.profStart()
-	n, hist, inboxAt := e.n, e.hist, e.inboxAt
-	total := int32(0)
-	for t := 0; t < n; t++ {
-		inboxAt[t] = total
-		for i := t; i < len(hist); i += n { // row w's cell for receiver t
-			c := hist[i]
-			hist[i] = total
-			total += c
-		}
-	}
-	inboxAt[n] = total
-	if cap(e.inboxTo) < int(total) {
-		// Amortized doubling: rounding the new capacity up keeps regrowth
-		// O(log n) over an execution instead of once per high-water mark.
-		e.inboxTo = make([]int32, total, max(2*cap(e.inboxTo), int(total)))
-	} else {
-		e.inboxTo = e.inboxTo[:total]
-	}
-	e.profEnd(obs.PhaseMerge, t0)
-	e.parallelFor(obs.PhaseScatter, e.phScatter)
 	e.parallelFor(obs.PhaseAccept, e.phAccept)
 	e.flushWorkerBufs()
 	// The round's accounting is complete after count + accept: the sweep
@@ -1112,17 +1101,21 @@ func (e *Engine) phaseDecide(w, lo, hi int) {
 		if !e.active[u] {
 			continue
 		}
-		ctx.Node = int32(u)
+		ctx.Node, ctx.picked = int32(u), -1
 		target, propose := e.protocols[u].Decide(ctx)
 		if !propose {
 			e.actions[u] = actionReceive
 			continue
 		}
-		if target < 0 || int(target) >= e.n || !e.curG.HasEdge(u, int(target)) {
-			panic(fmt.Sprintf("sim: node %d proposed to non-neighbor %d in round %d", u, target, e.curRound))
-		}
-		if !e.active[target] {
-			panic(fmt.Sprintf("sim: node %d proposed to inactive node %d in round %d", u, target, e.curRound))
+		// A target this call's own scan returned was drawn from u's active
+		// neighbors in curG; any other, a negative one included, is checked.
+		if target != ctx.picked || target < 0 {
+			if target < 0 || int(target) >= e.n || !e.curG.HasEdge(u, int(target)) {
+				panic(fmt.Sprintf("sim: node %d proposed to non-neighbor %d in round %d", u, target, e.curRound))
+			}
+			if !e.active[target] {
+				panic(fmt.Sprintf("sim: node %d proposed to inactive node %d in round %d", u, target, e.curRound))
+			}
 		}
 		e.actions[u] = target
 	}
@@ -1208,18 +1201,20 @@ func (e *Engine) draw(u int32) uint64 {
 	return r.Uint64()
 }
 
-// phaseCount is counting-sort pass one: worker w histograms the proposals of
-// senders [lo, hi) into its private row of e.hist and tallies every
-// proposal (delivered, busy-lost or fault-lost) into its counters. Traced
-// runs also emit the propose, proposal-loss and busy-reject events here,
-// into the worker's private buffer, in ascending sender order.
+// phaseCount is step 4's first pass: worker w tallies every proposal of
+// senders [lo, hi) (delivered, busy-lost or fault-lost) into its counters
+// and links each delivered sender u into its receiver t's list in the
+// worker's private row of e.heads: next[u] = row[t], row[t] = u+1. Senders
+// ascend, so each list descends in sender id. Traced runs also emit the
+// propose, proposal-loss and busy-reject events here, into the worker's
+// private buffer, in ascending sender order.
 //
 //mtmlint:hotpath
 func (e *Engine) phaseCount(w, lo, hi int) {
 	n := e.n
-	row := e.hist[w*n : (w+1)*n]
+	row := e.heads[w*n : (w+1)*n]
 	clear(row)
-	actions, tags, lost, faults := e.actions, e.tags, e.propLost, e.cfg.Faults
+	actions, next, tags, faults := e.actions, e.next, e.tags, e.cfg.Faults
 	var buf *obs.WorkerBuf // nil in untraced runs
 	if e.wbufs != nil {
 		buf = &e.wbufs[w]
@@ -1237,25 +1232,21 @@ func (e *Engine) phaseCount(w, lo, hi int) {
 		}
 		proposals++
 		// One node-addressed fault draw per proposal: a dropped proposal
-		// never reaches its target (but the node still transmitted, so
-		// proposals aimed at it stay busy-lost). The verdict lands in the
-		// chunk-local propLost[u] cell for the scatter pass.
-		if faults != nil {
-			if faults.DropProposal(int32(u), r) {
-				lost[u] = true
-				faultLost++
-				if buf != nil {
-					buf.Event(obs.Event{Type: obs.TypeFault, Kind: obs.KindPropLoss,
-						Round: r, Node: t, Peer: int32(u)})
-				}
-				continue
+		// never reaches its target, so it is not linked (but the node still
+		// transmitted, so proposals aimed at it stay busy-lost).
+		if faults != nil && faults.DropProposal(int32(u), r) {
+			faultLost++
+			if buf != nil {
+				buf.Event(obs.Event{Type: obs.TypeFault, Kind: obs.KindPropLoss,
+					Round: r, Node: t, Peer: int32(u)})
 			}
-			lost[u] = false
+			continue
 		}
 		// A proposal to a node that itself proposed is lost (the model: a
 		// node that sends cannot also receive).
 		if actions[t] == actionReceive {
-			row[t]++
+			next[u] = row[t]
+			row[t] = int32(u) + 1
 		} else {
 			busyLost++
 			if buf != nil {
@@ -1268,39 +1259,23 @@ func (e *Engine) phaseCount(w, lo, hi int) {
 	ctr.proposals, ctr.busyLost, ctr.faultLost = proposals, busyLost, faultLost
 }
 
-// phaseScatter is counting-sort pass two: after the sequential merge rewrote
-// worker w's histogram row into scatter cursor bases, each worker writes its
-// senders into the shared inboxTo. Distinct (w, t) cursor ranges are
-// disjoint by construction of the merge, and chunks ascend in sender id, so
-// each receiver's inbox lists its senders in ascending order.
-//
-//mtmlint:hotpath
-func (e *Engine) phaseScatter(w, lo, hi int) {
-	n := e.n
-	row := e.hist[w*n : (w+1)*n]
-	actions, lost := e.actions, e.propLost // lost is nil exactly when Faults is nil
-	for u := lo; u < hi; u++ {
-		if t := actions[u]; t >= 0 && actions[t] == actionReceive && (lost == nil || !lost[u]) {
-			e.inboxTo[row[t]] = int32(u)
-			row[t]++
-		}
-	}
-}
-
 // phaseAccept runs step 4's accept decision for receivers [lo, hi): each
-// picks one sender of its inbox by the configured policy, drawing only its
-// own draws through worker w's Context, and records the winner in
-// e.chosen. Every v in the chunk gets a chosen entry (noPartner for
-// non-receivers) so phasePartnerExchange can test chosen[t] for any
-// target. Traced runs also emit the accept (or connection-loss),
-// contention-reject and connect events here, into the worker's private
-// buffer, in ascending receiver order.
+// collects its inbox from the count pass's lists, picks one sender by the
+// configured policy, drawing only its own draws through worker w's
+// Context, and records the winner in e.chosen. Every v in the chunk gets a
+// chosen entry (noPartner for non-receivers) so phasePartnerExchange can
+// test chosen[t] for any target. Traced runs also emit the accept (or
+// connection-loss), contention-reject and connect events here, into the
+// worker's private buffer, in ascending receiver order.
 //
 //mtmlint:hotpath
 func (e *Engine) phaseAccept(w, lo, hi int) {
 	ctx := &e.ctxA[w]
 	e.bindCtx(ctx, w)
-	inboxAt, inboxTo, chosen := e.inboxAt, e.inboxTo, e.chosen
+	// Every sender is a neighbor of its receiver, so no inbox outgrows the
+	// graph's largest degree.
+	cand := ctx.scratch(e.curG.MaxDegree())
+	n, heads, next, chosen := e.n, e.heads, e.next, e.chosen
 	faults, policy := e.cfg.Faults, e.cfg.Accept
 	var buf *obs.WorkerBuf // nil in untraced runs
 	if e.wbufs != nil {
@@ -1310,9 +1285,19 @@ func (e *Engine) phaseAccept(w, lo, hi int) {
 	var connections, rejects, faultLost int64
 	for v := lo; v < hi; v++ {
 		chosen[v] = noPartner
-		// Only a receiver's inbox can be non-empty: the counting sort
-		// delivers no proposal to a sender or an inactive node.
-		inbox := inboxTo[inboxAt[v]:inboxAt[v+1]]
+		// Collect v's lists from the last worker's row down to row 0,
+		// filling cand from its end: each list descends in sender id and
+		// worker chunks ascend, so the inbox cand[k:] ascends. Only a
+		// receiver's inbox can be non-empty: the count pass links no
+		// proposal to a sender or an inactive node.
+		k := len(cand)
+		for i := len(heads) - n + v; i >= 0; i -= n {
+			for s := heads[i]; s != 0; s = next[s-1] {
+				k--
+				cand[k] = s - 1
+			}
+		}
+		inbox := cand[k:]
 		if len(inbox) == 0 {
 			continue
 		}
@@ -1516,14 +1501,15 @@ func (e *Engine) checkMessage(u int, m Message) {
 // benchmark tier re-measures it). A pool dispatch is one atomic publish +
 // wake (~1µs end to end at 8 workers), but per-phase chunk work is only
 // ~100ns/node — below about a thousand nodes per phase even an ideal
-// speedup cannot recover ~6 wake/join barriers per round.
+// speedup cannot recover a round's five wake/join barriers (six with tag
+// flips).
 const poolDispatchFloor = 1024
 
 // parallelFor runs fn over [0, n) split at the degree-weighted boundaries in
 // e.chunks, passing each chunk its worker index w (for per-worker scratch).
 // On the pool, worker 0 runs inline on the caller and every worker index is
 // dispatched even when its chunk is empty, so per-worker counter and
-// histogram rows are freshly written on every call — one atomic publish
+// list-head rows are freshly written on every call — one atomic publish
 // plus wake, zero allocations. An inline engine runs fn(0, 0, n).
 //
 // ph names the phase for the profiler: profiled runs record the phase's wall

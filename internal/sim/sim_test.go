@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -276,33 +277,97 @@ func (c *chattyProto) Outgoing(*sim.Context, int32) sim.Message {
 func (c *chattyProto) Deliver(*sim.Context, int32, sim.Message) {}
 func (c *chattyProto) Leader() uint64                           { return 0 }
 
+// TestProposalToNonNeighborPanics holds the decide step to its proposal
+// check: only the neighbor the node's own scan returned in the same Decide
+// call skips it, and any other target must be an active neighbor.
 func TestProposalToNonNeighborPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-neighbor proposal did not panic")
-		}
-	}()
-	protocols := []sim.Protocol{&rogueProto{}, &rogueProto{}, &rogueProto{}}
-	eng, err := sim.New(dyngraph.NewStatic(gen.Path(3)), protocols, sim.Config{Seed: 1, MaxRounds: 1})
-	if err != nil {
-		t.Fatal(err)
+	var checked int // proposals in the last row whose target was not the last pick
+	for _, c := range []struct {
+		name   string
+		f      gen.Family
+		act    []int
+		decide func(t *testing.T, ctx *sim.Context) (int32, bool)
+		panic  string // "" means the rounds must run
+	}{
+		{"rogue proposal without a scan", gen.Path(3), nil, func(t *testing.T, ctx *sim.Context) (int32, bool) {
+			return 2, ctx.Node == 0
+		}, "non-neighbor"},
+		{"non-neighbor after a scan", gen.Path(3), nil, func(t *testing.T, ctx *sim.Context) (int32, bool) {
+			if ctx.Node != 0 {
+				return 0, false
+			}
+			if id, ok := ctx.RandomNeighbor(); !ok || id != 1 {
+				t.Errorf("node 0's scan on Path(3) returned (%d, %v), want (1, true)", id, ok)
+			}
+			return 2, true
+		}, "non-neighbor"},
+		{"another node's pick", gen.Path(4), nil, func(t *testing.T, ctx *sim.Context) (int32, bool) {
+			switch ctx.Node {
+			case 0:
+				return ctx.RandomNeighbor()
+			case 3:
+				return 1, true // node 0's pick, not a neighbor of node 3
+			}
+			return 0, false
+		}, "non-neighbor"},
+		{"inactive neighbor after a scan", gen.Path(3), []int{1, 1, 2}, func(t *testing.T, ctx *sim.Context) (int32, bool) {
+			if ctx.Node != 1 {
+				return 0, false
+			}
+			if id, ok := ctx.RandomNeighbor(); !ok || id != 0 {
+				t.Errorf("node 1's scan with node 2 inactive returned (%d, %v), want (0, true)", id, ok)
+			}
+			return 2, true
+		}, "inactive"},
+		{"first of two picks", gen.Clique(8), nil, func(t *testing.T, ctx *sim.Context) (int32, bool) {
+			first, _ := ctx.RandomNeighbor()
+			if last, _ := ctx.RandomNeighborWithTag(0); last != first {
+				checked++
+			}
+			return first, true
+		}, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := c.f.Graph.N()
+			protocols := make([]sim.Protocol, n)
+			for u := range protocols {
+				protocols[u] = &decideProto{t: t, decide: c.decide}
+			}
+			eng, err := sim.New(dyngraph.NewStatic(c.f), protocols, sim.Config{Seed: 1, Activations: c.act})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				got := recover()
+				if c.panic == "" {
+					if got != nil {
+						t.Fatalf("panicked: %v", got)
+					}
+					return
+				}
+				if msg, _ := got.(string); !strings.Contains(msg, c.panic) {
+					t.Fatalf("panic %v, want one naming %q", got, c.panic)
+				}
+			}()
+			eng.RunRounds(1, 20)
+		})
 	}
-	_, _ = eng.Run(nil)
+	if checked == 0 {
+		t.Error("no proposal went to a target other than the node's last pick")
+	}
 }
 
-// rogueProto: node 0 proposes to node 2, which is not adjacent on path(3).
-type rogueProto struct{}
-
-func (p *rogueProto) Advertise(*sim.Context) uint64 { return 0 }
-func (p *rogueProto) Decide(ctx *sim.Context) (int32, bool) {
-	if ctx.Node == 0 {
-		return 2, true
-	}
-	return 0, false
+// decideProto proposes whatever its decide function returns.
+type decideProto struct {
+	t      *testing.T
+	decide func(t *testing.T, ctx *sim.Context) (int32, bool)
 }
-func (p *rogueProto) Outgoing(*sim.Context, int32) sim.Message { return sim.Message{} }
-func (p *rogueProto) Deliver(*sim.Context, int32, sim.Message) {}
-func (p *rogueProto) Leader() uint64                           { return 0 }
+
+func (p *decideProto) Advertise(*sim.Context) uint64            { return 0 }
+func (p *decideProto) Decide(ctx *sim.Context) (int32, bool)    { return p.decide(p.t, ctx) }
+func (p *decideProto) Outgoing(*sim.Context, int32) sim.Message { return sim.Message{} }
+func (p *decideProto) Deliver(*sim.Context, int32, sim.Message) {}
+func (p *decideProto) Leader() uint64                           { return 0 }
 
 func TestConfigValidation(t *testing.T) {
 	f := gen.Path(3)
